@@ -60,7 +60,12 @@ type ALUCalibration struct {
 	MulNs float64 `json:"mul_ns"`
 	// AddNs is one field addition (with conditional reduction).
 	AddNs float64 `json:"add_ns"`
-	// CompressNs is one SHA-256 compression (sha2.Compress2).
+	// CompressNs is one SHA-256 compression as sha2.Compress2 delivers it:
+	// a block through crypto/sha256 (SHA-NI where the CPU has it) plus
+	// reading the chaining value back out of the marshalled state. It is
+	// the floor for kernels built on single compressions (Merkle levels);
+	// streamed hashing of long inputs runs below it per block, since it
+	// pays the call into crypto/sha256 once per buffer.
 	CompressNs float64 `json:"compress_ns"`
 }
 

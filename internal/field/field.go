@@ -174,13 +174,20 @@ func (e *Element) UnmarshalBinary(data []byte) error {
 
 // ToBytes serializes the canonical value big-endian.
 func (e *Element) ToBytes() [Bytes]byte {
-	c := e.fromMont()
 	var b [Bytes]byte
-	binary.BigEndian.PutUint64(b[0:8], c[3])
-	binary.BigEndian.PutUint64(b[8:16], c[2])
-	binary.BigEndian.PutUint64(b[16:24], c[1])
-	binary.BigEndian.PutUint64(b[24:32], c[0])
+	e.PutBytes(b[:])
 	return b
+}
+
+// PutBytes writes ToBytes' encoding into dst[:Bytes], for callers that
+// serialize many elements into one buffer.
+func (e *Element) PutBytes(dst []byte) {
+	c := e.fromMont()
+	_ = dst[Bytes-1]
+	binary.BigEndian.PutUint64(dst[0:8], c[3])
+	binary.BigEndian.PutUint64(dst[8:16], c[2])
+	binary.BigEndian.PutUint64(dst[16:24], c[1])
+	binary.BigEndian.PutUint64(dst[24:32], c[0])
 }
 
 // ErrNotCanonical is returned when deserializing a value ≥ the modulus.

@@ -25,7 +25,8 @@ import (
 )
 
 // Parallel grain thresholds: levels/leaf batches below these sizes run
-// serially, since a compression is ~100ns and chunk dispatch is not free.
+// serially, since a compression is tens of nanoseconds on SHA hardware and
+// chunk dispatch is not free.
 // Package vars so the parallel-vs-serial property tests can force the
 // parallel path at small sizes.
 var (
@@ -91,25 +92,36 @@ func BuildFromDigests(leaves []sha2.Digest) (*Tree, error) {
 // hashing their canonical encodings. It is how the polynomial commitment
 // turns a matrix column into a Merkle leaf.
 func HashElements(es []field.Element) sha2.Digest {
-	var h sha2.Hasher
-	h.Reset()
-	return HashElementsWith(&h, es)
+	s := par.GetScratch()
+	defer par.PutScratch(s)
+	return HashElementsWith(s, es)
 }
 
-// HashElementsWith is HashElements into a caller-owned hasher (already
-// reset), which column loops reuse instead of allocating one per column.
-func HashElementsWith(h *sha2.Hasher, es []field.Element) sha2.Digest {
-	for i := range es {
-		b := es[i].ToBytes()
-		h.Write(b[:])
+// hashBatch is how many elements are serialized per hasher Write: 4 KiB
+// amortizes the call into crypto/sha256 and stays L1-resident.
+const hashBatch = 128
+
+// HashElementsWith is HashElements on a caller-owned scratch arena, which
+// column loops reuse instead of borrowing one per column. Elements are
+// serialized into the arena's byte buffer a batch at a time, so the hasher
+// absorbs whole buffers instead of one 32-byte Write per element.
+func HashElementsWith(s *par.Scratch, es []field.Element) sha2.Digest {
+	h := s.Hasher()
+	buf := s.Bytes(min(len(es), hashBatch) * field.Bytes)
+	for len(es) > 0 {
+		n := min(len(es), hashBatch)
+		for i := range es[:n] {
+			es[i].PutBytes(buf[i*field.Bytes:])
+		}
+		h.Write(buf[:n*field.Bytes])
+		es = es[n:]
 	}
 	return h.Sum()
 }
 
 // HashColumns hashes every column to its leaf digest, in parallel across
-// columns with one reused hasher per worker. It is the leaf-production
-// half of BuildFromColumns, exposed so callers that produce columns
-// lazily (the polynomial commitment) can skip materializing them.
+// columns with one reused scratch arena per worker. It is the
+// leaf-production half of BuildFromColumns.
 func HashColumns(cols [][]field.Element) []sha2.Digest {
 	leaves := make([]sha2.Digest, len(cols))
 	w := 0
@@ -118,10 +130,43 @@ func HashColumns(cols [][]field.Element) []sha2.Digest {
 	}
 	par.ForScratch(w, len(cols), func(s *par.Scratch, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			leaves[j] = HashElementsWith(s.Hasher(), cols[j])
+			leaves[j] = HashElementsWith(s, cols[j])
 		}
 	})
 	return leaves
+}
+
+// columnTile is how many adjacent columns ColumnBytes serializes per pass
+// over the rows. With 16, every row contributes 512 contiguous bytes —
+// eight cache lines, each fully used — where walking one column at a time
+// touches one strided line per element and uses half of it. Package var
+// so the tests can force tiles of one column and of more than there are.
+var columnTile = 16
+
+// ColumnBytes serializes columns [lo, hi) of a matrix held as rows and
+// hands fn, for each column j in ascending order, the bytes HashElements
+// would absorb for that column (row 0's encoding first). enc lives in the
+// scratch arena's byte buffer, columnTile·len(rows)·32 bytes, and is valid
+// only during the call. This is how both commit paths turn row-major
+// codewords into leaf preimages without transposing the matrix.
+func ColumnBytes(s *par.Scratch, rows [][]field.Element, lo, hi int, fn func(j int, enc []byte)) {
+	if hi <= lo {
+		return
+	}
+	stride := len(rows) * field.Bytes
+	buf := s.Bytes(min(columnTile, hi-lo) * stride)
+	for j0 := lo; j0 < hi; j0 += columnTile {
+		t := min(columnTile, hi-j0)
+		for r, row := range rows {
+			tile := row[j0 : j0+t]
+			for c := range tile {
+				tile[c].PutBytes(buf[c*stride+r*field.Bytes:])
+			}
+		}
+		for c := 0; c < t; c++ {
+			fn(j0+c, buf[c*stride:(c+1)*stride])
+		}
+	}
 }
 
 // BuildFromColumns commits to a matrix given by its columns: each column
@@ -258,10 +303,13 @@ func (t *Tree) Prove(i int) (*Proof, error) {
 	if i < 0 || i >= t.NumLeaves() {
 		return nil, fmt.Errorf("merkle: leaf %d out of range [0,%d)", i, t.NumLeaves())
 	}
-	p := &Proof{Index: i, Leaf: t.layers[0][i]}
+	// Sized exactly: proofs outlive the prover (an opening carries 64 of
+	// them), and append's growth would leave each path's backing array
+	// rounded up to a power of two.
+	p := &Proof{Index: i, Leaf: t.layers[0][i], Siblings: make([]sha2.Digest, t.Depth())}
 	idx := i
-	for l := 0; l < t.Depth(); l++ {
-		p.Siblings = append(p.Siblings, t.layers[l][idx^1])
+	for l := range p.Siblings {
+		p.Siblings[l] = t.layers[l][idx^1]
 		idx >>= 1
 	}
 	return p, nil

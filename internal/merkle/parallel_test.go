@@ -1,6 +1,7 @@
 package merkle
 
 import (
+	"crypto/sha256"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -93,13 +94,80 @@ func TestHashColumnsBitIdenticalAcrossWidths(t *testing.T) {
 	}
 }
 
-func TestHashElementsWithMatchesHashElements(t *testing.T) {
-	var h sha2.Hasher
-	for _, n := range []int{0, 1, 3, 17} {
+// HashElements is defined as SHA-256 over the concatenated canonical
+// encodings; lengths straddle the serialization batch.
+func TestHashElementsIsSHA256OfEncodings(t *testing.T) {
+	for _, n := range []int{0, 1, 3, hashBatch - 1, hashBatch, hashBatch + 1, 2*hashBatch + 44} {
 		es := field.RandVector(n)
-		h.Reset()
-		if HashElementsWith(&h, es) != HashElements(es) {
-			t.Fatalf("n=%d: reused-hasher digest differs", n)
+		var enc []byte
+		for i := range es {
+			b := es[i].ToBytes()
+			enc = append(enc, b[:]...)
 		}
+		if HashElements(es) != sha2.Digest(sha256.Sum256(enc)) {
+			t.Fatalf("n=%d: HashElements is not SHA-256 of the encodings", n)
+		}
+	}
+}
+
+// ColumnBytes must hand out, for every column of a row-major matrix, the
+// preimage HashElements hashes for that column — for any tile size, any
+// chunking of the column range, and shapes the tile does not divide.
+func TestColumnBytesMatchesHashElements(t *testing.T) {
+	lowerGrains(t)
+	oldTile := columnTile
+	t.Cleanup(func() { columnTile = oldTile })
+	for _, shape := range [][2]int{{1, 1}, {1, 37}, {3, 16}, {3, 50}, {256, 21}} {
+		nRows, nCols := shape[0], shape[1]
+		rows := make([][]field.Element, nRows)
+		for r := range rows {
+			rows[r] = field.RandVector(nCols)
+		}
+		want := make([]sha2.Digest, nCols)
+		col := make([]field.Element, nRows)
+		for j := range want {
+			for r := range rows {
+				col[r] = rows[r][j]
+			}
+			want[j] = HashElements(col)
+		}
+		for _, columnTile = range []int{1, 5, 16, nCols + 3} {
+			for _, w := range testWidths() {
+				par.SetWidth(w)
+				got := make([]sha2.Digest, nCols)
+				par.ForScratch(0, nCols, func(s *par.Scratch, lo, hi int) {
+					next := lo
+					ColumnBytes(s, rows, lo, hi, func(j int, enc []byte) {
+						if j != next {
+							t.Errorf("column %d handed out of order (want %d)", j, next)
+						}
+						next++
+						got[j] = sha2.Sum256(enc)
+					})
+					if next != hi {
+						t.Errorf("columns [%d,%d): stopped at %d", lo, hi, next)
+					}
+				})
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%dx%d tile %d width %d: column %d differs", nRows, nCols, columnTile, w, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHashColumns is the leaf-hashing half of a 2^16-gate commit: the
+// 256×2048 encoded matrix, one 8 KiB column per leaf.
+func BenchmarkHashColumns(b *testing.B) {
+	cols := make([][]field.Element, 2048)
+	for j := range cols {
+		cols[j] = field.RandVector(256)
+	}
+	b.SetBytes(2048 * 256 * field.Bytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = HashColumns(cols)
 	}
 }

@@ -188,6 +188,13 @@ func TestScratchBuffers(t *testing.T) {
 	if len(d) != 33 {
 		t.Fatalf("Digests length %d", len(d))
 	}
+	by := s.Bytes(4096)
+	if len(by) != 4096 {
+		t.Fatalf("Bytes length %d", len(by))
+	}
+	if small := s.Bytes(64); len(small) != 64 || &small[0] != &by[0] {
+		t.Fatalf("Bytes did not reuse its capacity")
+	}
 	// Slots must be independent.
 	a := s.Elements(1, 10)
 	b := s.Elements(2, 10)

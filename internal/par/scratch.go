@@ -8,8 +8,8 @@ import (
 )
 
 // Scratch is a per-worker arena of reusable kernel buffers: slot-indexed
-// []field.Element buffers, a []sha2.Digest buffer, and an incremental
-// SHA-256 hasher. Buffers grow monotonically and are never shrunk, so a
+// []field.Element buffers, a []sha2.Digest buffer, a []byte buffer, and an
+// incremental SHA-256 hasher. Buffers grow monotonically and are never shrunk, so a
 // steady-state kernel loop performs zero heap allocations.
 //
 // A Scratch is not safe for concurrent use; borrow one per goroutine via
@@ -17,6 +17,7 @@ import (
 type Scratch struct {
 	elems   [][]field.Element
 	digests []sha2.Digest
+	bytes   []byte
 	h       sha2.Hasher
 }
 
@@ -61,9 +62,18 @@ func (s *Scratch) Digests(n int) []sha2.Digest {
 	return s.digests[:n]
 }
 
+// Bytes returns a length-n byte buffer, reusing capacity. Contents are
+// unspecified. Hashing kernels serialize elements into it so the hasher
+// sees whole buffers instead of one Write per element.
+func (s *Scratch) Bytes(n int) []byte {
+	if cap(s.bytes) < n {
+		s.bytes = make([]byte, n)
+	}
+	return s.bytes[:n]
+}
+
 // Hasher returns the arena's SHA-256 hasher, reset to the initial state.
-// Reusing it across items avoids the per-item sha2.NewHasher allocation
-// that used to dominate column hashing.
+// Reusing it across items avoids allocating a digest per item.
 func (s *Scratch) Hasher() *sha2.Hasher {
 	s.h.Reset()
 	return &s.h

@@ -150,9 +150,9 @@ func Commit(values []field.Element, params Params) (*ProverState, error) {
 			return nil, err
 		}
 	}
-	// Columns of U become Merkle leaves: gather each column into a
-	// per-worker scratch buffer and hash it with a reused hasher, without
-	// materializing the transposed matrix.
+	// Columns of U become Merkle leaves: each worker serializes a tile of
+	// adjacent columns per pass over the rows and hashes every column's
+	// bytes in one shot, without materializing the transposed matrix.
 	cwLen := enc.CodewordLen()
 	leaves := make([]sha2.Digest, cwLen)
 	hw := 0
@@ -160,13 +160,9 @@ func Commit(values []field.Element, params Params) (*ProverState, error) {
 		hw = 1
 	}
 	par.ForScratch(hw, cwLen, func(sc *par.Scratch, lo, hi int) {
-		col := sc.Elements(0, params.NumRows)
-		for j := lo; j < hi; j++ {
-			for r := 0; r < params.NumRows; r++ {
-				col[r] = s.encoded[r][j]
-			}
-			leaves[j] = merkle.HashElementsWith(sc.Hasher(), col)
-		}
+		merkle.ColumnBytes(sc, s.encoded, lo, hi, func(j int, col []byte) {
+			leaves[j] = sha2.Sum256(col)
+		})
 	})
 	tree, err := merkle.BuildFromDigests(leaves)
 	if err != nil {

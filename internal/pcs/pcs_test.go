@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"batchzk/internal/field"
+	"batchzk/internal/merkle"
 	"batchzk/internal/poly"
 	"batchzk/internal/transcript"
 )
@@ -227,6 +228,32 @@ func BenchmarkCommit4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Commit(values, p); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// The commitment is defined as the Merkle tree over merkle.HashElements of
+// every encoded column; Commit produces the leaves by a tiled walk instead.
+func TestCommitRootIsTreeOverColumnHashes(t *testing.T) {
+	for _, logN := range []int{6, 9} {
+		p := testParams(logN)
+		st, err := Commit(field.RandVector(1<<logN), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([][]field.Element, len(st.encoded[0]))
+		for j := range cols {
+			cols[j] = make([]field.Element, p.NumRows)
+			for r := range st.encoded {
+				cols[j][r] = st.encoded[r][j]
+			}
+		}
+		tree, err := merkle.BuildFromColumns(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Root() != st.Commitment().Root {
+			t.Fatalf("logN=%d: Commit root is not the tree over the column hashes", logN)
 		}
 	}
 }

@@ -77,9 +77,6 @@ func NewStreamingCommitter(params Params, mode CommitMode) (*StreamingCommitter,
 		enc:     enc,
 		colHash: make([]sha2.Hasher, enc.CodewordLen()),
 	}
-	for j := range sc.colHash {
-		sc.colHash[j].Reset()
-	}
 	return sc, nil
 }
 
@@ -154,16 +151,13 @@ func (sc *StreamingCommitter) flushRows(vals []field.Element, nRows int) error {
 			}
 		}
 		// Column-parallel absorption: each worker owns a disjoint column
-		// range and feeds its hashers in row order, so every column sees
-		// exactly the byte stream HashElementsWith would have.
-		par.For(len(sc.colHash), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				h := &sc.colHash[j]
-				for i := 0; i < b; i++ {
-					eb := block[i][j].ToBytes()
-					h.Write(eb[:])
-				}
-			}
+		// range and feeds every hasher the block's b rows in one Write, in
+		// row order, so each column sees exactly the byte stream
+		// merkle.HashElements would have.
+		par.ForScratch(0, len(sc.colHash), func(s *par.Scratch, lo, hi int) {
+			merkle.ColumnBytes(s, block, lo, hi, func(j int, col []byte) {
+				sc.colHash[j].Write(col)
+			})
 		})
 		for i := range block {
 			block[i] = nil // release this flush's codewords

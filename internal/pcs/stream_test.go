@@ -67,13 +67,17 @@ func TestStreamingCommitRootBitIdentical(t *testing.T) {
 		// Odd chunk sizes cross row boundaries; the carved carry path and
 		// the whole-row fast path must agree with the buffered root.
 		chunks := []int{0, 1 + rng.Intn(7), p.NumCols, p.NumCols + 3}
-		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			par.SetWidth(w)
-			for _, chunk := range chunks {
-				for _, mode := range []CommitMode{RetainTree, RootOnly} {
-					st := streamCommit(t, values, p, chunk, mode)
-					if st.Commitment() != ref.Commitment() {
-						return false
+		// Flush blocks of one row, of an odd count, and of the shipped size:
+		// each column's hasher gets its bytes in Writes of block·32.
+		for _, streamRowBlock = range []int{1, 5, 16} {
+			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+				par.SetWidth(w)
+				for _, chunk := range chunks {
+					for _, mode := range []CommitMode{RetainTree, RootOnly} {
+						st := streamCommit(t, values, p, chunk, mode)
+						if st.Commitment() != ref.Commitment() {
+							return false
+						}
 					}
 				}
 			}

@@ -101,8 +101,9 @@ type Proof struct {
 	PCSProof *pcs.EvalProof
 }
 
-// gateVectors derives the padded L, R, O tables from a witness.
-func gateVectors(c *circuit.Circuit, w circuit.Assignment, numGates int) (l, r, o []field.Element) {
+// gateVectors derives the padded L, R, O tables from a wire vector (the
+// witness, or any zero-padded copy of it).
+func gateVectors(c *circuit.Circuit, w []field.Element, numGates int) (l, r, o []field.Element) {
 	l = make([]field.Element, numGates)
 	r = make([]field.Element, numGates)
 	o = make([]field.Element, numGates)
@@ -233,8 +234,7 @@ func ProveWitness(c *circuit.Circuit, p *Params, w circuit.Assignment) (*Proof, 
 type InFlight struct {
 	c      *circuit.Circuit
 	p      *Params
-	w      circuit.Assignment
-	padded []field.Element
+	padded []field.Element  // the witness, zero-padded to NumWires; the only copy held
 	st     *pcs.ProverState // buffered commitment (nil in streaming mode)
 	ss     *pcs.StreamState // streaming commitment (nil in buffered mode)
 	tr     *transcript.Transcript
@@ -256,7 +256,7 @@ func StartProof(c *circuit.Circuit, p *Params, w circuit.Assignment) (*InFlight,
 		return nil, err
 	}
 	f := &InFlight{
-		c: c, p: p, w: w, padded: padded, st: st,
+		c: c, p: p, padded: padded, st: st,
 		tr:    transcript.New(Domain),
 		proof: &Proof{Commitment: st.Commitment()},
 	}
@@ -273,7 +273,7 @@ func StartProof(c *circuit.Circuit, p *Params, w circuit.Assignment) (*InFlight,
 // the gate hypercube is reduced at a random τ and settled by a degree-3
 // sum-check.
 func (f *InFlight) RunHadamard() error {
-	l, r, o := gateVectors(f.c, f.w, f.p.NumGates)
+	l, r, o := gateVectors(f.c, f.padded[:f.c.NumWires()], f.p.NumGates)
 	f.tau = f.tr.ChallengeElements("tau", f.p.gateVars)
 	oPoly, err := poly.NewMultilinear(o)
 	if err != nil {
@@ -304,11 +304,6 @@ func (f *InFlight) RunHadamard() error {
 	f.proof.RRho = finals[2]
 	f.tr.AppendElement("l_rho", &f.proof.LRho)
 	f.tr.AppendElement("r_rho", &f.proof.RRho)
-	// The raw witness was the last thing that needed unpadded wire values;
-	// the remaining stages work off the padded copy. Dropping it here lets
-	// a deep pipeline reclaim one witness per in-flight proof two stages
-	// early.
-	f.w = nil
 	return nil
 }
 

@@ -16,10 +16,9 @@ import (
 // matrix) and the opening re-encodes rows on demand from the padded
 // witness, which must survive until Finish anyway for the linear check.
 // Per in-flight proof this retires the largest single allocation of the
-// pipeline while producing a bit-identical proof; witness buffers are
-// additionally released stage by stage (see ReleaseWitness / Finish) so
-// a deep pipeline's working set is bounded by what each stage still
-// needs, not by everything any stage ever touched.
+// pipeline while producing a bit-identical proof. In either mode the
+// in-flight proof holds the padded copy of the witness and nothing else of
+// it, and releases that copy at Finish.
 
 // StartProofStreaming is StartProof with the commitment built
 // out-of-core. The resulting InFlight runs the same RunHadamard /
@@ -44,7 +43,7 @@ func StartProofStreaming(c *circuit.Circuit, p *Params, w circuit.Assignment) (*
 		return nil, err
 	}
 	f := &InFlight{
-		c: c, p: p, w: w, padded: padded, ss: ss,
+		c: c, p: p, padded: padded, ss: ss,
 		tr:    transcript.New(Domain),
 		proof: &Proof{Commitment: ss.Commitment()},
 	}

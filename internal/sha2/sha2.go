@@ -1,19 +1,28 @@
-// Package sha2 is a from-scratch SHA-256 implementation specialized for the
-// Merkle-tree workload of BatchZK.
+// Package sha2 is the SHA-256 layer of BatchZK's Merkle and Fiat–Shamir
+// workload, backed by the standard library's crypto/sha256 so that hashing
+// runs on the CPU's SHA extensions where the host has them.
 //
 // The paper's Merkle module converts 512-bit blocks into 256-bit digests
 // with the raw SHA-256 compression function, keeping the sixteen 32-bit
 // message chunks in GPU registers (§3.1). This package exposes exactly that
 // primitive — Compress, a single-block 512→256-bit compression with the
-// standard IV — alongside a full streaming implementation (Sum256) that is
-// cross-checked against crypto/sha256 in the tests.
+// standard IV and no padding — alongside the padded hash (Sum256, Hasher).
+// crypto/sha256 does not export its block function, so Compress absorbs
+// the block into a pooled digest and reads the chaining value back out of
+// the digest's marshalled state. A hand-written round function lives in
+// the tests as the differential oracle for all of it.
 //
 // Merkle interior nodes use Compress2, which packs two 256-bit child
 // digests into one 512-bit block; this is one compression call per node,
 // matching the cost model used throughout the benchmarks.
 package sha2
 
-import "encoding/binary"
+import (
+	"crypto/sha256"
+	"encoding"
+	"hash"
+	"sync"
+)
 
 // Size is the digest size in bytes.
 const Size = 32
@@ -24,182 +33,111 @@ const BlockSize = 64
 // Digest is a 256-bit hash value.
 type Digest [Size]byte
 
-// iv is the SHA-256 initial hash value (FIPS 180-4 §5.3.3).
-var iv = [8]uint32{
-	0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-	0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+// The marshalled state of a crypto/sha256 digest is a 4-byte magic, the
+// eight chaining words big-endian, the 64-byte partial block and the
+// 8-byte length: the chaining value sits at [4, 4+Size).
+const (
+	stateOffset    = 4
+	marshalledSize = stateOffset + Size + BlockSize + 8
+)
+
+// binaryAppender is encoding.BinaryAppender, which go.mod's language
+// version predates; toolchains without it marshal into a fresh slice.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
 }
 
-// k holds the SHA-256 round constants.
-var k = [64]uint32{
-	0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-	0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-	0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-	0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-	0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-	0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-	0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+// compressor is one pooled digest plus the buffers a raw compression
+// passes through it. The buffers live here, not on the caller's stack,
+// because arguments to hash.Hash's interface methods escape.
+type compressor struct {
+	h     hash.Hash
+	block [BlockSize]byte
+	state [marshalledSize]byte
 }
 
-func rotr(x uint32, n uint) uint32 { return x>>n | x<<(32-n) }
+var compressors = sync.Pool{New: func() any { return &compressor{h: sha256.New()} }}
 
-// compressBlock runs the 64 SHA-256 rounds over one 512-bit block, updating
-// the eight working state words h in place. The sixteen message chunks live
-// in the w schedule array — the structure the paper maps onto GPU registers.
-func compressBlock(h *[8]uint32, block *[BlockSize]byte) {
-	var w [64]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = binary.BigEndian.Uint32(block[i*4:])
+// compress runs the compression function over c.block. A digest that has
+// absorbed exactly one block holds compress(IV, block) as its chaining
+// value and nothing buffered, so the marshalled state carries the result.
+func (c *compressor) compress() (d Digest) {
+	c.h.Reset()
+	c.h.Write(c.block[:])
+	var state []byte
+	var err error
+	if a, ok := c.h.(binaryAppender); ok {
+		state, err = a.AppendBinary(c.state[:0])
+	} else {
+		state, err = c.h.(encoding.BinaryMarshaler).MarshalBinary()
 	}
-	for i := 16; i < 64; i++ {
-		s0 := rotr(w[i-15], 7) ^ rotr(w[i-15], 18) ^ w[i-15]>>3
-		s1 := rotr(w[i-2], 17) ^ rotr(w[i-2], 19) ^ w[i-2]>>10
-		w[i] = w[i-16] + s0 + w[i-7] + s1
+	if err != nil || len(state) != marshalledSize {
+		panic("sha2: crypto/sha256 state is not marshallable")
 	}
-
-	a, b, c, d, e, f, g, hh := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
-	for i := 0; i < 64; i++ {
-		s1 := rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
-		ch := e&f ^ ^e&g
-		t1 := hh + s1 + ch + k[i] + w[i]
-		s0 := rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
-		maj := a&b ^ a&c ^ b&c
-		t2 := s0 + maj
-		hh, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
-	}
-	h[0] += a
-	h[1] += b
-	h[2] += c
-	h[3] += d
-	h[4] += e
-	h[5] += f
-	h[6] += g
-	h[7] += hh
+	copy(d[:], state[stateOffset:])
+	return d
 }
 
 // Compress applies the raw SHA-256 compression function (with the standard
 // IV, no length padding) to one 512-bit block. This is the Merkle-leaf
 // primitive from the paper: a fixed 512-bit block in, a 256-bit digest out.
 func Compress(block *[BlockSize]byte) Digest {
-	h := iv
-	compressBlock(&h, block)
-	var d Digest
-	for i, v := range h {
-		binary.BigEndian.PutUint32(d[i*4:], v)
-	}
+	c := compressors.Get().(*compressor)
+	c.block = *block
+	d := c.compress()
+	compressors.Put(c)
 	return d
 }
 
 // Compress2 hashes two child digests into a parent digest with a single
 // compression call (left ‖ right as the 512-bit block).
 func Compress2(left, right *Digest) Digest {
-	var block [BlockSize]byte
-	copy(block[:Size], left[:])
-	copy(block[Size:], right[:])
-	return Compress(&block)
-}
-
-// Sum256 computes the full (padded, length-strengthened) SHA-256 digest of
-// data, bit-compatible with crypto/sha256.
-func Sum256(data []byte) Digest {
-	h := iv
-	var block [BlockSize]byte
-
-	full := len(data) / BlockSize
-	for i := 0; i < full; i++ {
-		copy(block[:], data[i*BlockSize:])
-		compressBlock(&h, &block)
-	}
-
-	// Padding: 0x80, zeros, 64-bit big-endian bit length.
-	rem := data[full*BlockSize:]
-	var pad [2 * BlockSize]byte
-	n := copy(pad[:], rem)
-	pad[n] = 0x80
-	padLen := BlockSize
-	if n+1+8 > BlockSize {
-		padLen = 2 * BlockSize
-	}
-	binary.BigEndian.PutUint64(pad[padLen-8:], uint64(len(data))*8)
-	for off := 0; off < padLen; off += BlockSize {
-		copy(block[:], pad[off:])
-		compressBlock(&h, &block)
-	}
-
-	var d Digest
-	for i, v := range h {
-		binary.BigEndian.PutUint32(d[i*4:], v)
-	}
+	c := compressors.Get().(*compressor)
+	copy(c.block[:Size], left[:])
+	copy(c.block[Size:], right[:])
+	d := c.compress()
+	compressors.Put(c)
 	return d
 }
 
-// Hasher is an incremental SHA-256 writer (unpadded Compress semantics are
-// available through Compress/Compress2; Hasher matches crypto/sha256).
-type Hasher struct {
-	h      [8]uint32
-	buf    [BlockSize]byte
-	n      int    // bytes buffered in buf
-	length uint64 // total bytes written
+// Sum256 computes the full (padded, length-strengthened) SHA-256 digest of
+// data.
+func Sum256(data []byte) Digest {
+	return sha256.Sum256(data)
 }
 
-// NewHasher returns a Hasher initialized with the standard IV.
-func NewHasher() *Hasher {
-	return &Hasher{h: iv}
+// Hasher is an incremental SHA-256 writer (unpadded Compress semantics are
+// available through Compress/Compress2). The zero value is an empty hash,
+// ready to use. A Hasher must not be copied after first use.
+type Hasher struct {
+	h   hash.Hash
+	sum Digest // Sum's output buffer: a stack one would escape through hash.Hash
+}
+
+// state returns the underlying digest, created on first use.
+func (s *Hasher) state() hash.Hash {
+	if s.h == nil {
+		s.h = sha256.New()
+	}
+	return s.h
 }
 
 // Reset restores the initial state.
 func (s *Hasher) Reset() {
-	s.h = iv
-	s.n = 0
-	s.length = 0
+	if s.h != nil {
+		s.h.Reset()
+	}
 }
 
-// Write absorbs p; it never fails.
+// Write absorbs p; it never fails. Each call crosses into crypto/sha256
+// once, so hot loops hand it whole buffers, not single elements.
 func (s *Hasher) Write(p []byte) (int, error) {
-	total := len(p)
-	s.length += uint64(total)
-	if s.n > 0 {
-		c := copy(s.buf[s.n:], p)
-		s.n += c
-		p = p[c:]
-		if s.n == BlockSize {
-			compressBlock(&s.h, &s.buf)
-			s.n = 0
-		}
-		if len(p) == 0 {
-			return total, nil
-		}
-	}
-	for len(p) >= BlockSize {
-		copy(s.buf[:], p[:BlockSize])
-		compressBlock(&s.h, &s.buf)
-		p = p[BlockSize:]
-	}
-	s.n = copy(s.buf[:], p)
-	return total, nil
+	return s.state().Write(p)
 }
 
 // Sum finalizes a copy of the state and returns the digest; the Hasher can
 // continue to absorb afterwards.
 func (s *Hasher) Sum() Digest {
-	c := *s // copy so finalization does not disturb the stream
-	var pad [2 * BlockSize]byte
-	copy(pad[:], c.buf[:c.n])
-	pad[c.n] = 0x80
-	padLen := BlockSize
-	if c.n+1+8 > BlockSize {
-		padLen = 2 * BlockSize
-	}
-	binary.BigEndian.PutUint64(pad[padLen-8:], c.length*8)
-	for off := 0; off < padLen; off += BlockSize {
-		var block [BlockSize]byte
-		copy(block[:], pad[off:])
-		compressBlock(&c.h, &block)
-	}
-	var d Digest
-	for i, v := range c.h {
-		binary.BigEndian.PutUint32(d[i*4:], v)
-	}
-	return d
+	s.state().Sum(s.sum[:0])
+	return s.sum
 }

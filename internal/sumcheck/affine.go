@@ -25,9 +25,9 @@ func ProveAffineProduct(a, v, c *poly.Multilinear, claim field.Element, tr *tran
 	if v.NumVars() != n || c.NumVars() != n {
 		return nil, nil, [3]field.Element{}, fmt.Errorf("sumcheck: affine arity mismatch %d/%d/%d", n, v.NumVars(), c.NumVars())
 	}
-	at := append([]field.Element(nil), a.Evals()...)
-	vt := append([]field.Element(nil), v.Evals()...)
-	ct := append([]field.Element(nil), c.Evals()...)
+	// The caller's tables, until round 0 folds them into owned ones.
+	at, vt, ct := a.Evals(), v.Evals(), c.Evals()
+	tables := [][]field.Element{at, vt, ct}
 
 	var check, t field.Element
 	for b := range at {
@@ -47,6 +47,7 @@ func ProveAffineProduct(a, v, c *poly.Multilinear, claim field.Element, tr *tran
 	s := par.GetScratch()
 	defer par.PutScratch(s)
 	for i := 0; i < n; i++ {
+		at, vt, ct = tables[0], tables[1], tables[2]
 		half := len(at) / 2
 		var sums [3]field.Element
 		reduceSums(s, half, 3, sums[:], func(lo, hi int, acc []field.Element) {
@@ -74,10 +75,9 @@ func ProveAffineProduct(a, v, c *poly.Multilinear, claim field.Element, tr *tran
 		tr.AppendElements("sumcheckA/round", sums[:])
 		r := tr.ChallengeElement("sumcheckA/r")
 		challenges[i] = r
-		foldTables(&r, at, vt, ct)
-		at, vt, ct = at[:half], vt[:half], ct[:half]
+		foldRound(&r, i, tables)
 	}
-	return proof, reversed(challenges), [3]field.Element{at[0], vt[0], ct[0]}, nil
+	return proof, reversed(challenges), [3]field.Element{tables[0][0], tables[1][0], tables[2][0]}, nil
 }
 
 // VerifyAffineProduct checks an affine-product proof against a claim and

@@ -78,21 +78,51 @@ func reduceSums(s *par.Scratch, half, arity int, out []field.Element, body func(
 	}
 }
 
-// foldTables binds the round challenge: table[b] ← lerp(r, table[b],
-// table[b+half]) for every table, fused per index. Low-half writes are
-// disjoint by index and the high half is read-only during the sweep, so
-// any chunking is bit-identical to the serial fold.
+// foldTables binds the round challenge in place: table[b] ← lerp(r,
+// table[b], table[b+half]) for every table.
 func foldTables(r *field.Element, tables ...[]field.Element) {
-	half := len(tables[0]) / 2
+	foldTablesInto(r, tables, tables)
+}
+
+// foldTablesInto binds the round challenge: dst[t][b] ← lerp(r, src[t][b],
+// src[t][b+half]) for every table t, fused per index; dst[t] is src[t]
+// itself or a separate buffer of at least half its length. Writes are
+// disjoint by index and never land in a high half, which is only read
+// during the sweep, so any chunking is bit-identical to the serial fold.
+func foldTablesInto(r *field.Element, dst, src [][]field.Element) {
+	half := len(src[0]) / 2
 	w := 0
 	if half < parallelHalf {
 		w = 1
 	}
 	par.ForWidth(w, half, func(lo, hi int) {
-		for _, tb := range tables {
+		for t, tb := range src {
+			out := dst[t]
 			for b := lo; b < hi; b++ {
-				tb[b].Lerp(r, &tb[b], &tb[b+half])
+				out[b].Lerp(r, &tb[b], &tb[b+half])
 			}
 		}
 	})
+}
+
+// foldRound binds the round challenge and halves every table. Round 0
+// folds out of place: tables then still are the caller's, which are read
+// but never written, and each is replaced by a fresh table of half the
+// length that the later rounds fold in place. This is what lets the
+// product provers run on the caller's tables without cloning them — the
+// only copy ever made is already half the size.
+func foldRound(r *field.Element, round int, tables [][]field.Element) {
+	half := len(tables[0]) / 2
+	src := tables
+	if round == 0 {
+		src = append([][]field.Element(nil), tables...)
+		arena := make([]field.Element, len(tables)*half)
+		for t := range tables {
+			tables[t] = arena[t*half : (t+1)*half]
+		}
+	}
+	foldTablesInto(r, tables, src)
+	for t := range tables {
+		tables[t] = tables[t][:half]
+	}
 }

@@ -139,3 +139,40 @@ func TestProveTripleBitIdenticalAcrossWidths(t *testing.T) {
 		}
 	}
 }
+
+// The product provers run on the caller's tables without cloning them, so
+// they must leave them exactly as they found them — callers (gkr, the
+// benchmark's kernel replay) prove over the same tables again.
+func TestProductProversLeaveInputsUntouched(t *testing.T) {
+	lowerGrain(t)
+	rng := rand.New(rand.NewSource(45))
+	for _, n := range []int{0, 1, 2, 6} {
+		a := randMultilinearFrom(rng, n)
+		b := randMultilinearFrom(rng, n)
+		c := randMultilinearFrom(rng, n)
+		before := [3][]field.Element{}
+		for i, m := range []*poly.Multilinear{a, b, c} {
+			before[i] = append([]field.Element(nil), m.Evals()...)
+		}
+		var claim, tmp field.Element
+		for i := range before[0] {
+			tmp.Mul(&before[0][i], &before[1][i])
+			claim.Add(&claim, &tmp)
+			claim.Add(&claim, &before[2][i])
+		}
+		if _, _, _, _, err := ProveTriple(a, b, c, transcript.New("sc3")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, _, err := ProveProduct(a, b, transcript.New("sc2")); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ProveAffineProduct(a, b, c, claim, transcript.New("scA")); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range []*poly.Multilinear{a, b, c} {
+			if !field.VectorEqual(m.Evals(), before[i]) {
+				t.Fatalf("n=%d: input table %d was modified", n, i)
+			}
+		}
+	}
+}

@@ -167,8 +167,9 @@ func ProveProduct(f, g *poly.Multilinear, tr *transcript.Transcript) (*ProductPr
 	if g.NumVars() != n {
 		return nil, nil, field.Element{}, [2]field.Element{}, fmt.Errorf("sumcheck: arity mismatch %d vs %d", n, g.NumVars())
 	}
-	ft := append([]field.Element(nil), f.Evals()...)
-	gt := append([]field.Element(nil), g.Evals()...)
+	// The caller's tables, until round 0 folds them into owned ones.
+	ft, gt := f.Evals(), g.Evals()
+	tables := [][]field.Element{ft, gt}
 
 	claim := field.InnerProduct(ft, gt)
 	tr.AppendUint64("sumcheck2/n", uint64(n))
@@ -180,6 +181,7 @@ func ProveProduct(f, g *poly.Multilinear, tr *transcript.Transcript) (*ProductPr
 	s := par.GetScratch()
 	defer par.PutScratch(s)
 	for i := 0; i < n; i++ {
+		ft, gt = tables[0], tables[1]
 		half := len(ft) / 2
 		var sums [3]field.Element
 		reduceSums(s, half, 3, sums[:], func(lo, hi int, acc []field.Element) {
@@ -206,10 +208,9 @@ func ProveProduct(f, g *poly.Multilinear, tr *transcript.Transcript) (*ProductPr
 		tr.AppendElements("sumcheck2/round", sums[:])
 		r := tr.ChallengeElement("sumcheck2/r")
 		challenges[i] = r
-		foldTables(&r, ft, gt)
-		ft, gt = ft[:half], gt[:half]
+		foldRound(&r, i, tables)
 	}
-	return proof, reversed(challenges), claim, [2]field.Element{ft[0], gt[0]}, nil
+	return proof, reversed(challenges), claim, [2]field.Element{tables[0][0], tables[1][0]}, nil
 }
 
 // VerifyProduct checks a product sum-check proof against a claimed sum,

@@ -30,9 +30,9 @@ func ProveTriple(e, f, g *poly.Multilinear, tr *transcript.Transcript) (*TripleP
 	if f.NumVars() != n || g.NumVars() != n {
 		return nil, nil, field.Element{}, [3]field.Element{}, fmt.Errorf("sumcheck: arity mismatch %d/%d/%d", n, f.NumVars(), g.NumVars())
 	}
-	et := append([]field.Element(nil), e.Evals()...)
-	ft := append([]field.Element(nil), f.Evals()...)
-	gt := append([]field.Element(nil), g.Evals()...)
+	// The caller's tables, until round 0 folds them into owned ones.
+	et, ft, gt := e.Evals(), f.Evals(), g.Evals()
+	tables := [][]field.Element{et, ft, gt}
 
 	var claim, t field.Element
 	for b := range et {
@@ -52,6 +52,7 @@ func ProveTriple(e, f, g *poly.Multilinear, tr *transcript.Transcript) (*TripleP
 	s := par.GetScratch()
 	defer par.PutScratch(s)
 	for i := 0; i < n; i++ {
+		et, ft, gt = tables[0], tables[1], tables[2]
 		half := len(et) / 2
 		var round TripleRound
 		reduceSums(s, half, 4, round.At[:], func(lo, hi int, acc []field.Element) {
@@ -75,10 +76,9 @@ func ProveTriple(e, f, g *poly.Multilinear, tr *transcript.Transcript) (*TripleP
 		tr.AppendElements("sumcheck3/round", round.At[:])
 		r := tr.ChallengeElement("sumcheck3/r")
 		challenges[i] = r
-		foldTables(&r, et, ft, gt)
-		et, ft, gt = et[:half], ft[:half], gt[:half]
+		foldRound(&r, i, tables)
 	}
-	return proof, reversed(challenges), claim, [3]field.Element{et[0], ft[0], gt[0]}, nil
+	return proof, reversed(challenges), claim, [3]field.Element{tables[0][0], tables[1][0], tables[2][0]}, nil
 }
 
 // VerifyTriple checks a degree-3 sum-check proof against a claimed sum,

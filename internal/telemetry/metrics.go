@@ -149,7 +149,7 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
-	h.count.Add(1) // last: a snapshot's count never exceeds its buckets
+	h.count.Add(1)
 }
 
 // Count returns the number of observations (0 on nil).
@@ -161,8 +161,11 @@ func (h *Histogram) Count() int64 {
 }
 
 // Snapshot captures the distribution. Concurrent Observe calls may add
-// observations between field reads; counts are read bucket-first so the
-// snapshot's Count is never larger than the bucket total.
+// observations between field reads, so the snapshot's Count is the total
+// of the buckets it captured, not a separate read of the running count:
+// the quantiles are then computed against exactly the observations the
+// buckets hold. Sum, Min and Max are read afterwards and may already
+// include an observation the buckets do not, or lag one they do.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
@@ -172,9 +175,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		if n := h.buckets[i].Load(); n > 0 {
 			lo, hi := bucketBounds(i)
 			s.Buckets = append(s.Buckets, HistogramBucket{Lo: lo, Hi: hi, Count: n})
+			s.Count += n
 		}
 	}
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	if s.Count > 0 {
 		s.Min = h.min.Load()

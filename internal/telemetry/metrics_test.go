@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -122,7 +123,7 @@ func TestConcurrentRegistry(t *testing.T) {
 	stop := make(chan struct{})
 
 	// Snapshot reader: counters must be monotone between snapshots and
-	// histogram bucket sums must cover the reported count.
+	// histogram bucket sums must equal the reported count.
 	snapErr := make(chan error, 1)
 	wg.Add(1)
 	go func() {
@@ -145,9 +146,9 @@ func TestConcurrentRegistry(t *testing.T) {
 				for _, b := range h.Buckets {
 					sum += b.Count
 				}
-				if sum < h.Count {
+				if sum != h.Count {
 					select {
-					case snapErr <- errf("histogram %s: buckets %d < count %d", name, sum, h.Count):
+					case snapErr <- errf("histogram %s: buckets hold %d, count says %d", name, sum, h.Count):
 					default:
 					}
 					return
@@ -287,16 +288,23 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
+// expvarRuns numbers the runs of TestExpvarPerRegistry within one process:
+// expvar names cannot be unpublished, so under -count each run needs its own.
+var expvarRuns atomic.Int64
+
 func TestExpvarPerRegistry(t *testing.T) {
 	// Two registries must both be reachable on expvar under their own
 	// names — the old process-wide once silently dropped the second.
+	run := expvarRuns.Add(1)
+	name1 := fmt.Sprintf("batchzk.test.reg1.%d", run)
+	name2 := fmt.Sprintf("batchzk.test.reg2.%d", run)
 	r1, r2 := NewRegistry(), NewRegistry()
 	r1.Counter("hits").Add(11)
 	r2.Counter("hits").Add(22)
-	if err := r1.PublishExpvar("batchzk.test.reg1"); err != nil {
+	if err := r1.PublishExpvar(name1); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.PublishExpvar("batchzk.test.reg2"); err != nil {
+	if err := r2.PublishExpvar(name2); err != nil {
 		t.Fatal(err)
 	}
 	read := func(name string) Snapshot {
@@ -311,21 +319,21 @@ func TestExpvarPerRegistry(t *testing.T) {
 		}
 		return s
 	}
-	if got := read("batchzk.test.reg1").Counters["hits"]; got != 11 {
+	if got := read(name1).Counters["hits"]; got != 11 {
 		t.Fatalf("reg1 hits = %d, want 11", got)
 	}
-	if got := read("batchzk.test.reg2").Counters["hits"]; got != 22 {
+	if got := read(name2).Counters["hits"]; got != 22 {
 		t.Fatalf("reg2 hits = %d, want 22", got)
 	}
 
 	// The snapshot is live, not captured at publish time.
 	r1.Counter("hits").Add(1)
-	if got := read("batchzk.test.reg1").Counters["hits"]; got != 12 {
+	if got := read(name1).Counters["hits"]; got != 12 {
 		t.Fatalf("reg1 snapshot is stale: %d, want 12", got)
 	}
 
 	// Republishing a taken name errors instead of panicking.
-	err := r2.PublishExpvar("batchzk.test.reg1")
+	err := r2.PublishExpvar(name1)
 	if !errors.Is(err, ErrExpvarPublished) {
 		t.Fatalf("duplicate publish: err = %v, want ErrExpvarPublished", err)
 	}

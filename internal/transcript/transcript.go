@@ -18,10 +18,15 @@ import (
 )
 
 // Transcript is a Fiat–Shamir sponge over SHA-256. The zero value is not
-// usable; create one with New.
+// usable; create one with New. A Transcript must not be copied: copies
+// would share the message buffer.
 type Transcript struct {
 	state   sha2.Digest
 	counter uint64
+	// buf is where each message is laid out before it is hashed in one
+	// shot, so a proof's few hundred absorbs and squeezes reuse one buffer
+	// (it grows to the longest vector appended) and allocate nothing.
+	buf []byte
 }
 
 // New returns a transcript bound to a protocol domain label.
@@ -31,18 +36,16 @@ func New(domain string) *Transcript {
 	return t
 }
 
-// absorb folds labeled data into the running state.
+// absorb folds labeled data into the running state:
+// state ← H(state ‖ len(label) ‖ label ‖ len(data) ‖ data).
 func (t *Transcript) absorb(label string, data []byte) {
-	h := sha2.NewHasher()
-	h.Write(t.state[:])
-	var lenb [8]byte
-	binary.BigEndian.PutUint64(lenb[:], uint64(len(label)))
-	h.Write(lenb[:])
-	h.Write([]byte(label))
-	binary.BigEndian.PutUint64(lenb[:], uint64(len(data)))
-	h.Write(lenb[:])
-	h.Write(data)
-	t.state = h.Sum()
+	b := append(t.buf[:0], t.state[:]...)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(label)))
+	b = append(b, label...)
+	b = binary.BigEndian.AppendUint64(b, uint64(len(data)))
+	b = append(b, data...)
+	t.state = sha2.Sum256(b)
+	t.buf = b
 	t.counter = 0
 }
 
@@ -62,14 +65,18 @@ func (t *Transcript) AppendElement(label string, e *field.Element) {
 	t.absorb(label, b[:])
 }
 
-// AppendElements absorbs a vector of field elements.
+// AppendElements absorbs a vector of field elements, as the digest of
+// their concatenated canonical encodings.
 func (t *Transcript) AppendElements(label string, es []field.Element) {
-	h := sha2.NewHasher()
-	for i := range es {
-		b := es[i].ToBytes()
-		h.Write(b[:])
+	n := len(es) * field.Bytes
+	if cap(t.buf) < n {
+		t.buf = make([]byte, n)
 	}
-	d := h.Sum()
+	b := t.buf[:n]
+	for i := range es {
+		es[i].PutBytes(b[i*field.Bytes:])
+	}
+	d := sha2.Sum256(b)
 	t.absorb(label, d[:])
 }
 
@@ -84,12 +91,10 @@ func (t *Transcript) AppendUint64(label string, v uint64) {
 func (t *Transcript) squeeze() [48]byte {
 	var out [48]byte
 	for i := 0; i < 2; i++ {
-		h := sha2.NewHasher()
-		h.Write(t.state[:])
-		var c [8]byte
-		binary.BigEndian.PutUint64(c[:], t.counter)
-		h.Write(c[:])
-		d := h.Sum()
+		b := append(t.buf[:0], t.state[:]...)
+		b = binary.BigEndian.AppendUint64(b, t.counter)
+		d := sha2.Sum256(b)
+		t.buf = b
 		copy(out[i*24:], d[:24])
 		t.counter++
 	}

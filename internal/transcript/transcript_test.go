@@ -1,6 +1,9 @@
 package transcript
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 
 	"batchzk/internal/field"
@@ -122,5 +125,62 @@ func TestAppendVariants(t *testing.T) {
 	c4 := tr4.ChallengeElement("c")
 	if c3.Equal(&c4) {
 		t.Fatal("element vector content ignored")
+	}
+}
+
+// The byte layout of every absorb and squeeze, spelled out against
+// crypto/sha256: proofs made by earlier builds must keep verifying, so the
+// layout may not drift when the hashing underneath is reworked.
+func TestAbsorbAndSqueezeLayout(t *testing.T) {
+	be64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	hash := func(parts ...[]byte) []byte {
+		d := sha256.Sum256(bytes.Join(parts, nil))
+		return d[:]
+	}
+	absorb := func(state []byte, label string, data []byte) []byte {
+		return hash(state, be64(uint64(len(label))), []byte(label), be64(uint64(len(data))), data)
+	}
+
+	es := field.RandVector(70) // longer than anything appended before it
+	tr := New("layout")
+	tr.AppendUint64("n", 9)
+	tr.AppendElements("v", es)
+	got := tr.ChallengeElements("c", 2)
+
+	state := hash([]byte("batchzk/v1/layout"))
+	state = absorb(state, "n", be64(9))
+	var enc []byte
+	for i := range es {
+		b := es[i].ToBytes()
+		enc = append(enc, b[:]...)
+	}
+	state = absorb(state, "v", hash(enc))
+	state = absorb(state, "challenge/c", nil)
+	for i := range got {
+		wide := append(hash(state, be64(uint64(2*i)))[:24], hash(state, be64(uint64(2*i+1)))[:24]...)
+		var want field.Element
+		want.SetBytesWide(wide)
+		if !got[i].Equal(&want) {
+			t.Fatalf("challenge %d does not follow the documented layout", i)
+		}
+	}
+}
+
+// A proof absorbs a few hundred messages; none may allocate once the
+// transcript's buffer has grown to the longest of them.
+func TestAbsorbDoesNotAllocate(t *testing.T) {
+	tr := New("allocs")
+	es := field.RandVector(64)
+	d := sha2.Sum256([]byte("root"))
+	step := func() {
+		tr.AppendElements("row", es)
+		tr.AppendElement("e", &es[0])
+		tr.AppendDigest("root", d)
+		tr.AppendUint64("n", 3)
+		_ = tr.squeeze()
+	}
+	step()
+	if n := testing.AllocsPerRun(50, step); n != 0 {
+		t.Fatalf("absorb/squeeze allocate %.0f times per round", n)
 	}
 }
