@@ -92,6 +92,7 @@ roofline:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzElementDecoding -fuzztime $(FUZZTIME) ./internal/field/
 	$(GO) test -run '^$$' -fuzz FuzzFieldArith -fuzztime $(FUZZTIME) ./internal/field/
+	$(GO) test -run '^$$' -fuzz FuzzWideAccumulate -fuzztime $(FUZZTIME) ./internal/field/
 	$(GO) test -run '^$$' -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/fp/
 	$(GO) test -run '^$$' -fuzz FuzzChallengeDerivation -fuzztime $(FUZZTIME) ./internal/transcript/
 	$(GO) test -run '^$$' -fuzz FuzzOpeningProofVerify -fuzztime $(FUZZTIME) ./internal/merkle/

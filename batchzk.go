@@ -142,16 +142,15 @@ func NewShardedProver(c *Circuit, p *Params, shards, depth int) (*ShardedProver,
 	return core.NewShardedProver(c, p, shards, depth)
 }
 
-// Memory-bounded streaming mode. Both prover flavors expose two
-// orthogonal switches that together bound peak host heap by the
-// in-flight window instead of the batch size (the host-side analogue of
-// the paper's ~2N-block device budget):
+// Memory-bounded streaming. Peak host heap tracks the in-flight window
+// instead of the batch size (the host-side analogue of the paper's
+// ~2N-block device budget) on two counts:
 //
-//   - SetStreamingCommit(true) replaces the buffered polynomial
-//     commitment (which materializes the RateInv× encoded matrix) with
-//     the out-of-core pcs.StreamingCommitter — per-column incremental
-//     hashers during commitment, on-demand row re-encoding at the
-//     opening — with bit-identical proofs.
+//   - The commitment is always out-of-core: rows are encoded a block at a
+//     time into per-column incremental hashes, and the opening re-encodes
+//     only the challenged columns, so no proof ever holds the RateInv×
+//     encoded matrix. SetStreamingCommit, which used to select this path,
+//     is a no-op.
 //   - ProveStream(next, emit) replaces slice-in/slice-out batching:
 //     jobs are pulled from next only as pipeline slots free up, and
 //     each proof is handed to emit the moment it finalizes.

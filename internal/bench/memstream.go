@@ -72,8 +72,8 @@ func (s *StreamSweep) AllProofsOK() bool {
 }
 
 // BuildMemoryStreamSweep proves batch and batch×MemoryStreamFactor jobs
-// through fresh depth-bounded streaming provers (SetStreamingCommit +
-// ProveStream, jobs generated lazily, proofs dropped on emission) and
+// through fresh depth-bounded provers (ProveStream, jobs generated
+// lazily, proofs dropped on emission) and
 // gates the working-set growth between the two points.
 func BuildMemoryStreamSweep(gates, batch, depth int, seed int64) (*StreamSweep, error) {
 	if gates < 16 {
@@ -110,7 +110,6 @@ func BuildMemoryStreamSweep(gates, batch, depth int, seed int64) (*StreamSweep, 
 	// would skew the two-point ratio, so a single throwaway job pays for
 	// it here.
 	if wp, err := core.NewBatchProver(c, p, depth); err == nil {
-		wp.SetStreamingCommit(true)
 		warm := false
 		wp.ProveStream(func() (core.Job, bool) {
 			if warm {
@@ -129,7 +128,6 @@ func BuildMemoryStreamSweep(gates, batch, depth int, seed int64) (*StreamSweep, 
 		if err != nil {
 			return nil, err
 		}
-		bp.SetStreamingCommit(true)
 		runtime.GC()
 		phase := fmt.Sprintf("stream-batch%05d", b)
 		ms.SetPhase(phase)

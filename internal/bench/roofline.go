@@ -67,6 +67,12 @@ type ALUCalibration struct {
 	// streamed hashing of long inputs runs below it per block, since it
 	// pays the call into crypto/sha256 once per buffer.
 	CompressNs float64 `json:"compress_ns"`
+	// WideMacNs is one field.Wide.MulAccSmall: a 64-bit coefficient times
+	// a field element added into an unreduced accumulator (4 limb
+	// multiplies). WideReduceNs is one field.Element.ReduceWide, which
+	// reduces such an accumulator once per output.
+	WideMacNs    float64 `json:"wide_mac_ns"`
+	WideReduceNs float64 `json:"wide_reduce_ns"`
 }
 
 // RooflineKernel is one kernel's measurement against its ALU floor.
@@ -78,10 +84,13 @@ type RooflineKernel struct {
 	MeasuredNs   int64   `json:"measured_ns"`
 	NsPerElement float64 `json:"ns_per_element"`
 	// Per-element operation counts of the analytic work model.
-	MulsPerElement     float64 `json:"muls_per_element"`
-	AddsPerElement     float64 `json:"adds_per_element"`
-	CompressPerElement float64 `json:"compress_per_element"`
-	// FloorNsPerElement = muls·MulNs + adds·AddNs + compress·CompressNs.
+	MulsPerElement        float64 `json:"muls_per_element"`
+	AddsPerElement        float64 `json:"adds_per_element"`
+	CompressPerElement    float64 `json:"compress_per_element"`
+	WideMacsPerElement    float64 `json:"wide_macs_per_element,omitempty"`
+	WideReducesPerElement float64 `json:"wide_reduces_per_element,omitempty"`
+	// FloorNsPerElement = muls·MulNs + adds·AddNs + compress·CompressNs
+	// + wideMacs·WideMacNs + wideReduces·WideReduceNs.
 	FloorNsPerElement float64 `json:"floor_ns_per_element"`
 	// PctOfCeiling is floor/measured × 100: how much of the kernel's
 	// time is the arithmetic it cannot avoid.
@@ -160,6 +169,30 @@ func calibrateALU() ALUCalibration {
 		calibrationSink = acc
 		return float64(time.Since(start).Nanoseconds()) / fieldOps
 	})
+	cal.WideMacNs = bestNs(func() float64 {
+		var acc field.Wide
+		x := b
+		start := time.Now()
+		for i := 0; i < fieldOps; i++ {
+			acc.MulAccSmall(acc[0]|1, &x) // chained through the accumulator
+			if i&127 == 127 {
+				acc = field.Wide{acc[0]} // stay within the 255-term bound
+			}
+		}
+		calibrationSink.ReduceWide(&acc)
+		return float64(time.Since(start).Nanoseconds()) / fieldOps
+	})
+	cal.WideReduceNs = bestNs(func() float64 {
+		acc := field.Wide{1, 2, 3, 4, 5, 6}
+		start := time.Now()
+		var e field.Element
+		for i := 0; i < fieldOps; i++ {
+			e.ReduceWide(&acc)
+			acc[0], acc[4] = e[0], e[1] // chained through the result
+		}
+		calibrationSink = e
+		return float64(time.Since(start).Nanoseconds()) / fieldOps
+	})
 	var l, r sha2.Digest
 	l[0], r[0] = 1, 2
 	cal.CompressNs = bestNs(func() float64 {
@@ -188,6 +221,8 @@ type rooflineCase struct {
 	muls     float64 // field multiplications per element
 	adds     float64 // field additions per element
 	compress float64 // SHA-256 compressions per element
+	macs     float64 // field.Wide.MulAccSmall per element
+	reduces  float64 // field.Element.ReduceWide per element
 	model    string
 	run      func() error
 }
@@ -223,15 +258,15 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 	if err != nil {
 		return nil, err
 	}
+	encOut := make([]field.Element, enc.CodewordLen())
 	// Exact encoder arithmetic: every nonzero of both sparse phases is
-	// one mul-add.
-	workStages, err := encoder.WorkModel(n, encoder.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	var encNNZ float64
-	for _, st := range workStages {
-		encNNZ += float64(st.FirstNNZ + st.SecondNNZ)
+	// one wide multiply-accumulate, and every output row of both phases
+	// one reduction (a codeword of 4n has n/2 + n first-phase outputs at
+	// the top level, halving per level down to the base code).
+	var encNNZ, encRows float64
+	for _, st := range enc.Stages() {
+		encNNZ += float64(st.First.NumNonZeros() + st.Second.NumNonZeros())
+		encRows += float64(st.First.OutDim + st.Second.OutDim)
 	}
 
 	scTable := randVec(n)
@@ -296,12 +331,11 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 		},
 		{
 			name: "encoder/encode", size: n,
-			muls:  encNNZ / float64(n),
-			adds:  encNNZ / float64(n),
-			model: "exact: one mul-add per sparse-matrix nonzero (encoder.WorkModel)",
+			macs:    encNNZ / float64(n),
+			reduces: encRows / float64(n),
+			model:   "exact: one wide multiply-accumulate (4 limb-muls) per sparse-matrix nonzero + one reduction per output row",
 			run: func() error {
-				_, err := enc.Encode(encMsg)
-				return err
+				return enc.EncodeInto(encOut, encMsg)
 			},
 		},
 		{
@@ -368,22 +402,24 @@ func BuildRooflineReport(shift, reps int, seed int64) (*RooflineReport, error) {
 			}
 		}
 		res := RooflineKernel{
-			Name:               k.name,
-			Size:               k.size,
-			MeasuredNs:         best,
-			NsPerElement:       float64(best) / float64(k.size),
-			MulsPerElement:     k.muls,
-			AddsPerElement:     k.adds,
-			CompressPerElement: k.compress,
-			Model:              k.model,
-			ParCalls:           stats.Calls,
-			ParItems:           stats.Items,
-			ParChunks:          stats.Chunks,
-			ParInline:          stats.Inline,
+			Name:                  k.name,
+			Size:                  k.size,
+			MeasuredNs:            best,
+			NsPerElement:          float64(best) / float64(k.size),
+			MulsPerElement:        k.muls,
+			AddsPerElement:        k.adds,
+			CompressPerElement:    k.compress,
+			WideMacsPerElement:    k.macs,
+			WideReducesPerElement: k.reduces,
+			Model:                 k.model,
+			ParCalls:              stats.Calls,
+			ParItems:              stats.Items,
+			ParChunks:             stats.Chunks,
+			ParInline:             stats.Inline,
 		}
-		res.FloorNsPerElement = k.muls*rep.Calibration.MulNs +
-			k.adds*rep.Calibration.AddNs +
-			k.compress*rep.Calibration.CompressNs
+		cal := rep.Calibration
+		res.FloorNsPerElement = k.muls*cal.MulNs + k.adds*cal.AddNs + k.compress*cal.CompressNs +
+			k.macs*cal.WideMacNs + k.reduces*cal.WideReduceNs
 		if res.NsPerElement > 0 {
 			res.PctOfCeiling = res.FloorNsPerElement / res.NsPerElement * 100
 		}
@@ -435,8 +471,8 @@ func (r *RooflineReport) Floors() map[string]float64 {
 // RenderTable writes the human-readable roofline table.
 func (r *RooflineReport) RenderTable(w io.Writer) {
 	fmt.Fprintf(w, "host-kernel roofline (serial, %d cores, shift %d)\n", r.Cores, r.Shift)
-	fmt.Fprintf(w, "calibrated ALU: mul %.1f ns · add %.1f ns · sha256-compress %.1f ns\n\n",
-		r.Calibration.MulNs, r.Calibration.AddNs, r.Calibration.CompressNs)
+	fmt.Fprintf(w, "calibrated ALU: mul %.1f ns · add %.1f ns · sha256-compress %.1f ns · wide mac %.1f ns · wide reduce %.1f ns\n\n",
+		r.Calibration.MulNs, r.Calibration.AddNs, r.Calibration.CompressNs, r.Calibration.WideMacNs, r.Calibration.WideReduceNs)
 	fmt.Fprintf(w, "%-20s %10s %12s %12s %8s  %s\n",
 		"kernel", "size", "ns/elem", "floor ns", "%ceil", "verdict")
 	for _, k := range r.Kernels {

@@ -123,10 +123,6 @@ type BatchProver struct {
 	// prover is unsharded), recorded on every job's flight timeline.
 	shard int
 
-	// streamCommit routes the commit and opening stages through the
-	// out-of-core pcs.StreamingCommitter path (see stream.go).
-	streamCommit bool
-
 	// schedCfg configures the stage worker pools (see schedule.go); graph
 	// is the live scheduler of the current Run, for introspection.
 	schedCfg *Schedule
@@ -282,18 +278,11 @@ func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
 		m.waitNs = 0 // admission wait is stamped by the flight recorder
 		job := m.src
 		bp.runStage(0, ins, m, func() error {
-			w := job.Witness
 			var err error
-			if w == nil {
-				w, err = bp.c.Evaluate(job.Public, job.Secret)
-			}
-			if err != nil {
-				return err
-			}
-			if bp.streamCommit {
-				m.f, err = protocol.StartProofStreaming(bp.c, bp.p, w)
+			if job.Witness == nil {
+				m.f, err = protocol.StartProofFromInputs(bp.c, bp.p, job.Public, job.Secret)
 			} else {
-				m.f, err = protocol.StartProof(bp.c, bp.p, w)
+				m.f, err = protocol.StartProof(bp.c, bp.p, job.Witness)
 			}
 			return err
 		})
@@ -311,7 +300,7 @@ func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
 			m.proof, err = m.f.Finish()
 			return err
 		})
-		// The in-flight state (PCS matrices or tree, padded witness) is
+		// The in-flight state (column tree, padded witness) is
 		// dead once the proof exists; drop it before the message waits in
 		// the reorder buffer so only finished proofs occupy that window.
 		m.f = nil

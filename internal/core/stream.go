@@ -6,24 +6,21 @@ package core
 // ends of that assumption: jobs are pulled from an iterator only as the
 // pipeline has room for them (the submission channel is unbuffered, so
 // at most depth+1 witnesses are ever materialized), and each proof is
-// handed to the caller the moment it leaves the reorder buffer. Combined
-// with SetStreamingCommit this is the host-side analogue of the paper's
-// ~2N-block device bound: peak memory tracks the in-flight window, not
-// the batch.
+// handed to the caller the moment it leaves the reorder buffer. With the
+// commit stage never holding an encoded matrix (see protocol.InFlight),
+// this is the host-side analogue of the paper's ~2N-block device bound:
+// peak memory tracks the in-flight window, not the batch.
 
-// SetStreamingCommit switches the commit and opening stages to the
-// out-of-core pcs.StreamingCommitter path: no encoded matrix is ever
-// materialized, and challenged columns are re-encoded on demand at the
-// opening. Proofs stay bit-identical to the buffered path. Call before
-// Run/ProveBatch/ProveStream.
-func (bp *BatchProver) SetStreamingCommit(on bool) { bp.streamCommit = on }
+// SetStreamingCommit is a no-op kept for existing callers. It used to
+// choose between a buffered commitment, which held the whole encoded
+// matrix until the opening, and the out-of-core one; every proof now
+// takes the out-of-core path (per-column incremental hashes during the
+// commitment, challenged columns re-encoded at the opening), whatever
+// the argument.
+func (bp *BatchProver) SetStreamingCommit(bool) {}
 
-// SetStreamingCommit switches every shard to the out-of-core commit path.
-func (sp *ShardedProver) SetStreamingCommit(on bool) {
-	for _, bp := range sp.shards {
-		bp.SetStreamingCommit(on)
-	}
-}
+// SetStreamingCommit is a no-op (see BatchProver.SetStreamingCommit).
+func (sp *ShardedProver) SetStreamingCommit(bool) {}
 
 // ProveStream pulls jobs from next until it reports exhaustion and calls
 // emit once per job, in submission order, as each proof finalizes. next

@@ -11,11 +11,13 @@
 // sizes stay powers of two (convenient for the Merkle module that hashes
 // its columns).
 //
-// EncodeIterative is the pipeline-shaped implementation from Figure 6 of
-// the paper: a forward pass of first-matrix multiplications from large to
+// EncodeInto is the pipeline-shaped implementation from Figure 6 of the
+// paper: a forward pass of first-matrix multiplications from large to
 // small, then a backward pass of second-matrix multiplications from small
-// to large. It is bit-identical to the recursive reference Encode, which
-// the tests enforce.
+// to large. It runs in place in the caller's codeword buffer — every
+// level's message and parity land where the codeword keeps them — so
+// encoding allocates nothing. The tests pin it against the recursive
+// definition above, kept there as an oracle.
 //
 // Sparse matrices are sampled deterministically from a seed; every output
 // row has fewer than 256 non-zero entries (the property §3.3 exploits to
@@ -28,13 +30,7 @@ import (
 	"sync"
 
 	"batchzk/internal/field"
-	"batchzk/internal/par"
 )
-
-// parallelRows is the output-row count below which MulVec runs serially
-// (a row is ~a dozen multiply-adds; tiny stages are not worth chunking).
-// Package var so the bit-identity tests can force the parallel path.
-var parallelRows = 256
 
 // RateInv is the codeword expansion factor: |codeword| = RateInv · |message|.
 const RateInv = 4
@@ -42,10 +38,13 @@ const RateInv = 4
 // MaxRowWeight bounds the non-zeros per output row (must fit in one byte).
 const MaxRowWeight = 255
 
-// Entry is one non-zero coefficient of a sparse matrix row.
+// Entry is one non-zero coefficient of a sparse matrix row. Coefficients
+// are sampled as 64-bit integers, so Coeff holds the canonical value
+// itself: the element field.NewElement(Coeff), applied with one
+// field.Wide.MulAccSmall instead of a full Montgomery multiply.
 type Entry struct {
 	Col   int
-	Coeff field.Element
+	Coeff uint64
 }
 
 // SparseMatrix is a row-major sparse matrix: Rows[j] lists the non-zeros
@@ -66,11 +65,15 @@ func (m *SparseMatrix) MulVec(x []field.Element) ([]field.Element, error) {
 	return out, nil
 }
 
-// MulVecInto is MulVec into a caller-provided (zeroed) output buffer of
-// length OutDim. Rows are independent — one output coordinate per row,
-// the paper's one-GPU-thread-per-row mapping — so the row loop runs
-// in parallel chunks; each row accumulates its entries in order, making
-// the result bit-identical to the serial loop for any chunking.
+// MulVecInto is MulVec into a caller-provided output buffer of length
+// OutDim, which it overwrites; out must not overlap x. It allocates
+// nothing and runs on the calling goroutine: callers parallelize across
+// the rows of the committed matrix, so one codeword is one worker's job.
+//
+// Each output row accumulates its terms wide (field.Wide: four limb
+// multiplies per non-zero, at most MaxRowWeight = field.MaxWideTerms of
+// them) and is reduced once — the same canonical element as a Mul and a
+// reduced Add per term.
 func (m *SparseMatrix) MulVecInto(out, x []field.Element) error {
 	if len(x) != m.InDim {
 		return fmt.Errorf("encoder: input length %d, matrix expects %d", len(x), m.InDim)
@@ -78,20 +81,23 @@ func (m *SparseMatrix) MulVecInto(out, x []field.Element) error {
 	if len(out) != m.OutDim {
 		return fmt.Errorf("encoder: output length %d, matrix produces %d", len(out), m.OutDim)
 	}
-	w := 0
-	if m.OutDim < parallelRows {
-		w = 1
-	}
-	par.ForWidth(w, m.OutDim, func(lo, hi int) {
-		var t field.Element
-		for j := lo; j < hi; j++ {
-			for _, e := range m.Rows[j] {
-				t.Mul(&e.Coeff, &x[e.Col])
-				out[j].Add(&out[j], &t)
-			}
-		}
-	})
+	m.mulInto(out, x)
 	return nil
+}
+
+func (m *SparseMatrix) mulInto(out, x []field.Element) {
+	for j, row := range m.Rows {
+		rowInto(&out[j], row, x)
+	}
+}
+
+// rowInto sets *out to the inner product of one sparse row with x.
+func rowInto(out *field.Element, row []Entry, x []field.Element) {
+	var acc field.Wide
+	for _, e := range row {
+		acc.MulAccSmall(e.Coeff, &x[e.Col])
+	}
+	out.ReduceWide(&acc)
 }
 
 // RowLengths returns the per-row non-zero counts (all < 256), the input of
@@ -226,23 +232,31 @@ func sampleMatrix(rng *rand.Rand, inDim, outDim, minW, maxW int) *SparseMatrix {
 	}
 	m := &SparseMatrix{InDim: inDim, OutDim: outDim, Rows: make([][]Entry, outDim)}
 	seen := make(map[int]struct{}, maxW)
+	var all []Entry // every row, back to back, so a mat-vec streams one array
+	ends := make([]int, outDim)
 	for j := 0; j < outDim; j++ {
 		w := minW + rng.Intn(maxW-minW+1)
 		// Rejection-sample w distinct columns (w ≪ inDim in practice, and
 		// w ≤ inDim always, so this terminates quickly).
 		clear(seen)
-		row := make([]Entry, 0, w)
-		for len(row) < w {
+		for k := 0; k < w; {
 			c := rng.Intn(inDim)
 			if _, dup := seen[c]; dup {
 				continue
 			}
 			seen[c] = struct{}{}
-			var coeff field.Element
-			coeff.SetUint64(rng.Uint64() | 1) // never zero
-			row = append(row, Entry{Col: c, Coeff: coeff})
+			// Coefficients are below 2⁶⁴ < r, so each is its own canonical
+			// value; the low bit keeps them non-zero.
+			all = append(all, Entry{Col: c, Coeff: rng.Uint64() | 1})
+			k++
 		}
-		m.Rows[j] = row
+		ends[j] = len(all)
+	}
+	all = all[:len(all):len(all)]
+	start := 0
+	for j, end := range ends {
+		m.Rows[j] = all[start:end:end]
+		start = end
 	}
 	return m
 }
@@ -308,79 +322,150 @@ func (e *Encoder) NumStages() int { return len(e.stages) }
 // Stages exposes the sampled stage matrices (read-only use).
 func (e *Encoder) Stages() []Stage { return e.stages }
 
-// Encode is the recursive reference encoder (Figure 3 of the paper).
+// Encode returns the codeword of x in a fresh buffer (see EncodeInto).
 func (e *Encoder) Encode(x []field.Element) ([]field.Element, error) {
 	if len(x) != e.n {
 		return nil, fmt.Errorf("encoder: message length %d, want %d", len(x), e.n)
 	}
-	return e.encodeAt(0, x)
+	cw := make([]field.Element, e.CodewordLen())
+	e.encode(cw, x, nil)
+	return cw, nil
 }
 
-func (e *Encoder) encodeAt(stage int, x []field.Element) ([]field.Element, error) {
-	if stage == len(e.stages) {
-		return baseEncode(x), nil
+// EncodeInto writes the codeword x ‖ enc(First·x) ‖ Second·enc(First·x)
+// of x into dst (length CodewordLen) without any intermediate buffer.
+// Level k's codeword occupies a window of dst starting at offset off_k
+// with its message in the first quarter; First_k·x_k is written straight
+// into the next quarter, which is where level k+1's codeword (message
+// first) begins. A forward sweep therefore leaves every level's message
+// in place, the base code repeats the smallest one, and a backward sweep
+// fills each level's parity quarter from the half before it.
+//
+// x may be dst[:MessageLen] itself; otherwise it must not overlap dst.
+func (e *Encoder) EncodeInto(dst, x []field.Element) error {
+	if err := e.checkLens(dst, x); err != nil {
+		return err
 	}
-	s := e.stages[stage]
-	y, err := s.First.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	w, err := e.encodeAt(stage+1, y)
-	if err != nil {
-		return nil, err
-	}
-	v, err := s.Second.MulVec(w)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]field.Element, 0, RateInv*len(x))
-	out = append(out, x...)
-	out = append(out, w...)
-	out = append(out, v...)
-	return out, nil
+	e.encode(dst, x, nil)
+	return nil
 }
 
-// baseEncode is the repetition base code: the message four times.
-func baseEncode(x []field.Element) []field.Element {
-	out := make([]field.Element, 0, RateInv*len(x))
-	for i := 0; i < RateInv; i++ {
-		out = append(out, x...)
-	}
-	return out
-}
-
-// EncodeIterative is the two-pass, pipeline-shaped encoder of Figure 6:
-// a forward sweep of all first multiplications (large → small), the base
-// code, then a backward sweep of all second multiplications (small →
-// large). The result is identical to Encode.
-func (e *Encoder) EncodeIterative(x []field.Element) ([]field.Element, error) {
+func (e *Encoder) checkLens(dst, x []field.Element) error {
 	if len(x) != e.n {
-		return nil, fmt.Errorf("encoder: message length %d, want %d", len(x), e.n)
+		return fmt.Errorf("encoder: message length %d, want %d", len(x), e.n)
 	}
-	// Forward pass: inputs[k] is the message at stage k.
-	inputs := make([][]field.Element, len(e.stages)+1)
-	inputs[0] = x
-	for k, s := range e.stages {
-		y, err := s.First.MulVec(inputs[k])
-		if err != nil {
-			return nil, err
+	if len(dst) != e.CodewordLen() {
+		return fmt.Errorf("encoder: codeword buffer length %d, want %d", len(dst), e.CodewordLen())
+	}
+	return nil
+}
+
+// encode is EncodeInto for checked lengths. With a cone it computes only
+// the parity rows the cone lists and stops the forward sweep below the
+// cone's deepest level; the rest of dst is left as it was.
+func (e *Encoder) encode(dst, x []field.Element, c *Cone) {
+	if &dst[0] != &x[0] {
+		copy(dst[:e.n], x)
+	}
+	depth := len(e.stages)
+	if c != nil {
+		depth = len(c.parity)
+	}
+	off, n := 0, e.n
+	for _, s := range e.stages[:depth] {
+		s.First.mulInto(dst[off+n:off+n+n/2], dst[off:off+n])
+		off += n
+		n /= 2
+	}
+	if depth == len(e.stages) {
+		for i := 1; i < RateInv; i++ {
+			copy(dst[off+i*n:off+(i+1)*n], dst[off:off+n])
 		}
-		inputs[k+1] = y
 	}
-	// Base code, then backward pass assembling (x_k ‖ w_{k+1} ‖ v_k).
-	w := baseEncode(inputs[len(e.stages)])
-	for k := len(e.stages) - 1; k >= 0; k-- {
-		v, err := e.stages[k].Second.MulVec(w)
-		if err != nil {
-			return nil, err
+	for k := depth - 1; k >= 0; k-- {
+		n *= 2
+		off -= n
+		second := e.stages[k].Second
+		v, w := dst[off+3*n:off+4*n], dst[off+n:off+3*n]
+		if c == nil {
+			second.mulInto(v, w)
+			continue
 		}
-		out := make([]field.Element, 0, RateInv*len(inputs[k]))
-		out = append(out, inputs[k]...)
-		out = append(out, w...)
-		out = append(out, v...)
-		w = out
+		for _, j := range c.parity[k] {
+			rowInto(&v[j], second.Rows[j], w)
+		}
 	}
-	return w, nil
+}
+
+// Cone is the part of the encoding that a fixed set of codeword positions
+// depends on. A position in the message quarter is the message itself; a
+// parity position at level k needs one row of Second_k and, through it,
+// a handful of positions of level k+1's codeword; and so on down. The
+// First matrices are computed in full on every level the cone reaches
+// (each of their outputs is read by ~5 sampled rows one level down), but
+// of the Second matrices — about two thirds of the encoder's non-zeros —
+// only the listed rows are. The pcs opening uses it to recompute the
+// challenged columns of a codeword without the rest.
+type Cone struct {
+	e *Encoder
+	// parity[k] lists the Second_k rows to compute, ascending; the cone
+	// reaches len(parity) levels below the top.
+	parity [][]int
+}
+
+// Cone returns the dependency cone of the given codeword positions.
+func (e *Encoder) Cone(positions []int) (*Cone, error) {
+	want := make([]bool, e.CodewordLen()) // positions needed at this level
+	for _, j := range positions {
+		if j < 0 || j >= len(want) {
+			return nil, fmt.Errorf("encoder: codeword position %d out of range [0, %d)", j, len(want))
+		}
+		want[j] = true
+	}
+	c := &Cone{e: e}
+	n := e.n
+	for _, s := range e.stages {
+		// Positions past the message quarter live in x_{k+1}'s codeword
+		// (the middle half) or are parity rows reading from it.
+		next := make([]bool, 2*n)
+		copy(next, want[n:3*n])
+		var rows []int
+		for j, need := range want[3*n:] {
+			if need {
+				rows = append(rows, j)
+				for _, en := range s.Second.Rows[j] {
+					next[en.Col] = true
+				}
+			}
+		}
+		if !anyTrue(next) {
+			break
+		}
+		c.parity = append(c.parity, rows)
+		want, n = next, n/2
+	}
+	return c, nil
+}
+
+func anyTrue(v []bool) bool {
+	for _, b := range v {
+		if b {
+			return true
+		}
+	}
+	return false
+}
+
+// EncodeInto writes into dst (length CodewordLen) a buffer that agrees
+// with the full codeword of x at every position of the cone; other
+// positions are unspecified. Like Encoder.EncodeInto it allocates
+// nothing, so one scratch buffer serves every row of a matrix.
+func (c *Cone) EncodeInto(dst, x []field.Element) error {
+	if err := c.e.checkLens(dst, x); err != nil {
+		return err
+	}
+	c.e.encode(dst, x, c)
+	return nil
 }
 
 // WorkNonZeros returns the total multiply-add count of one encoding — the

@@ -105,17 +105,29 @@ func TestBaseCase(t *testing.T) {
 	}
 }
 
+// TestIterativeMatchesRecursive pins the in-place two-pass encoder
+// against the recursive definition (encodeRecursive, with one Montgomery
+// Mul and one Add per non-zero), both into a fresh buffer and in place
+// over a message already sitting in the codeword's first quarter.
 func TestIterativeMatchesRecursive(t *testing.T) {
 	for _, n := range []int{16, 32, 128, 512} {
 		e := mustEncoder(t, n)
 		msg := field.RandVector(n)
-		rec, err1 := e.Encode(msg)
-		it, err2 := e.EncodeIterative(msg)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
+		want := encodeRecursive(e, 0, msg)
+		got, err := e.Encode(msg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !field.VectorEqual(rec, it) {
+		if !field.VectorEqual(got, want) {
 			t.Fatalf("n=%d: iterative and recursive codewords differ", n)
+		}
+		inPlace := field.RandVector(e.CodewordLen()) // stale contents must not leak
+		copy(inPlace, msg)
+		if err := e.EncodeInto(inPlace, inPlace[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if !field.VectorEqual(inPlace, want) {
+			t.Fatalf("n=%d: in-place encoding differs", n)
 		}
 	}
 }
@@ -125,8 +137,11 @@ func TestEncodeRejectsWrongLength(t *testing.T) {
 	if _, err := e.Encode(field.RandVector(32)); err == nil {
 		t.Fatal("accepted short message")
 	}
-	if _, err := e.EncodeIterative(field.RandVector(128)); err == nil {
-		t.Fatal("iterative accepted long message")
+	if err := e.EncodeInto(make([]field.Element, 4*128), field.RandVector(128)); err == nil {
+		t.Fatal("EncodeInto accepted long message")
+	}
+	if err := e.EncodeInto(make([]field.Element, 4*64-1), field.RandVector(64)); err == nil {
+		t.Fatal("EncodeInto accepted a short codeword buffer")
 	}
 }
 
@@ -319,16 +334,5 @@ func TestMulVecValidation(t *testing.T) {
 	m := e.Stages()[0].First
 	if _, err := m.MulVec(field.RandVector(5)); err == nil {
 		t.Fatal("MulVec accepted wrong input length")
-	}
-}
-
-func BenchmarkEncode1024(b *testing.B) {
-	e := mustEncoder(b, 1024)
-	msg := field.RandVector(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Encode(msg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -10,18 +10,13 @@ import (
 	"batchzk/internal/par"
 )
 
-// Parallel-vs-serial bit-identity for the row-parallel sparse multiply:
-// every row accumulates its entries in order and rows are chunk-disjoint,
-// so the codeword must match the serial one exactly at any width.
+// Width-independence: one codeword is one worker's job (callers
+// parallelize across the rows of a committed matrix), so the encoder's
+// output must not depend on the kernel runtime's width.
 
 func lowerGrain(t *testing.T) {
 	t.Helper()
-	old := parallelRows
-	parallelRows = 1
-	t.Cleanup(func() {
-		parallelRows = old
-		par.SetWidth(0)
-	})
+	t.Cleanup(func() { par.SetWidth(0) })
 }
 
 func TestEncodeBitIdenticalAcrossWidths(t *testing.T) {

@@ -118,6 +118,7 @@ func TestSquareMatchesMulRandom(t *testing.T) {
 // inversion through a caller scratch, must not touch the heap.
 func TestHotPathZeroAllocations(t *testing.T) {
 	var a, b, out Element
+	var acc Wide
 	a.Rand()
 	b.Rand()
 	checks := []struct {
@@ -129,6 +130,8 @@ func TestHotPathZeroAllocations(t *testing.T) {
 		{"Add", func() { out.Add(&a, &b) }},
 		{"Sub", func() { out.Sub(&a, &b) }},
 		{"Inverse", func() { out.Inverse(&a) }},
+		{"MulAccSmall", func() { acc.MulAccSmall(0x9e3779b97f4a7c15, &a) }},
+		{"ReduceWide", func() { out.ReduceWide(&acc) }},
 	}
 	for _, c := range checks {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

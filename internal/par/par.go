@@ -132,13 +132,17 @@ func SetWidth(w int) {
 func Width() int { return int(width.Load()) }
 
 func worker(quit chan struct{}) {
+	// t is cleared after each task: a task closure captures its kernel's
+	// buffers, and an idle worker must not keep them reachable.
+	var t func()
 	for {
 		select {
 		case <-quit:
 			return
-		case t := <-tasks:
-			t()
+		case t = <-tasks:
 		}
+		t()
+		t = nil
 	}
 }
 

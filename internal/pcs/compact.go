@@ -26,23 +26,10 @@ type CompactEvalProof struct {
 
 // ProveEvalCompact is ProveEval with shared column paths.
 func (s *ProverState) ProveEvalCompact(point []field.Element, tr *transcript.Transcript) (*CompactEvalProof, field.Element, error) {
-	n := s.comm.NumVars()
-	if len(point) != n {
-		return nil, field.Element{}, fmt.Errorf("pcs: point arity %d, want %d", len(point), n)
+	testRow, combined, idx, err := s.ss.evalRows(s.rowAt, point, tr)
+	if err != nil {
+		return nil, field.Element{}, err
 	}
-	tr.AppendDigest("pcs/root", s.comm.Root)
-	tr.AppendElements("pcs/point", point)
-
-	gamma := tr.ChallengeElements("pcs/gamma", s.params.NumRows)
-	testRow := combineRows(gamma, s.rows, s.params.NumCols)
-	tr.AppendElements("pcs/testrow", testRow)
-
-	lo, hi := splitPoint(point, s.params.NumCols)
-	eqHi := eqTableOf(hi)
-	combined := combineRows(eqHi, s.rows, s.params.NumCols)
-	tr.AppendElements("pcs/evalrow", combined)
-
-	idx := tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
 	uniq := map[int]bool{}
 	for _, j := range idx {
 		uniq[j] = true
@@ -53,22 +40,16 @@ func (s *ProverState) ProveEvalCompact(point []field.Element, tr *transcript.Tra
 	}
 	sort.Ints(sorted)
 
-	proof := &CompactEvalProof{TestRow: testRow, CombinedRow: combined, ColumnIndex: sorted}
-	for _, j := range sorted {
-		col := make([]field.Element, s.params.NumRows)
-		for r := 0; r < s.params.NumRows; r++ {
-			col[r] = s.encoded[r][j]
-		}
-		proof.ColumnValues = append(proof.ColumnValues, col)
-	}
-	mp, err := s.tree.ProveMulti(sorted)
+	cols, err := s.ss.openColumns(s.rowAt, sorted)
 	if err != nil {
 		return nil, field.Element{}, err
 	}
-	proof.Paths = mp
-
-	value := field.InnerProduct(combined, eqTableOf(lo))
-	return proof, value, nil
+	mp, err := s.ss.tree.ProveMulti(sorted)
+	if err != nil {
+		return nil, field.Element{}, err
+	}
+	proof := &CompactEvalProof{TestRow: testRow, CombinedRow: combined, ColumnIndex: sorted, ColumnValues: cols, Paths: mp}
+	return proof, evalValue(combined, point, s.ss.params.NumCols), nil
 }
 
 // VerifyEvalCompact checks a compact evaluation proof.

@@ -26,8 +26,9 @@ func (s *ProverState) ProveEvalMulti(points [][]field.Element, tr *transcript.Tr
 	if len(points) == 0 {
 		return nil, nil, fmt.Errorf("pcs: no evaluation points")
 	}
-	n := s.comm.NumVars()
-	tr.AppendDigest("pcs/root", s.comm.Root)
+	ss := s.ss
+	n := ss.comm.NumVars()
+	tr.AppendDigest("pcs/root", ss.comm.Root)
 	tr.AppendUint64("pcs/numpoints", uint64(len(points)))
 	for _, pt := range points {
 		if len(pt) != n {
@@ -36,32 +37,32 @@ func (s *ProverState) ProveEvalMulti(points [][]field.Element, tr *transcript.Tr
 		tr.AppendElements("pcs/point", pt)
 	}
 
-	gamma := tr.ChallengeElements("pcs/gamma", s.params.NumRows)
-	testRow := combineRows(gamma, s.rows, s.params.NumCols)
-	tr.AppendElements("pcs/testrow", testRow)
-
-	proof := &MultiEvalProof{TestRow: testRow}
+	numRows, numCols := ss.params.NumRows, ss.params.NumCols
+	ws := [][]field.Element{tr.ChallengeElements("pcs/gamma", numRows)}
+	for _, pt := range points {
+		_, hi := splitPoint(pt, numCols)
+		ws = append(ws, eqTableOf(hi))
+	}
+	rows := combineRows(s.rowAt, numRows, numCols, ws...)
+	proof := &MultiEvalProof{TestRow: rows[0], CombinedRows: rows[1:]}
+	tr.AppendElements("pcs/testrow", proof.TestRow)
 	values := make([]field.Element, len(points))
 	for i, pt := range points {
-		lo, hi := splitPoint(pt, s.params.NumCols)
-		eqHi := eqTableOf(hi)
-		combined := combineRows(eqHi, s.rows, s.params.NumCols)
-		tr.AppendElements("pcs/evalrow", combined)
-		proof.CombinedRows = append(proof.CombinedRows, combined)
-		values[i] = field.InnerProduct(combined, eqTableOf(lo))
+		tr.AppendElements("pcs/evalrow", proof.CombinedRows[i])
+		values[i] = evalValue(proof.CombinedRows[i], pt, numCols)
 	}
 
-	idx := tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
-	for _, j := range idx {
-		col := make([]field.Element, s.params.NumRows)
-		for r := 0; r < s.params.NumRows; r++ {
-			col[r] = s.encoded[r][j]
-		}
-		mp, err := s.tree.Prove(j)
+	idx := tr.ChallengeIndices("pcs/cols", ss.params.NumOpenings, ss.enc.CodewordLen())
+	cols, err := ss.openColumns(s.rowAt, idx)
+	if err != nil {
+		return nil, nil, err
+	}
+	for k, j := range idx {
+		mp, err := ss.tree.Prove(j)
 		if err != nil {
 			return nil, nil, err
 		}
-		proof.Columns = append(proof.Columns, OpenedColumn{Index: j, Values: col, Proof: mp})
+		proof.Columns = append(proof.Columns, OpenedColumn{Index: j, Values: cols[k], Proof: mp})
 	}
 	return proof, values, nil
 }

@@ -19,10 +19,10 @@ import (
 
 func lowerGrains(t *testing.T) {
 	t.Helper()
-	oldR, oldC := parallelCommitRows, parallelCombine
-	parallelCommitRows, parallelCombine = 1, 1
+	old := parallelCombine
+	parallelCombine = 1
 	t.Cleanup(func() {
-		parallelCommitRows, parallelCombine = oldR, oldC
+		parallelCombine = old
 		par.SetWidth(0)
 	})
 }

@@ -30,12 +30,10 @@ import (
 	"batchzk/internal/transcript"
 )
 
-// Parallel grain thresholds (package vars so the bit-identity tests can
-// force the parallel paths at small sizes).
-var (
-	parallelCommitRows = 2    // rows encoded in parallel in Commit
-	parallelCombine    = 1024 // matrix cells below which combineRows is serial
-)
+// parallelCombine is the matrix cell count below which combineRows runs
+// serially (a package var so the bit-identity tests can force the
+// parallel path at small sizes).
+var parallelCombine = 1024
 
 // Params configures the matrix layout and security of the scheme.
 type Params struct {
@@ -95,82 +93,46 @@ func (c *Commitment) NumVars() int {
 	return bits.TrailingZeros(uint(c.NumRows)) + bits.TrailingZeros(uint(c.NumCols))
 }
 
-// ProverState holds everything the prover needs to answer evaluation
-// queries: the message matrix, the encoded matrix, and the column tree.
+// ProverState is the prover side of a commitment to a vector the caller
+// keeps: the column tree plus the vector itself, which the openings
+// re-read and re-encode. It is the one-chunk case of StreamingCommitter;
+// the encoded matrix is never held.
 type ProverState struct {
-	params  Params
-	enc     *encoder.Encoder
-	rows    [][]field.Element // message matrix M: NumRows × NumCols
-	encoded [][]field.Element // U: NumRows × (RateInv·NumCols)
-	tree    *merkle.Tree
-	comm    Commitment
+	ss     *StreamState
+	values []field.Element
 }
 
 // Commitment returns the public commitment.
-func (s *ProverState) Commitment() Commitment { return s.comm }
+func (s *ProverState) Commitment() Commitment { return s.ss.comm }
 
 // Commit arranges values (length NumRows·NumCols) into a matrix, encodes
-// every row, and Merkle-commits the encoded columns.
+// every row, and Merkle-commits the encoded columns. values is retained,
+// not copied, and must not change while the state is in use.
 func Commit(values []field.Element, params Params) (*ProverState, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	want := params.NumRows * params.NumCols
-	if len(values) != want {
+	if want := params.NumRows * params.NumCols; len(values) != want {
 		return nil, fmt.Errorf("pcs: %d values, layout wants %d", len(values), want)
 	}
-	enc, err := encoder.Cached(params.NumCols, params.Enc)
+	sc, err := NewStreamingCommitter(params, RetainTree)
 	if err != nil {
 		return nil, err
 	}
-	s := &ProverState{params: params, enc: enc}
-	s.rows = make([][]field.Element, params.NumRows)
-	s.encoded = make([][]field.Element, params.NumRows)
-	// Row-parallel Spielman encoding: every row encodes independently
-	// (the Encoder is safe for concurrent use once constructed).
-	w := 0
-	if params.NumRows < parallelCommitRows {
-		w = 1
+	if err := sc.AddChunk(values); err != nil {
+		return nil, err
 	}
-	k := par.Chunks(w, params.NumRows)
-	encErrs := make([]error, k)
-	par.ForChunks(k, params.NumRows, func(c, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			s.rows[r] = values[r*params.NumCols : (r+1)*params.NumCols]
-			cw, err := enc.Encode(s.rows[r])
-			if err != nil {
-				encErrs[c] = err
-				return
-			}
-			s.encoded[r] = cw
-		}
-	})
-	for _, err := range encErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Columns of U become Merkle leaves: each worker serializes a tile of
-	// adjacent columns per pass over the rows and hashes every column's
-	// bytes in one shot, without materializing the transposed matrix.
-	cwLen := enc.CodewordLen()
-	leaves := make([]sha2.Digest, cwLen)
-	hw := 0
-	if cwLen*params.NumRows < parallelCombine {
-		hw = 1
-	}
-	par.ForScratch(hw, cwLen, func(sc *par.Scratch, lo, hi int) {
-		merkle.ColumnBytes(sc, s.encoded, lo, hi, func(j int, col []byte) {
-			leaves[j] = sha2.Sum256(col)
-		})
-	})
-	tree, err := merkle.BuildFromDigests(leaves)
+	ss, err := sc.Finish()
 	if err != nil {
 		return nil, err
 	}
-	s.tree = tree
-	s.comm = Commitment{Root: tree.Root(), NumRows: params.NumRows, NumCols: params.NumCols}
-	return s, nil
+	return &ProverState{ss: ss, values: values}, nil
+}
+
+// rowAt is the RowAt of the retained vector.
+func (s *ProverState) rowAt(r int) []field.Element {
+	cols := s.ss.params.NumCols
+	return s.values[r*cols : (r+1)*cols]
 }
 
 // OpenedColumn is one spot-checked column of the encoded matrix.
@@ -195,30 +157,51 @@ func splitPoint(point []field.Element, numCols int) (lo, hi []field.Element) {
 	return point[:logCols], point[logCols:]
 }
 
-// combineRows computes wᵀ·M over the message matrix. Chunking is by
-// column: each chunk owns a disjoint out[lo:hi] window and accumulates
-// rows in the same top-to-bottom order as the serial loop, so the result
-// is bit-identical for any chunk count.
-func combineRows(w []field.Element, rows [][]field.Element, width int) []field.Element {
-	out := make([]field.Element, width)
+// combineRows computes wᵀ·M over the message matrix for every weight
+// vector w in ws, in one pass over the rows. Chunking is by column: each
+// chunk owns a disjoint out[lo:hi] window and accumulates rows top to
+// bottom, so the result is bit-identical for any chunk count.
+func combineRows(rows RowAt, numRows, numCols int, ws ...[]field.Element) [][]field.Element {
+	out := make([][]field.Element, len(ws))
+	for i := range out {
+		out[i] = make([]field.Element, numCols)
+	}
 	pw := 0
-	if width*len(rows) < parallelCombine {
+	if numCols*numRows < parallelCombine {
 		pw = 1
 	}
-	par.ForWidth(pw, width, func(lo, hi int) {
+	par.ForWidth(pw, numCols, func(lo, hi int) {
 		var t field.Element
-		for r := range rows {
-			if w[r].IsZero() {
+		for r := 0; r < numRows; r++ {
+			row := rows(r)
+			if isZero(row[lo:hi]) {
 				continue
 			}
-			row := rows[r]
-			for c := lo; c < hi; c++ {
-				t.Mul(&w[r], &row[c])
-				out[c].Add(&out[c], &t)
+			for i, w := range ws {
+				if w[r].IsZero() {
+					continue
+				}
+				acc := out[i]
+				for c := lo; c < hi; c++ {
+					t.Mul(&w[r], &row[c])
+					acc[c].Add(&acc[c], &t)
+				}
 			}
 		}
 	})
 	return out
+}
+
+// isZero reports whether every element of v is zero. Committed vectors
+// are often zero-padded to a power of two; their zero rows need neither
+// encoding nor combining.
+func isZero(v []field.Element) bool {
+	for i := range v {
+		if !v[i].IsZero() {
+			return false
+		}
+	}
+	return true
 }
 
 // ProveEval produces an evaluation proof for the committed polynomial at
@@ -226,57 +209,7 @@ func combineRows(w []field.Element, rows [][]field.Element, width int) []field.E
 // The transcript binds the commitment, the point, and both combined rows
 // before the column challenge, making the openings non-adaptive.
 func (s *ProverState) ProveEval(point []field.Element, tr *transcript.Transcript) (*EvalProof, field.Element, error) {
-	n := s.comm.NumVars()
-	if len(point) != n {
-		return nil, field.Element{}, fmt.Errorf("pcs: point arity %d, want %d", len(point), n)
-	}
-	tr.AppendDigest("pcs/root", s.comm.Root)
-	tr.AppendElements("pcs/point", point)
-
-	gamma := tr.ChallengeElements("pcs/gamma", s.params.NumRows)
-	testRow := combineRows(gamma, s.rows, s.params.NumCols)
-	tr.AppendElements("pcs/testrow", testRow)
-
-	lo, hi := splitPoint(point, s.params.NumCols)
-	eqHi := eqTableOf(hi)
-	combined := combineRows(eqHi, s.rows, s.params.NumCols)
-	tr.AppendElements("pcs/evalrow", combined)
-
-	idx := tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
-	proof := &EvalProof{TestRow: testRow, CombinedRow: combined}
-	// Column openings are independent (tree reads + disjoint writes into
-	// the preallocated slice keep the idx order of the serial loop).
-	proof.Columns = make([]OpenedColumn, len(idx))
-	ow := 0
-	if len(idx)*s.params.NumRows < parallelCombine {
-		ow = 1
-	}
-	ck := par.Chunks(ow, len(idx))
-	openErrs := make([]error, ck)
-	par.ForChunks(ck, len(idx), func(c, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			j := idx[k]
-			col := make([]field.Element, s.params.NumRows)
-			for r := 0; r < s.params.NumRows; r++ {
-				col[r] = s.encoded[r][j]
-			}
-			mp, err := s.tree.Prove(j)
-			if err != nil {
-				openErrs[c] = err
-				return
-			}
-			proof.Columns[k] = OpenedColumn{Index: j, Values: col, Proof: mp}
-		}
-	})
-	for _, err := range openErrs {
-		if err != nil {
-			return nil, field.Element{}, err
-		}
-	}
-
-	eqLo := eqTableOf(lo)
-	value := field.InnerProduct(combined, eqLo)
-	return proof, value, nil
+	return s.ss.ProveEval(s.rowAt, point, tr)
 }
 
 // ErrReject is returned when an evaluation proof fails.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"batchzk/internal/encoder"
 	"batchzk/internal/field"
 	"batchzk/internal/merkle"
 	"batchzk/internal/poly"
@@ -237,15 +238,26 @@ func BenchmarkCommit4096(b *testing.B) {
 func TestCommitRootIsTreeOverColumnHashes(t *testing.T) {
 	for _, logN := range []int{6, 9} {
 		p := testParams(logN)
-		st, err := Commit(field.RandVector(1<<logN), p)
+		values := field.RandVector(1 << logN)
+		st, err := Commit(values, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols := make([][]field.Element, len(st.encoded[0]))
+		enc, err := encoder.New(p.NumCols, p.Enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := make([][]field.Element, enc.CodewordLen())
 		for j := range cols {
 			cols[j] = make([]field.Element, p.NumRows)
-			for r := range st.encoded {
-				cols[j][r] = st.encoded[r][j]
+		}
+		for r := 0; r < p.NumRows; r++ {
+			cw, err := enc.Encode(values[r*p.NumCols : (r+1)*p.NumCols])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range cols {
+				cols[j][r] = cw[j]
 			}
 		}
 		tree, err := merkle.BuildFromColumns(cols)

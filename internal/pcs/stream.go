@@ -11,17 +11,17 @@ import (
 	"batchzk/internal/transcript"
 )
 
-// Out-of-core commitment. Commit materializes the full encoded matrix —
-// RateInv× the message — and retains it until the opening phase. The
-// streaming path below is the host-side analogue of the paper's dynamic
-// per-cycle loading (§4): message rows arrive in chunks, each chunk is
-// encoded, absorbed into per-column incremental hashers, and discarded.
-// Peak memory is one chunk of codewords plus one SHA-256 state per
-// encoded column (plus the column tree in proving mode) instead of the
-// whole rows×cwLen matrix; the opening phase re-encodes rows on demand,
-// trading recompute for working set. Roots, openings, and the transcript
-// evolution are bit-identical to the buffered path — the property tests
-// enforce it.
+// The commitment path. It is the host-side analogue of the paper's
+// dynamic per-cycle loading (§4): message rows arrive in chunks, each
+// block of rows is encoded into one reused arena, absorbed into
+// per-column incremental hashers, and overwritten by the next block. Peak
+// memory is one block of codewords plus one SHA-256 state per encoded
+// column (plus the column tree in proving mode) instead of the whole
+// rows×cwLen encoded matrix, which is never materialized. The opening
+// re-encodes each message row through the cone of the challenged columns
+// (encoder.Cone) — the message itself for systematic positions, and only
+// the parity rows those columns read — trading a fraction of one encoding
+// for the matrix. Commit is the one-chunk case of this path.
 
 // CommitMode selects what a StreamingCommitter retains.
 type CommitMode int
@@ -57,7 +57,9 @@ type StreamingCommitter struct {
 	rowsIn  int           // complete rows absorbed
 	carry   []field.Element
 
-	block [][]field.Element // reusable per-flush codeword buffer
+	// block views one arena of streamRowBlock codewords, allocated at the
+	// first flush and overwritten by every later one.
+	block [][]field.Element
 }
 
 // NewStreamingCommitter prepares a streaming commitment for the given
@@ -122,27 +124,29 @@ func (sc *StreamingCommitter) flushRows(vals []field.Element, nRows int) error {
 			sc.rowsIn+nRows, sc.params.NumRows)
 	}
 	cols := sc.params.NumCols
-	for off := 0; off < nRows; off += streamRowBlock {
-		b := nRows - off
-		if b > streamRowBlock {
-			b = streamRowBlock
+	if sc.block == nil {
+		n, cwLen := min(streamRowBlock, sc.params.NumRows), sc.enc.CodewordLen()
+		arena := make([]field.Element, n*cwLen)
+		sc.block = make([][]field.Element, n)
+		for i := range sc.block {
+			sc.block[i] = arena[i*cwLen : (i+1)*cwLen : (i+1)*cwLen]
 		}
-		if cap(sc.block) < b {
-			sc.block = make([][]field.Element, b)
-		}
-		block := sc.block[:b]
-		// Row-parallel encoding, as in Commit.
-		k := par.Chunks(0, b)
+	}
+	for off := 0; off < nRows; off += len(sc.block) {
+		block := sc.block[:min(nRows-off, len(sc.block))]
+		// Row-parallel encoding: one codeword per row, each in its own
+		// slot of the arena. A zero row (the padding of a committed
+		// vector) encodes to zero.
+		k := par.Chunks(0, len(block))
 		encErrs := make([]error, k)
-		par.ForChunks(k, b, func(c, lo, hi int) {
-			for i := lo; i < hi; i++ {
+		par.ForChunks(k, len(block), func(c, lo, hi int) {
+			for i := lo; i < hi && encErrs[c] == nil; i++ {
 				r := off + i
-				cw, err := sc.enc.Encode(vals[r*cols : (r+1)*cols])
-				if err != nil {
-					encErrs[c] = err
-					return
+				if row := vals[r*cols : (r+1)*cols]; isZero(row) {
+					clear(block[i])
+				} else {
+					encErrs[c] = sc.enc.EncodeInto(block[i], row)
 				}
-				block[i] = cw
 			}
 		})
 		for _, err := range encErrs {
@@ -159,9 +163,6 @@ func (sc *StreamingCommitter) flushRows(vals []field.Element, nRows int) error {
 				sc.colHash[j].Write(col)
 			})
 		})
-		for i := range block {
-			block[i] = nil // release this flush's codewords
-		}
 	}
 	sc.rowsIn += nRows
 	return nil
@@ -219,7 +220,7 @@ func (sc *StreamingCommitter) Finish() (*StreamState, error) {
 		st.tree = tree
 		st.comm = Commitment{Root: tree.Root(), NumRows: sc.params.NumRows, NumCols: sc.params.NumCols}
 	}
-	sc.colHash = nil // hasher states are dead weight from here on
+	sc.colHash, sc.block = nil, nil // dead weight from here on
 	return st, nil
 }
 
@@ -229,97 +230,98 @@ func (sc *StreamingCommitter) Finish() (*StreamState, error) {
 // the witness vector, or a re-read from wherever the row was spilled.
 type RowAt func(r int) []field.Element
 
-// ProveEval is ProverState.ProveEval for a streamed commitment: the same
-// transcript choreography and a bit-identical proof, with the message
-// matrix re-read through rows and the opened columns re-encoded on
-// demand instead of served from a retained encoded matrix.
+// ProveEval produces an evaluation proof for the committed polynomial at
+// point (length NumVars, x_1..x_n order) and returns the evaluation value,
+// re-reading the message matrix through rows. The transcript binds the
+// commitment, the point, and both combined rows before the column
+// challenge, making the openings non-adaptive.
 func (s *StreamState) ProveEval(rows RowAt, point []field.Element, tr *transcript.Transcript) (*EvalProof, field.Element, error) {
-	if s.tree == nil {
-		return nil, field.Element{}, fmt.Errorf("pcs: commitment was streamed RootOnly; openings unavailable")
+	testRow, combined, idx, err := s.evalRows(rows, point, tr)
+	if err != nil {
+		return nil, field.Element{}, err
 	}
-	n := s.comm.NumVars()
-	if len(point) != n {
-		return nil, field.Element{}, fmt.Errorf("pcs: point arity %d, want %d", len(point), n)
+	cols, err := s.openColumns(rows, idx)
+	if err != nil {
+		return nil, field.Element{}, err
 	}
-	numRows, numCols := s.params.NumRows, s.params.NumCols
-	tr.AppendDigest("pcs/root", s.comm.Root)
-	tr.AppendElements("pcs/point", point)
-
-	gamma := tr.ChallengeElements("pcs/gamma", numRows)
-	lo, hi := splitPoint(point, numCols)
-	eqHi := eqTableOf(hi)
-
-	// One pass over the message rows computes both combined rows. Each
-	// output column accumulates row terms top-to-bottom in exactly
-	// combineRows' order, so the results are bit-identical; chunking by
-	// column keeps the accumulator writes disjoint.
-	testRow := make([]field.Element, numCols)
-	combined := make([]field.Element, numCols)
-	pw := 0
-	if numCols*numRows < parallelCombine {
-		pw = 1
-	}
-	par.ForWidth(pw, numCols, func(cLo, cHi int) {
-		var t field.Element
-		for r := 0; r < numRows; r++ {
-			row := rows(r)
-			if !gamma[r].IsZero() {
-				for c := cLo; c < cHi; c++ {
-					t.Mul(&gamma[r], &row[c])
-					testRow[c].Add(&testRow[c], &t)
-				}
-			}
-			if !eqHi[r].IsZero() {
-				for c := cLo; c < cHi; c++ {
-					t.Mul(&eqHi[r], &row[c])
-					combined[c].Add(&combined[c], &t)
-				}
-			}
-		}
-	})
-	tr.AppendElements("pcs/testrow", testRow)
-	tr.AppendElements("pcs/evalrow", combined)
-
-	idx := tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
-	proof := &EvalProof{TestRow: testRow, CombinedRow: combined}
-	proof.Columns = make([]OpenedColumn, len(idx))
+	proof := &EvalProof{TestRow: testRow, CombinedRow: combined, Columns: make([]OpenedColumn, len(idx))}
 	for k, j := range idx {
-		proof.Columns[k] = OpenedColumn{
-			Index:  j,
-			Values: make([]field.Element, numRows),
-		}
-	}
-	// Re-encode each message row once and scatter the challenged codeword
-	// positions into the open columns: O(openings·rows) proof data live,
-	// one row's codeword per worker in flight.
-	k := par.Chunks(0, numRows)
-	openErrs := make([]error, k)
-	par.ForChunks(k, numRows, func(c, rLo, rHi int) {
-		for r := rLo; r < rHi; r++ {
-			cw, err := s.enc.Encode(rows(r))
-			if err != nil {
-				openErrs[c] = err
-				return
-			}
-			for ki := range idx {
-				proof.Columns[ki].Values[r] = cw[idx[ki]]
-			}
-		}
-	})
-	for _, err := range openErrs {
-		if err != nil {
-			return nil, field.Element{}, err
-		}
-	}
-	for ki, j := range idx {
 		mp, err := s.tree.Prove(j)
 		if err != nil {
 			return nil, field.Element{}, err
 		}
-		proof.Columns[ki].Proof = mp
+		proof.Columns[k] = OpenedColumn{Index: j, Values: cols[k], Proof: mp}
 	}
+	return proof, evalValue(combined, point, s.params.NumCols), nil
+}
 
-	eqLo := eqTableOf(lo)
-	value := field.InnerProduct(combined, eqLo)
-	return proof, value, nil
+// evalRows is the transcript choreography every single-point opening
+// shares: bind the root and the point, derive γ, absorb the proximity row
+// γᵀ·M and the evaluation row eqHiᵀ·M, and draw the challenged columns.
+func (s *StreamState) evalRows(rows RowAt, point []field.Element, tr *transcript.Transcript) (testRow, combined []field.Element, idx []int, err error) {
+	if s.tree == nil {
+		return nil, nil, nil, fmt.Errorf("pcs: commitment was streamed RootOnly; openings unavailable")
+	}
+	if n := s.comm.NumVars(); len(point) != n {
+		return nil, nil, nil, fmt.Errorf("pcs: point arity %d, want %d", len(point), n)
+	}
+	numRows, numCols := s.params.NumRows, s.params.NumCols
+	tr.AppendDigest("pcs/root", s.comm.Root)
+	tr.AppendElements("pcs/point", point)
+	gamma := tr.ChallengeElements("pcs/gamma", numRows)
+	_, hi := splitPoint(point, numCols)
+	both := combineRows(rows, numRows, numCols, gamma, eqTableOf(hi))
+	tr.AppendElements("pcs/testrow", both[0])
+	tr.AppendElements("pcs/evalrow", both[1])
+	idx = tr.ChallengeIndices("pcs/cols", s.params.NumOpenings, s.enc.CodewordLen())
+	return both[0], both[1], idx, nil
+}
+
+// evalValue is the claimed evaluation: the evaluation row folded by the
+// column half of the point.
+func evalValue(combined, point []field.Element, numCols int) field.Element {
+	lo, _ := splitPoint(point, numCols)
+	return field.InnerProduct(combined, eqTableOf(lo))
+}
+
+// openColumns returns the encoded matrix's columns at positions idx
+// (duplicates allowed), one NumRows-long slice per position. Every message
+// row is re-encoded through the cone of idx into a per-worker scratch
+// codeword, so one codeword per worker is live beyond the result.
+func (s *StreamState) openColumns(rows RowAt, idx []int) ([][]field.Element, error) {
+	cone, err := s.enc.Cone(idx)
+	if err != nil {
+		return nil, err
+	}
+	numRows := s.params.NumRows
+	backing := make([]field.Element, len(idx)*numRows)
+	cols := make([][]field.Element, len(idx))
+	for k := range cols {
+		cols[k] = backing[k*numRows : (k+1)*numRows : (k+1)*numRows]
+	}
+	k := par.Chunks(0, numRows)
+	errs := make([]error, k)
+	par.ForChunks(k, numRows, func(c, lo, hi int) {
+		sc := par.GetScratch()
+		defer par.PutScratch(sc)
+		cw := sc.Elements(0, s.enc.CodewordLen())
+		for r := lo; r < hi; r++ {
+			row := rows(r)
+			if isZero(row) {
+				continue // its codeword is zero, as cols already is
+			}
+			if errs[c] = cone.EncodeInto(cw, row); errs[c] != nil {
+				return
+			}
+			for ki, j := range idx {
+				cols[ki][r] = cw[j]
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
 }

@@ -96,19 +96,24 @@ func (m *Multilinear) FixLastVariable(r field.Element) *Multilinear {
 // EqTable returns the table eq(b, point) for all b ∈ {0,1}^n — the
 // multilinear extension of equality, used to turn arbitrary-evaluation
 // claims into hypercube sums: p(z) = Σ_b eq(b,z)·p(b).
+//
+// The table is filled in place in one allocation. Each pass prepends one
+// variable as the new low bit, splitting entry b into 2b and 2b+1; going
+// from the top entry down, both targets are at or above b, so nothing is
+// overwritten before it is read. Each split costs one Mul and one Sub:
+// v·z and v − v·z, which is v·(1−z) exactly.
 func EqTable(point []field.Element) []field.Element {
-	out := []field.Element{field.One()}
-	oneEl := field.One()
+	out := make([]field.Element, 1<<len(point))
+	out[0] = field.One()
+	size := 1
 	for i := len(point) - 1; i >= 0; i-- {
-		// Prepend variable i (so ordering matches the low-bit-first index).
-		next := make([]field.Element, 2*len(out))
-		var omr field.Element
-		omr.Sub(&oneEl, &point[i])
-		for b, v := range out {
-			next[2*b].Mul(&v, &omr)        // b_i = 0 contributes (1 - z_i)
-			next[2*b+1].Mul(&v, &point[i]) // b_i = 1 contributes z_i
+		z := &point[i]
+		for b := size - 1; b >= 0; b-- {
+			v := out[b]
+			out[2*b+1].Mul(&v, z)         // b_i = 1 contributes z_i
+			out[2*b].Sub(&v, &out[2*b+1]) // b_i = 0 contributes (1 - z_i)
 		}
-		out = next
+		size *= 2
 	}
 	return out
 }

@@ -128,6 +128,37 @@ func TestEqTable(t *testing.T) {
 	}
 }
 
+// eqTableRef is the two-Mul, allocate-per-level construction EqTable
+// replaced: next[2b] = v·(1−z), next[2b+1] = v·z.
+func eqTableRef(point []field.Element) []field.Element {
+	out := []field.Element{field.One()}
+	one := field.One()
+	for i := len(point) - 1; i >= 0; i-- {
+		next := make([]field.Element, 2*len(out))
+		var omz field.Element
+		omz.Sub(&one, &point[i])
+		for b, v := range out {
+			next[2*b].Mul(&v, &omz)
+			next[2*b+1].Mul(&v, &point[i])
+		}
+		out = next
+	}
+	return out
+}
+
+func TestEqTableMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for n := 0; n <= 10; n++ {
+		z := randVec(r, n)
+		if n > 1 {
+			z[0], z[n-1] = elem(0), elem(1) // Boolean coordinates too
+		}
+		if got, want := EqTable(z), eqTableRef(z); !field.VectorEqual(got, want) {
+			t.Fatalf("n=%d: in-place EqTable differs from the reference", n)
+		}
+	}
+}
+
 func TestHypercubeSum(t *testing.T) {
 	m, _ := NewMultilinear([]field.Element{elem(1), elem(2), elem(3), elem(4)})
 	s := m.HypercubeSum()

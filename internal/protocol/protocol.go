@@ -101,61 +101,118 @@ type Proof struct {
 	PCSProof *pcs.EvalProof
 }
 
-// gateVectors derives the padded L, R, O tables from a wire vector (the
-// witness, or any zero-padded copy of it).
-func gateVectors(c *circuit.Circuit, w []field.Element, numGates int) (l, r, o []field.Element) {
-	l = make([]field.Element, numGates)
-	r = make([]field.Element, numGates)
-	o = make([]field.Element, numGates)
-	one := field.One()
-	for g, gate := range c.Gates {
-		switch gate.Op {
-		case circuit.OpMul:
-			l[g] = w[gate.A]
-			r[g] = w[gate.B]
-		case circuit.OpAdd:
-			l[g].Add(&w[gate.A], &w[gate.B])
-			r[g] = one
-		case circuit.OpSub:
-			l[g].Sub(&w[gate.A], &w[gate.B])
-			r[g] = one
-		}
-		o[g] = w[gate.Out]
+// gateInputs returns gate g's entries of the L and R tables: its two
+// operands for a multiplication, or their sum/difference and the constant
+// 1 for an addition/subtraction (so that L ∘ R = O holds for every gate).
+func gateInputs(gate circuit.Gate, w []field.Element) (l, r field.Element) {
+	switch gate.Op {
+	case circuit.OpMul:
+		return w[gate.A], w[gate.B]
+	case circuit.OpAdd:
+		l.Add(&w[gate.A], &w[gate.B])
+	case circuit.OpSub:
+		l.Sub(&w[gate.A], &w[gate.B])
 	}
-	return l, r, o
+	return l, field.One()
+}
+
+// hadamardSource supplies the gate sum-check's three tables — eq(τ, ·),
+// L and R over the padded gate hypercube — computed on the fly from the
+// witness, so none of them is ever stored; padding gates read as zero.
+func hadamardSource(c *circuit.Circuit, w []field.Element, eqTau *splitEq) sumcheck.Source {
+	return func(lo int, dst [][]field.Element) {
+		e, l, r := dst[0], dst[1], dst[2]
+		for i := range e {
+			g := lo + i
+			eqTau.at(&e[i], g)
+			if g < len(c.Gates) {
+				l[i], r[i] = gateInputs(c.Gates[g], w)
+			} else {
+				l[i], r[i] = field.Element{}, field.Element{}
+			}
+		}
+	}
+}
+
+// outputAt returns Õ(τ) = Σ_g eq(τ, g)·W[Out_g], the multilinear extension
+// of the gates' output wires at τ.
+func outputAt(c *circuit.Circuit, eqTau *splitEq, w []field.Element) field.Element {
+	var sum, e, t field.Element
+	for g, gate := range c.Gates {
+		eqTau.at(&e, g)
+		t.Mul(&e, &w[gate.Out])
+		sum.Add(&sum, &t)
+	}
+	return sum
+}
+
+// splitEq is the table eq(z, ·) over the hypercube held as two half
+// tables: with k = ⌊len(z)/2⌋, eq(z, g) = lo[g mod 2ᵏ]·hi[g >> k]. It
+// costs one Mul per lookup and O(√2ⁿ) memory instead of the 2ⁿ table.
+type splitEq struct {
+	lo, hi []field.Element
+	k      uint
+	mask   int
+}
+
+func newSplitEq(z []field.Element) splitEq {
+	k := len(z) / 2
+	return splitEq{lo: poly.EqTable(z[:k]), hi: poly.EqTable(z[k:]), k: uint(k), mask: 1<<k - 1}
+}
+
+// at sets e = eq(z, g).
+func (s *splitEq) at(e *field.Element, g int) {
+	e.Mul(&s.lo[g&s.mask], &s.hi[g>>s.k])
+}
+
+// dot returns Σ_b eq(z, b)·v[b], the multilinear extension of v (read as
+// zero past its end) at z.
+func (s *splitEq) dot(v []field.Element) field.Element {
+	var sum, e field.Element
+	for b := range v {
+		s.at(&e, b)
+		e.Mul(&e, &v[b])
+		sum.Add(&sum, &e)
+	}
+	return sum
 }
 
 // publicCombination builds the batched linear-check vector
 // V = α0·vL(ρ) + α1·vR(ρ) + α2·vO(τ) + Σ αk·e_{public wires},
 // where vL, vR, vO are the transposes of the gate wiring maps applied to
-// the eq tables — computable by prover AND verifier in O(|C|).
-// It also returns the list of public wire indices in claim order.
-func publicCombination(c *circuit.Circuit, p *Params, eqRho, eqTau, alphas []field.Element) ([]field.Element, []int) {
-	v := make([]field.Element, p.NumWires)
-	var t field.Element
+// eq(ρ, ·) and eq(τ, ·) — computable by prover AND verifier in O(|C|).
+// V is zero on the padding wires, so it is returned over the circuit's
+// wires only. It also returns the list of public wire indices in claim
+// order.
+func publicCombination(c *circuit.Circuit, rho, tau, alphas []field.Element) ([]field.Element, []int) {
+	v := make([]field.Element, c.NumWires())
+	eqRho, eqTau := newSplitEq(rho), newSplitEq(tau)
+	var t, er, et field.Element
 	for g, gate := range c.Gates {
+		eqRho.at(&er, g)
 		switch gate.Op {
 		case circuit.OpMul:
 			// vL[A] += α0·eqρ[g]; vR[B] += α1·eqρ[g]
-			t.Mul(&alphas[0], &eqRho[g])
+			t.Mul(&alphas[0], &er)
 			v[gate.A].Add(&v[gate.A], &t)
-			t.Mul(&alphas[1], &eqRho[g])
+			t.Mul(&alphas[1], &er)
 			v[gate.B].Add(&v[gate.B], &t)
 		case circuit.OpAdd:
-			t.Mul(&alphas[0], &eqRho[g])
+			t.Mul(&alphas[0], &er)
 			v[gate.A].Add(&v[gate.A], &t)
 			v[gate.B].Add(&v[gate.B], &t)
-			t.Mul(&alphas[1], &eqRho[g])
+			t.Mul(&alphas[1], &er)
 			v[0].Add(&v[0], &t)
 		case circuit.OpSub:
-			t.Mul(&alphas[0], &eqRho[g])
+			t.Mul(&alphas[0], &er)
 			v[gate.A].Add(&v[gate.A], &t)
 			v[gate.B].Sub(&v[gate.B], &t)
-			t.Mul(&alphas[1], &eqRho[g])
+			t.Mul(&alphas[1], &er)
 			v[0].Add(&v[0], &t)
 		}
 		// vO[Out] += α2·eqτ[g]
-		t.Mul(&alphas[2], &eqTau[g])
+		eqTau.at(&et, g)
+		t.Mul(&alphas[2], &et)
 		v[gate.Out].Add(&v[gate.Out], &t)
 	}
 	// Public wires: the constant-one wire, public inputs, constants, and
@@ -201,11 +258,11 @@ func publicWireValues(c *circuit.Circuit, public, outputs []field.Element) []fie
 // Prove evaluates the circuit on (public, secret) and produces a proof of
 // correct execution. The returned proof carries the circuit outputs.
 func Prove(c *circuit.Circuit, p *Params, public, secret []field.Element) (*Proof, error) {
-	w, err := c.Evaluate(public, secret)
+	f, err := StartProofFromInputs(c, p, public, secret)
 	if err != nil {
 		return nil, err
 	}
-	return ProveWitness(c, p, w)
+	return f.run()
 }
 
 // ProveWitness proves a precomputed witness (callers that already ran the
@@ -217,6 +274,23 @@ func ProveWitness(c *circuit.Circuit, p *Params, w circuit.Assignment) (*Proof, 
 	if err != nil {
 		return nil, err
 	}
+	return f.run()
+}
+
+// StartProofStreaming is StartProof, under the name it had while a
+// separate out-of-core commit path existed; the one commit path is now
+// that path.
+func StartProofStreaming(c *circuit.Circuit, p *Params, w circuit.Assignment) (*InFlight, error) {
+	return StartProof(c, p, w)
+}
+
+// ProveWitnessStreaming is ProveWitness (see StartProofStreaming).
+func ProveWitnessStreaming(c *circuit.Circuit, p *Params, w circuit.Assignment) (*Proof, error) {
+	return ProveWitness(c, p, w)
+}
+
+// run takes a started proof through the remaining three stages.
+func (f *InFlight) run() (*Proof, error) {
 	if err := f.RunHadamard(); err != nil {
 		return nil, err
 	}
@@ -231,34 +305,76 @@ func ProveWitness(c *circuit.Circuit, p *Params, w circuit.Assignment) (*Proof, 
 // (gate-consistency sum-check) → RunLinear (batched linear sum-check) →
 // Finish (polynomial-commitment opening). Each stage matches one module
 // family of the paper's Figure 7 pipeline.
+//
+// Between stages an in-flight proof holds the witness (unpadded: the
+// padding wires are zero and every consumer reads them as such), the
+// Merkle column tree, the transcript and the proof so far. The encoded
+// matrix is never held: the commitment streams each block of codewords
+// into the column hashes, and Finish re-encodes the challenged columns
+// from the witness. The sum-check tables are never held in full either:
+// each stage's first rounds read them off the witness (sumcheck.Source),
+// and only the tables left after those rounds' folds — a quarter of full
+// size — are stored, until the stage ends.
 type InFlight struct {
-	c      *circuit.Circuit
-	p      *Params
-	padded []field.Element  // the witness, zero-padded to NumWires; the only copy held
-	st     *pcs.ProverState // buffered commitment (nil in streaming mode)
-	ss     *pcs.StreamState // streaming commitment (nil in buffered mode)
-	tr     *transcript.Transcript
-	proof  *Proof
+	c     *circuit.Circuit
+	p     *Params
+	w     []field.Element // the witness, the only copy held
+	ss    *pcs.StreamState
+	tr    *transcript.Transcript
+	proof *Proof
 
 	tau, rho, sigma []field.Element
 }
 
 // StartProof runs the commitment stage: the padded wire vector is encoded
-// row by row (linear-time encoder) and its columns Merkle-hashed.
+// row by row (linear-time encoder) and its columns Merkle-hashed. w is
+// copied, so the caller may reuse it.
 func StartProof(c *circuit.Circuit, p *Params, w circuit.Assignment) (*InFlight, error) {
 	if len(w) != c.NumWires() {
 		return nil, fmt.Errorf("protocol: witness length %d, want %d", len(w), c.NumWires())
 	}
-	padded := make([]field.Element, p.NumWires)
-	copy(padded, w)
-	st, err := pcs.Commit(padded, p.PCS)
+	return start(c, p, append([]field.Element(nil), w...))
+}
+
+// StartProofFromInputs is StartProof for a witness the circuit has yet to
+// compute: the proof keeps the witness the evaluation produces, so it
+// exists once.
+func StartProofFromInputs(c *circuit.Circuit, p *Params, public, secret []field.Element) (*InFlight, error) {
+	w, err := c.Evaluate(public, secret)
+	if err != nil {
+		return nil, err
+	}
+	return start(c, p, w)
+}
+
+// start commits to the padded witness in row-aligned blocks: the
+// committer encodes each block into its arena, absorbs the columns into
+// their hashes and moves on, so only a block of codeword rows is ever
+// live.
+func start(c *circuit.Circuit, p *Params, w []field.Element) (*InFlight, error) {
+	sc, err := pcs.NewStreamingCommitter(p.PCS, pcs.RetainTree)
+	if err != nil {
+		return nil, err
+	}
+	if err := sc.AddChunk(w); err != nil {
+		return nil, err
+	}
+	// The padding: zero rows, fed 16 at a time (the committer's flush
+	// block) so they are hashed in whole blocks too.
+	zeros := make([]field.Element, min(p.NumWires-len(w), 16*p.PCS.NumCols))
+	for left := p.NumWires - len(w); left > 0; left -= len(zeros) {
+		if err := sc.AddChunk(zeros[:min(left, len(zeros))]); err != nil {
+			return nil, err
+		}
+	}
+	ss, err := sc.Finish()
 	if err != nil {
 		return nil, err
 	}
 	f := &InFlight{
-		c: c, p: p, padded: padded, st: st,
+		c: c, p: p, w: w, ss: ss,
 		tr:    transcript.New(Domain),
-		proof: &Proof{Commitment: st.Commitment()},
+		proof: &Proof{Commitment: ss.Commitment()},
 	}
 	f.proof.Outputs, err = c.OutputValues(w)
 	if err != nil {
@@ -273,28 +389,12 @@ func StartProof(c *circuit.Circuit, p *Params, w circuit.Assignment) (*InFlight,
 // the gate hypercube is reduced at a random τ and settled by a degree-3
 // sum-check.
 func (f *InFlight) RunHadamard() error {
-	l, r, o := gateVectors(f.c, f.padded[:f.c.NumWires()], f.p.NumGates)
 	f.tau = f.tr.ChallengeElements("tau", f.p.gateVars)
-	oPoly, err := poly.NewMultilinear(o)
-	if err != nil {
-		return err
-	}
-	f.proof.OTau, err = oPoly.Evaluate(f.tau)
-	if err != nil {
-		return err
-	}
+	eqTau := newSplitEq(f.tau)
+	f.proof.OTau = outputAt(f.c, &eqTau, f.w)
 	f.tr.AppendElement("o_tau", &f.proof.OTau)
 
-	eqTauPoly, err := poly.NewMultilinear(poly.EqTable(f.tau))
-	if err != nil {
-		return err
-	}
-	lPoly, _ := poly.NewMultilinear(l)
-	rPoly, _ := poly.NewMultilinear(r)
-	had, rho, hadClaim, finals, err := sumcheck.ProveTriple(eqTauPoly, lPoly, rPoly, f.tr)
-	if err != nil {
-		return err
-	}
+	had, rho, hadClaim, finals := sumcheck.ProveTripleFrom(f.p.gateVars, hadamardSource(f.c, f.w, &eqTau), f.tr)
 	if !hadClaim.Equal(&f.proof.OTau) {
 		return fmt.Errorf("protocol: Σ eq·L·R != Õ(τ); witness does not satisfy the circuit")
 	}
@@ -312,21 +412,8 @@ func (f *InFlight) RunHadamard() error {
 func (f *InFlight) RunLinear() error {
 	wires := publicWires(f.c)
 	alphas := f.tr.ChallengeElements("alpha", 3+len(wires))
-	eqRho := poly.EqTable(f.rho)
-	eqTau := poly.EqTable(f.tau)
-	v, _ := publicCombination(f.c, f.p, eqRho, eqTau, alphas)
-	vPoly, err := poly.NewMultilinear(v)
-	if err != nil {
-		return err
-	}
-	wPoly, err := poly.NewMultilinear(f.padded)
-	if err != nil {
-		return err
-	}
-	lin, sigma, _, linFinals, err := sumcheck.ProveProduct(vPoly, wPoly, f.tr)
-	if err != nil {
-		return err
-	}
+	v, _ := publicCombination(f.c, f.rho, f.tau, alphas)
+	lin, sigma, _, linFinals := sumcheck.ProveProductFrom(f.p.wireVars, sumcheck.TableSource(v, f.w), f.tr)
 	f.sigma = sigma
 	f.proof.Linear = lin
 	f.proof.WSigma = linFinals[1]
@@ -334,27 +421,35 @@ func (f *InFlight) RunLinear() error {
 	return nil
 }
 
-// Finish runs the opening stage and assembles the proof. In streaming
-// mode the opening re-reads rows from the padded witness and re-encodes
-// the challenged columns instead of consulting a retained matrix. Either
-// way the prover state and witness buffers are released on return.
+// Finish runs the opening stage and assembles the proof: the opening
+// re-reads rows from the padded witness and re-encodes the challenged
+// columns. The prover state and witness buffer are released on return.
 func (f *InFlight) Finish() (*Proof, error) {
 	var err error
-	if f.ss != nil {
-		numCols := f.p.PCS.NumCols
-		padded := f.padded
-		rowAt := func(r int) []field.Element {
-			return padded[r*numCols : (r+1)*numCols]
-		}
-		f.proof.PCSProof, _, err = f.ss.ProveEval(rowAt, f.sigma, f.tr)
-	} else {
-		f.proof.PCSProof, _, err = f.st.ProveEval(f.sigma, f.tr)
-	}
-	if err != nil {
+	if f.proof.PCSProof, _, err = f.ss.ProveEval(witnessRows(f.w, f.p.PCS.NumCols), f.sigma, f.tr); err != nil {
 		return nil, err
 	}
-	f.st, f.ss, f.padded = nil, nil, nil
+	f.ss, f.w = nil, nil
 	return f.proof, nil
+}
+
+// witnessRows is the pcs.RowAt of the committed matrix — the witness
+// zero-padded to NumWires, cols per row — served from the unpadded
+// witness: a window of it, the last partial row padded, or a zero row.
+func witnessRows(w []field.Element, cols int) pcs.RowAt {
+	whole := len(w) / cols
+	tail := make([]field.Element, 2*cols)
+	copy(tail, w[whole*cols:])
+	return func(r int) []field.Element {
+		switch {
+		case r < whole:
+			return w[r*cols : (r+1)*cols]
+		case r == whole:
+			return tail[:cols]
+		default:
+			return tail[cols:]
+		}
+	}
 }
 
 // ErrReject is returned when a proof fails verification.
@@ -441,19 +536,11 @@ func Verify(c *circuit.Circuit, p *Params, public []field.Element, proof *Proof)
 		return fmt.Errorf("%w: linear: %v", ErrReject, err)
 	}
 	tr.AppendElement("w_sigma", &proof.WSigma)
-	// The verifier evaluates Ṽ(σ) itself (O(|C|)) and checks
-	// Ṽ(σ)·W(σ) == final.
-	eqRho := poly.EqTable(rho)
-	eqTau := poly.EqTable(tau)
-	v, _ := publicCombination(c, p, eqRho, eqTau, alphas)
-	vPoly, err := poly.NewMultilinear(v)
-	if err != nil {
-		return err
-	}
-	vSigma, err := vPoly.Evaluate(sigma)
-	if err != nil {
-		return err
-	}
+	// The verifier evaluates Ṽ(σ) = Σ_b V[b]·eq(σ, b) itself (O(|C|)) and
+	// checks Ṽ(σ)·W(σ) == final.
+	v, _ := publicCombination(c, rho, tau, alphas)
+	eqSigma := newSplitEq(sigma)
+	vSigma := eqSigma.dot(v)
 	prod.Mul(&vSigma, &proof.WSigma)
 	if !prod.Equal(&finalLin) {
 		return fmt.Errorf("%w: linear final check", ErrReject)

@@ -22,7 +22,6 @@ type Prover interface {
 	Run(jobs <-chan core.Job) <-chan core.Result
 	Stats() core.Stats
 	SetResilience(r *core.Resilience)
-	SetStreamingCommit(on bool)
 	Quarantined() []core.QuarantinedJob
 	Verify(public []field.Element, proof *protocol.Proof) error
 }
@@ -67,12 +66,9 @@ type Config struct {
 	// MaxBody caps the HTTP request body in bytes (default 1 MiB);
 	// larger submissions get 413.
 	MaxBody int64
-	// StreamingCommit routes the prover's commit and opening stages
-	// through the out-of-core streaming path (core.SetStreamingCommit):
-	// per-job peak memory drops from the full encoded matrix to one row
-	// block plus hasher states, with bit-identical proofs. The natural
-	// setting for a long-lived gateway, whose working set should track
-	// the in-flight window, not the traffic history.
+	// StreamingCommit is ignored. It used to route the prover's commit
+	// and opening stages through the out-of-core path; that is now the
+	// only path (see core.BatchProver.SetStreamingCommit).
 	StreamingCommit bool
 	// Resilience, when set, is the base failure-handling configuration
 	// installed on the prover (JobDeadline above is applied on top).
@@ -223,7 +219,6 @@ func NewGateway(prover Prover, cfg Config) (*Gateway, error) {
 		res.JobDeadline = g.cfg.JobDeadline
 	}
 	prover.SetResilience(res)
-	prover.SetStreamingCommit(g.cfg.StreamingCommit)
 	g.start()
 	return g, nil
 }

@@ -161,56 +161,49 @@ type ProductProof struct {
 // ProveProduct runs the degree-2 sum-check prover for Σ f·g. It returns
 // the proof, the challenge point (x_1..x_n order), the claimed sum, and the
 // final evaluations f(point), g(point) the verifier needs to check
-// externally.
+// externally. The tables are read, never written.
 func ProveProduct(f, g *poly.Multilinear, tr *transcript.Transcript) (*ProductProof, []field.Element, field.Element, [2]field.Element, error) {
 	n := f.NumVars()
 	if g.NumVars() != n {
 		return nil, nil, field.Element{}, [2]field.Element{}, fmt.Errorf("sumcheck: arity mismatch %d vs %d", n, g.NumVars())
 	}
-	// The caller's tables, until round 0 folds them into owned ones.
-	ft, gt := f.Evals(), g.Evals()
-	tables := [][]field.Element{ft, gt}
+	proof, point, claim, finals := ProveProductFrom(n, TableSource(f.Evals(), g.Evals()), tr)
+	return proof, point, claim, finals, nil
+}
 
-	claim := field.InnerProduct(ft, gt)
-	tr.AppendUint64("sumcheck2/n", uint64(n))
-	tr.AppendElement("sumcheck2/claim", &claim)
+var two = field.NewElement(2)
 
-	proof := &ProductProof{Rounds: make([]ProductRound, n)}
-	challenges := make([]field.Element, n)
-	two := field.NewElement(2)
-	s := par.GetScratch()
-	defer par.PutScratch(s)
-	for i := 0; i < n; i++ {
-		ft, gt = tables[0], tables[1]
-		half := len(ft) / 2
-		var sums [3]field.Element
-		reduceSums(s, half, 3, sums[:], func(lo, hi int, acc []field.Element) {
-			var at0, at1, at2 field.Element
-			var t, f2, g2 field.Element
-			for b := lo; b < hi; b++ {
-				// g_i(0): x fixed to 0 keeps the low half.
-				t.Mul(&ft[b], &gt[b])
-				at0.Add(&at0, &t)
-				// g_i(1): x fixed to 1 keeps the high half.
-				t.Mul(&ft[b+half], &gt[b+half])
-				at1.Add(&at1, &t)
-				// g_i(2): extrapolate each table linearly to x=2.
-				f2.Lerp(&two, &ft[b], &ft[b+half])
-				g2.Lerp(&two, &gt[b], &gt[b+half])
-				t.Mul(&f2, &g2)
-				at2.Add(&at2, &t)
-			}
-			acc[0].Add(&acc[0], &at0)
-			acc[1].Add(&acc[1], &at1)
-			acc[2].Add(&acc[2], &at2)
-		})
-		proof.Rounds[i] = ProductRound{At0: sums[0], At1: sums[1], At2: sums[2]}
-		tr.AppendElements("sumcheck2/round", sums[:])
-		r := tr.ChallengeElement("sumcheck2/r")
-		challenges[i] = r
-		foldRound(&r, i, tables)
+// productTerms adds the round polynomial's values at 0, 1, 2 over aligned
+// entries of the two tables' halves: f·g on each half, and the product of
+// both tables extrapolated linearly to x = 2.
+func productTerms(low, high [][]field.Element, acc []field.Element) {
+	f0, g0, f1, g1 := low[0], low[1], high[0], high[1]
+	var at0, at1, at2 field.Element
+	var t, f2, g2 field.Element
+	for b := range f0 {
+		t.Mul(&f0[b], &g0[b])
+		at0.Add(&at0, &t)
+		t.Mul(&f1[b], &g1[b])
+		at1.Add(&at1, &t)
+		f2.Lerp(&two, &f0[b], &f1[b])
+		g2.Lerp(&two, &g0[b], &g1[b])
+		t.Mul(&f2, &g2)
+		at2.Add(&at2, &t)
 	}
-	return proof, reversed(challenges), claim, [2]field.Element{tables[0][0], tables[1][0]}, nil
+	acc[0].Add(&acc[0], &at0)
+	acc[1].Add(&acc[1], &at1)
+	acc[2].Add(&acc[2], &at2)
+}
+
+// ProveProductFrom is ProveProduct over two n-variate tables supplied by
+// src (see Source), which the first rounds read instead of stored tables.
+func ProveProductFrom(n int, src Source, tr *transcript.Transcript) (*ProductProof, []field.Element, field.Element, [2]field.Element) {
+	msgs, point, claim, finals := proveFrom("sumcheck2", n, 2, 3, src, productTerms, tr)
+	proof := &ProductProof{Rounds: make([]ProductRound, n)}
+	for i, m := range msgs {
+		proof.Rounds[i] = ProductRound{At0: m[0], At1: m[1], At2: m[2]}
+	}
+	return proof, point, claim, [2]field.Element(finals)
 }
 
 // VerifyProduct checks a product sum-check proof against a claimed sum,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"batchzk/internal/field"
-	"batchzk/internal/par"
 	"batchzk/internal/poly"
 	"batchzk/internal/transcript"
 )
@@ -24,61 +23,51 @@ type TripleProof struct {
 
 // ProveTriple runs the degree-3 sum-check prover for Σ e·f·g. It returns
 // the proof, the challenge point (x_1..x_n order), the claimed sum, and
-// the final evaluations [e(pt), f(pt), g(pt)].
+// the final evaluations [e(pt), f(pt), g(pt)]. The tables are read, never
+// written.
 func ProveTriple(e, f, g *poly.Multilinear, tr *transcript.Transcript) (*TripleProof, []field.Element, field.Element, [3]field.Element, error) {
 	n := e.NumVars()
 	if f.NumVars() != n || g.NumVars() != n {
 		return nil, nil, field.Element{}, [3]field.Element{}, fmt.Errorf("sumcheck: arity mismatch %d/%d/%d", n, f.NumVars(), g.NumVars())
 	}
-	// The caller's tables, until round 0 folds them into owned ones.
-	et, ft, gt := e.Evals(), f.Evals(), g.Evals()
-	tables := [][]field.Element{et, ft, gt}
+	proof, point, claim, finals := ProveTripleFrom(n, TableSource(e.Evals(), f.Evals(), g.Evals()), tr)
+	return proof, point, claim, finals, nil
+}
 
-	var claim, t field.Element
-	for b := range et {
-		t.Mul(&et[b], &ft[b])
-		t.Mul(&t, &gt[b])
-		claim.Add(&claim, &t)
+// tripleXs are the points 0..3 the degree-3 round polynomial is sent at.
+var tripleXs = [4]field.Element{field.NewElement(0), field.NewElement(1), field.NewElement(2), field.NewElement(3)}
+
+// tripleTerms adds, for x = 0..3, Σ e_x·f_x·g_x over aligned entries of
+// the three tables' halves, where t_x = lerp(x, low, high).
+func tripleTerms(low, high [][]field.Element, acc []field.Element) {
+	e0, f0, g0 := low[0], low[1], low[2]
+	e1, f1, g1 := high[0], high[1], high[2]
+	var at [4]field.Element
+	var ex, fx, gx, t field.Element
+	for b := range e0 {
+		for x := range tripleXs {
+			ex.Lerp(&tripleXs[x], &e0[b], &e1[b])
+			fx.Lerp(&tripleXs[x], &f0[b], &f1[b])
+			gx.Lerp(&tripleXs[x], &g0[b], &g1[b])
+			t.Mul(&ex, &fx)
+			t.Mul(&t, &gx)
+			at[x].Add(&at[x], &t)
+		}
 	}
-	tr.AppendUint64("sumcheck3/n", uint64(n))
-	tr.AppendElement("sumcheck3/claim", &claim)
+	for x := range at {
+		acc[x].Add(&acc[x], &at[x])
+	}
+}
 
+// ProveTripleFrom is ProveTriple over three n-variate tables supplied by
+// src (see Source), which the first rounds read instead of stored tables.
+func ProveTripleFrom(n int, src Source, tr *transcript.Transcript) (*TripleProof, []field.Element, field.Element, [3]field.Element) {
+	msgs, point, claim, finals := proveFrom("sumcheck3", n, 3, 4, src, tripleTerms, tr)
 	proof := &TripleProof{Rounds: make([]TripleRound, n)}
-	challenges := make([]field.Element, n)
-	xs := [4]field.Element{
-		field.NewElement(0), field.NewElement(1),
-		field.NewElement(2), field.NewElement(3),
+	for i, m := range msgs {
+		copy(proof.Rounds[i].At[:], m)
 	}
-	s := par.GetScratch()
-	defer par.PutScratch(s)
-	for i := 0; i < n; i++ {
-		et, ft, gt = tables[0], tables[1], tables[2]
-		half := len(et) / 2
-		var round TripleRound
-		reduceSums(s, half, 4, round.At[:], func(lo, hi int, acc []field.Element) {
-			var at [4]field.Element
-			var ex, fx, gx, t field.Element
-			for b := lo; b < hi; b++ {
-				for x := 0; x < 4; x++ {
-					ex.Lerp(&xs[x], &et[b], &et[b+half])
-					fx.Lerp(&xs[x], &ft[b], &ft[b+half])
-					gx.Lerp(&xs[x], &gt[b], &gt[b+half])
-					t.Mul(&ex, &fx)
-					t.Mul(&t, &gx)
-					at[x].Add(&at[x], &t)
-				}
-			}
-			for x := 0; x < 4; x++ {
-				acc[x].Add(&acc[x], &at[x])
-			}
-		})
-		proof.Rounds[i] = round
-		tr.AppendElements("sumcheck3/round", round.At[:])
-		r := tr.ChallengeElement("sumcheck3/r")
-		challenges[i] = r
-		foldRound(&r, i, tables)
-	}
-	return proof, reversed(challenges), claim, [3]field.Element{tables[0][0], tables[1][0], tables[2][0]}, nil
+	return proof, point, claim, [3]field.Element(finals)
 }
 
 // VerifyTriple checks a degree-3 sum-check proof against a claimed sum,
