@@ -343,39 +343,6 @@ func CompareBenchReports(old, cur *BenchReport, threshold float64) ([]BenchRegre
 // BenchReportFileName is the BENCH_<scenario>.json naming convention.
 func BenchReportFileName(scenario string) string { return bench.ReportFileName(scenario) }
 
-// SchedulerBenchReport is the schema-versioned content of
-// BENCH_scheduler.json: measured batch-prover throughput under the
-// baseline, proportional and autobalanced worker allocations, plus the
-// deterministic simulated allocation contrast.
-type SchedulerBenchReport = bench.SchedulerReport
-
-// BuildSchedulerBenchReport measures the prover's throughput under the
-// three worker allocations and verifies the ordering and bit-identity
-// invariants against the sequential reference prover.
-func BuildSchedulerBenchReport(gates, batch, depth, budget int, seed int64) (*SchedulerBenchReport, error) {
-	return bench.BuildSchedulerReport(gates, batch, depth, budget, seed)
-}
-
-// ReadSchedulerBenchReport parses and schema-checks a
-// BENCH_scheduler.json stream.
-func ReadSchedulerBenchReport(r io.Reader) (*SchedulerBenchReport, error) {
-	return bench.ReadSchedulerReport(r)
-}
-
-// CompareSchedulerBenchReports gates a new scheduler report against an
-// old one (correctness invariants and the simulated gain always;
-// measured throughput only between equal-core hosts).
-func CompareSchedulerBenchReports(old, cur *SchedulerBenchReport, threshold float64) ([]BenchRegression, error) {
-	return bench.CompareScheduler(old, cur, threshold)
-}
-
-// SchedulerBenchFileName is the BENCH_scheduler.json naming convention.
-func SchedulerBenchFileName() string { return bench.SchedulerReportFileName() }
-
-// SchedulerBenchKind is the "kind" discriminator scheduler reports carry
-// so tooling can route a BENCH_*.json to the right comparator.
-func SchedulerBenchKind() string { return bench.SchedulerReportKind }
-
 // SetKernelWorkers sets the width of the shared multicore kernel runtime
 // that every hot kernel (Merkle, encoder, sum-check, NTT, PCS, MSM) runs
 // on: w-way parallelism, 1 = fully serial, ≤ 0 = the GOMAXPROCS default.
@@ -384,121 +351,6 @@ func SetKernelWorkers(w int) { par.SetWidth(w) }
 
 // KernelWorkers reports the kernel runtime's current width.
 func KernelWorkers() int { return par.Width() }
-
-// KernelsBenchReport is the schema-versioned content of
-// BENCH_kernels.json: serial-vs-parallel timings of every hot kernel on
-// the multicore runtime, each with a bit-identity check.
-type KernelsBenchReport = bench.KernelsReport
-
-// BuildKernelsBenchReport measures every kernel at 2^shift problem sizes,
-// serial (width 1) vs parallel (workers; ≤ 0 = GOMAXPROCS), best of reps
-// runs, asserting bit-identical outputs.
-func BuildKernelsBenchReport(shift, reps, workers int, seed int64) (*KernelsBenchReport, error) {
-	return bench.BuildKernelsReport(shift, reps, workers, seed)
-}
-
-// ReadKernelsBenchReport parses and schema-checks a BENCH_kernels.json
-// stream.
-func ReadKernelsBenchReport(r io.Reader) (*KernelsBenchReport, error) {
-	return bench.ReadKernelsReport(r)
-}
-
-// CompareKernelsBenchReports gates a new kernels report against an old
-// one (bit-identity always; speedups only between equal-core hosts).
-func CompareKernelsBenchReports(old, cur *KernelsBenchReport, threshold float64) ([]BenchRegression, error) {
-	return bench.CompareKernels(old, cur, threshold)
-}
-
-// KernelsBenchFileName is the BENCH_kernels.json naming convention.
-func KernelsBenchFileName() string { return bench.KernelsReportFileName() }
-
-// KernelsBenchKind is the "kind" discriminator kernels reports carry.
-func KernelsBenchKind() string { return bench.KernelsReportKind }
-
-// MemoryBenchReport is the schema-versioned content of
-// BENCH_memory.json: a multi-wave soak through one batch prover with
-// per-wave heap high-water marks, the flat-memory verdict, and the
-// per-job SLO summary from the flight recorder.
-type MemoryBenchReport = bench.MemoryReport
-
-// BuildMemoryBenchReport runs the memory soak — waves identical batches
-// of batch jobs through one depth-bounded prover under a background
-// memory sampler — and returns the report plus the telemetry sink the
-// run recorded into, so callers can also export the per-job timeline
-// and Chrome trace of the same run.
-func BuildMemoryBenchReport(gates, batch, waves, depth int, seed int64) (*MemoryBenchReport, *TelemetrySink, error) {
-	return bench.BuildMemorySoak(gates, batch, waves, depth, seed)
-}
-
-// MemoryStreamSweep is the streaming-prover block of BENCH_memory.json:
-// working-set high-water marks at two batch sizes 8× apart under the
-// streaming prover, and the flat-growth verdict.
-type MemoryStreamSweep = bench.StreamSweep
-
-// BuildMemoryStreamSweep proves batch and 8×batch jobs through fresh
-// streaming provers (out-of-core commits, lazy job pull, immediate
-// proof emission) and gates the working-set growth between the points.
-// Attach the result to a MemoryBenchReport's Stream field to make the
-// claim part of the gated BENCH_memory.json.
-func BuildMemoryStreamSweep(gates, batch, depth int, seed int64) (*MemoryStreamSweep, error) {
-	return bench.BuildMemoryStreamSweep(gates, batch, depth, seed)
-}
-
-// ReadMemoryBenchReport parses and schema-checks a BENCH_memory.json
-// stream.
-func ReadMemoryBenchReport(r io.Reader) (*MemoryBenchReport, error) {
-	return bench.ReadMemoryReport(r)
-}
-
-// CompareMemoryBenchReports gates a new memory report against an old one
-// (flatness and proof success always; absolute heap peaks only between
-// equal-core hosts, with extra slack for GC timing noise).
-func CompareMemoryBenchReports(old, cur *MemoryBenchReport, threshold float64) ([]BenchRegression, error) {
-	return bench.CompareMemory(old, cur, threshold)
-}
-
-// MemoryBenchFileName is the BENCH_memory.json naming convention.
-func MemoryBenchFileName() string { return bench.MemoryReportFileName() }
-
-// MemoryBenchKind is the "kind" discriminator memory reports carry.
-func MemoryBenchKind() string { return bench.MemoryReportKind }
-
-// ServiceBenchReport is the schema-versioned content of
-// BENCH_service.json: the multi-tenant proving gateway measured under
-// open-loop Poisson load with heavy-tailed bursts — e2e latency
-// percentiles, batch occupancy, per-tenant fairness, and the
-// exactly-once traffic accounting.
-type ServiceBenchReport = bench.ServiceReport
-
-// ServiceBenchConfig parameterizes BuildServiceBenchReport.
-type ServiceBenchConfig = bench.ServiceBenchConfig
-
-// BuildServiceBenchReport stands up an HTTP gateway over a sharded
-// prover, replays the configured load (optionally under injected
-// faults), probes the drain contract, and returns the report.
-func BuildServiceBenchReport(cfg ServiceBenchConfig) (*ServiceBenchReport, error) {
-	return bench.BuildServiceBench(cfg)
-}
-
-// ReadServiceBenchReport parses and schema-checks a BENCH_service.json
-// stream.
-func ReadServiceBenchReport(r io.Reader) (*ServiceBenchReport, error) {
-	return bench.ReadServiceReport(r)
-}
-
-// CompareServiceBenchReports gates a new service report against an old
-// one (exactly-once accounting, drain contract, proof verification, and
-// the fairness floor always; latency and occupancy only between
-// equal-core hosts, with queueing-noise slack).
-func CompareServiceBenchReports(old, cur *ServiceBenchReport, threshold float64) ([]BenchRegression, error) {
-	return bench.CompareService(old, cur, threshold)
-}
-
-// ServiceBenchFileName is the BENCH_service.json naming convention.
-func ServiceBenchFileName() string { return bench.ServiceReportFileName() }
-
-// ServiceBenchKind is the "kind" discriminator service reports carry.
-func ServiceBenchKind() string { return bench.ServiceReportKind }
 
 // RooflineReport is the host-kernel roofline: measured serial ns/element
 // for every hot kernel against a calibrated arithmetic floor (measured

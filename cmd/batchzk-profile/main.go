@@ -20,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -206,135 +205,31 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	// Reports carry a "kind" discriminator: scenario reports (no kind
-	// field), scheduler reports ("scheduler"), kernel reports ("kernels"),
-	// memory reports ("memory"), and service reports ("service") are
-	// gated by different comparators. Both files must be of the same kind.
-	oldKind, err := reportKind(files[0])
+	oldRep, err := readReportFile(files[0])
 	if err != nil {
 		fmt.Fprintln(stderr, "batchzk-profile:", err)
 		return 2
 	}
-	newKind, err := reportKind(files[1])
+	newRep, err := readReportFile(files[1])
 	if err != nil {
 		fmt.Fprintln(stderr, "batchzk-profile:", err)
 		return 2
 	}
-	if oldKind != newKind {
-		fmt.Fprintf(stderr, "batchzk-profile: cannot compare a %q report against a %q report\n", oldKind, newKind)
+	regs, err := batchzk.CompareBenchReports(oldRep, newRep, *threshold)
+	if err != nil {
+		fmt.Fprintln(stderr, "batchzk-profile:", err)
 		return 2
-	}
-
-	var regs []batchzk.BenchRegression
-	var label string
-	if oldKind == batchzk.KernelsBenchKind() {
-		oldRep, err := readKernelsReportFile(files[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		newRep, err := readKernelsReportFile(files[1])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		if regs, err = batchzk.CompareKernelsBenchReports(oldRep, newRep, *threshold); err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		label = "kernels"
-	} else if oldKind == batchzk.SchedulerBenchKind() {
-		oldRep, err := readSchedulerReportFile(files[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		newRep, err := readSchedulerReportFile(files[1])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		if regs, err = batchzk.CompareSchedulerBenchReports(oldRep, newRep, *threshold); err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		label = "scheduler"
-	} else if oldKind == batchzk.MemoryBenchKind() {
-		oldRep, err := readMemoryReportFile(files[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		newRep, err := readMemoryReportFile(files[1])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		if regs, err = batchzk.CompareMemoryBenchReports(oldRep, newRep, *threshold); err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		label = "memory"
-	} else if oldKind == batchzk.ServiceBenchKind() {
-		oldRep, err := readServiceReportFile(files[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		newRep, err := readServiceReportFile(files[1])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		if regs, err = batchzk.CompareServiceBenchReports(oldRep, newRep, *threshold); err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		label = "service"
-	} else {
-		oldRep, err := readReportFile(files[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		newRep, err := readReportFile(files[1])
-		if err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		if regs, err = batchzk.CompareBenchReports(oldRep, newRep, *threshold); err != nil {
-			fmt.Fprintln(stderr, "batchzk-profile:", err)
-			return 2
-		}
-		label = newRep.Scenario
 	}
 	if len(regs) == 0 {
 		fmt.Fprintf(stdout, "compare %s: no regressions past %.0f%% (scenario %s)\n",
-			label, *threshold*100, label)
+			newRep.Scenario, *threshold*100, newRep.Scenario)
 		return 0
 	}
-	fmt.Fprintf(stdout, "compare %s: %d regression(s) past %.0f%%\n", label, len(regs), *threshold*100)
+	fmt.Fprintf(stdout, "compare %s: %d regression(s) past %.0f%%\n", newRep.Scenario, len(regs), *threshold*100)
 	for _, r := range regs {
 		fmt.Fprintf(stdout, "  %-32s %.4g -> %.4g (%.1f%% worse)\n", r.Metric, r.Old, r.New, r.DeltaFrac*100)
 	}
 	return 1
-}
-
-// reportKind peeks a report file's "kind" discriminator. Scenario
-// reports predate the field and report "" here.
-func reportKind(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("cannot read report: %w", err)
-	}
-	defer f.Close()
-	var peek struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.NewDecoder(f).Decode(&peek); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	return peek.Kind, nil
 }
 
 func readReportFile(path string) (*batchzk.BenchReport, error) {
@@ -344,58 +239,6 @@ func readReportFile(path string) (*batchzk.BenchReport, error) {
 	}
 	defer f.Close()
 	rep, err := batchzk.ReadBenchReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-func readKernelsReportFile(path string) (*batchzk.KernelsBenchReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cannot read report: %w", err)
-	}
-	defer f.Close()
-	rep, err := batchzk.ReadKernelsBenchReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-func readMemoryReportFile(path string) (*batchzk.MemoryBenchReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cannot read report: %w", err)
-	}
-	defer f.Close()
-	rep, err := batchzk.ReadMemoryBenchReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-func readServiceReportFile(path string) (*batchzk.ServiceBenchReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cannot read report: %w", err)
-	}
-	defer f.Close()
-	rep, err := batchzk.ReadServiceBenchReport(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-func readSchedulerReportFile(path string) (*batchzk.SchedulerBenchReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cannot read report: %w", err)
-	}
-	defer f.Close()
-	rep, err := batchzk.ReadSchedulerBenchReport(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -38,7 +38,8 @@ func TestRunTinyScenarioWritesReport(t *testing.T) {
 }
 
 // compare of a report against itself is clean (exit 0); against a
-// missing file it is a usage/IO error (exit 2).
+// missing file or a file that is not a scenario report it is a usage/IO
+// error (exit 2).
 func TestRunCompareExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
@@ -65,37 +66,17 @@ func TestRunCompareExitCodes(t *testing.T) {
 	if code := runCompare([]string{rep}, &cout, &cerr); code != 2 {
 		t.Fatalf("compare with one arg exit %d, want 2", code)
 	}
-}
-
-// compare dispatches kernel reports to the kernels comparator and
-// refuses to compare across kinds.
-func TestRunCompareKernelsKind(t *testing.T) {
-	dir := t.TempDir()
-	kernels := filepath.Join(dir, "BENCH_kernels.json")
-	const rep = `{"schema_version":2,"kind":"kernels","cores":2,"workers":2,"shift":8,"reps":1,
-		"kernels":[{"name":"merkle/build","size":256,"serial_ns":100,"parallel_ns":60,"speedup_x":1.67,"identical":true}],
-		"field_arith":[{"name":"field/mul","ops":1024,"ref_ns_op":38.0,"new_ns_op":21.0,"speedup_x":1.81,"identical":true}]}`
-	if err := os.WriteFile(kernels, []byte(rep), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var cout, cerr bytes.Buffer
-	if code := runCompare([]string{kernels, kernels}, &cout, &cerr); code != 0 {
-		t.Fatalf("kernels self-compare exit %d, want 0\nstdout: %s\nstderr: %s", code, cout.String(), cerr.String())
-	}
-	if !strings.Contains(cout.String(), "compare kernels") {
-		t.Fatalf("kernels compare not routed to the kernels comparator:\n%s", cout.String())
-	}
-
-	var out bytes.Buffer
-	if err := run([]string{"-scenario", "tiny", "-out", dir}, &out, &out); err != nil {
-		t.Fatalf("generating scenario report: %v\n%s", err, out.String())
-	}
-	scenario := filepath.Join(dir, "BENCH_tiny.json")
-	cout.Reset()
-	cerr.Reset()
-	if code := runCompare([]string{kernels, scenario}, &cout, &cerr); code != 2 {
-		t.Fatalf("cross-kind compare exit %d, want 2\nstderr: %s", code, cerr.String())
+	for name, body := range map[string]string{
+		"kernels": `{"schema_version":2,"kind":"kernels","cores":2,"kernels":[]}`,
+		"service": `{"schema_version":1,"kind":"service","cores":2,"lost":0}`,
+	} {
+		other := filepath.Join(dir, "other_"+name+".json")
+		if err := os.WriteFile(other, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := runCompare([]string{rep, other}, &cout, &cerr); code != 2 {
+			t.Fatalf("compare against a %s report exit %d, want 2", name, code)
+		}
 	}
 }
 
@@ -103,45 +84,5 @@ func TestRunRejectsUnknownScenario(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-scenario", "no-such-scenario", "-out", ""}, &out, &out); err == nil {
 		t.Fatal("unknown scenario accepted")
-	}
-}
-
-// compare dispatches service reports to the service comparator, which
-// gates the exactly-once invariants even in a self-compare.
-func TestRunCompareServiceKind(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "BENCH_service.json")
-	const rep = `{"schema_version":1,"kind":"service","cores":2,"tenants":2,
-		"offered":8,"accepted":8,"completed":8,"lost":0,"duplicated":0,
-		"latency_p99_ns":1000000,"batches":2,"batch_occupancy":0.5,
-		"fairness_jain":0.99,"drain_ok":true,"all_verified":true}`
-	if err := os.WriteFile(good, []byte(rep), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var cout, cerr bytes.Buffer
-	if code := runCompare([]string{good, good}, &cout, &cerr); code != 0 {
-		t.Fatalf("service self-compare exit %d, want 0\nstdout: %s\nstderr: %s", code, cout.String(), cerr.String())
-	}
-	if !strings.Contains(cout.String(), "compare service") {
-		t.Fatalf("service compare not routed to the service comparator:\n%s", cout.String())
-	}
-
-	// A report with a lost job fails the gate regardless of the baseline.
-	lossy := filepath.Join(dir, "BENCH_service_lossy.json")
-	const bad = `{"schema_version":1,"kind":"service","cores":2,"tenants":2,
-		"offered":8,"accepted":8,"completed":7,"lost":1,"duplicated":0,
-		"latency_p99_ns":1000000,"batches":2,"batch_occupancy":0.5,
-		"fairness_jain":0.99,"drain_ok":true,"all_verified":true}`
-	if err := os.WriteFile(lossy, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cout.Reset()
-	cerr.Reset()
-	if code := runCompare([]string{good, lossy}, &cout, &cerr); code == 0 {
-		t.Fatalf("lost job passed the gate\nstdout: %s", cout.String())
-	}
-	if !strings.Contains(cout.String(), "lost_jobs") {
-		t.Fatalf("lost_jobs regression not reported:\n%s", cout.String())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"time"
 
 	"batchzk/internal/circuit"
 	"batchzk/internal/field"
@@ -52,12 +53,13 @@ func TestProofBytesGolden(t *testing.T) {
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	pipelined := func(streamingCommit bool) []*protocol.Proof {
+	pipelined := func(streamingCommit bool, s *Schedule) []*protocol.Proof {
 		bp, err := NewBatchProver(c, p, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bp.SetStreamingCommit(streamingCommit)
+		bp.SetSchedule(s)
 		proofs := make([]*protocol.Proof, 0, jobs)
 		next := 0
 		bp.ProveStream(func() (Job, bool) {
@@ -86,8 +88,11 @@ func TestProofBytesGolden(t *testing.T) {
 	}
 	for name, proofs := range map[string][]*protocol.Proof{
 		"one-shot":  oneShot,
-		"pipelined": pipelined(false),
-		"streamed":  pipelined(true),
+		"pipelined": pipelined(false, nil),
+		"streamed":  pipelined(true, nil),
+		"autobalanced": pipelined(false, &Schedule{
+			Workers: [4]int{2, 2, 2, 2}, Autobalance: true, RebalanceEvery: time.Millisecond, Budget: 8,
+		}),
 	} {
 		if got := digest(proofs); got != goldenProofDigest {
 			t.Errorf("%s proofs hash to %s, want %s", name, got, goldenProofDigest)

@@ -226,8 +226,8 @@ func (j *JacobianPoint) AddMixed(p *JacobianPoint, q *AffinePoint) *JacobianPoin
 	h.Sub(&u2, &p.X) // H = U2 − X1
 	hh.Square(&h)
 	i.Double(&hh)
-	i.Double(&i)    // I = 4·HH
-	jj.Mul(&h, &i)  // J = H·I
+	i.Double(&i)   // I = 4·HH
+	jj.Mul(&h, &i) // J = H·I
 	r.Sub(&s2, &p.Y)
 	r.Double(&r)    // r = 2(S2 − Y1)
 	v.Mul(&p.X, &i) // V = X1·I
@@ -249,17 +249,6 @@ func (j *JacobianPoint) AddMixed(p *JacobianPoint, q *AffinePoint) *JacobianPoin
 
 	j.X, j.Y, j.Z = x3, y3, z3
 	return j
-}
-
-// AddMixedGeneric is the pre-optimization mixed add — lift q to Jacobian
-// and run the full add — retained as a differential-test reference.
-func AddMixedGeneric(j, p *JacobianPoint, q *AffinePoint) *JacobianPoint {
-	if q.Infinity {
-		*j = *p
-		return j
-	}
-	qj := q.ToJacobian()
-	return j.Add(p, &qj)
 }
 
 // AffineAddKind classifies an affine p+q for the batch-affine bucket

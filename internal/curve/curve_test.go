@@ -7,6 +7,17 @@ import (
 	"batchzk/internal/fp"
 )
 
+// AddMixedGeneric is the pre-optimization mixed add — lift q to Jacobian
+// and run the full add — kept as the oracle AddMixed is tested against.
+func AddMixedGeneric(j, p *JacobianPoint, q *AffinePoint) *JacobianPoint {
+	if q.Infinity {
+		*j = *p
+		return j
+	}
+	qj := q.ToJacobian()
+	return j.Add(p, &qj)
+}
+
 func TestGeneratorOnCurve(t *testing.T) {
 	g := Generator()
 	if !g.IsOnCurve() {

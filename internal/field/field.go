@@ -555,11 +555,6 @@ func (e *Element) ExpUint64(base *Element, k uint64) *Element {
 // low limb differs from the modulus: q0 ends in …0001, so no borrow).
 var rMinusTwo = [4]uint64{q0 - 2, q1, q2, q3}
 
-// rMinusTwoBig returns r−2 for the big.Int reference ladder.
-func rMinusTwoBig() *big.Int {
-	return new(big.Int).Sub(modulus, big.NewInt(2))
-}
-
 // Inverse sets e = x^{-1} using Fermat's little theorem (x^{r−2}) and
 // returns e. The inverse of zero is defined as zero.
 //

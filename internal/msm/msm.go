@@ -250,47 +250,6 @@ func Pippenger(points []curve.AffinePoint, scalars []field.Element) (curve.Affin
 	return result.ToAffine(), nil
 }
 
-// PippengerJacobian is the pre-optimization bucket method — buckets
-// accumulated directly in Jacobian coordinates via mixed additions —
-// retained as a differential-test reference for the batch-affine path. It
-// shares the flat digit layout so the property tests cover both layouts
-// against Naive.
-func PippengerJacobian(points []curve.AffinePoint, scalars []field.Element) (curve.AffinePoint, error) {
-	if len(points) != len(scalars) {
-		return curve.AffinePoint{}, fmt.Errorf("msm: %d points vs %d scalars", len(points), len(scalars))
-	}
-	if len(points) == 0 {
-		return curve.Identity(), nil
-	}
-	c := WindowBits(len(points))
-	numWindows := (field.Bits + c - 1) / c
-	digits := make([]uint32, len(scalars)*numWindows)
-	digitsFlat(digits, scalars, c, numWindows)
-
-	var result curve.JacobianPoint
-	buckets := make([]curve.JacobianPoint, 1<<uint(c))
-	for w := numWindows - 1; w >= 0; w-- {
-		for s := 0; s < c; s++ {
-			result.Double(&result)
-		}
-		for i := range buckets {
-			buckets[i] = curve.JacobianPoint{}
-		}
-		for i := range points {
-			if d := digits[i*numWindows+w]; d != 0 {
-				buckets[d].AddMixed(&buckets[d], &points[i])
-			}
-		}
-		var running, windowSum curve.JacobianPoint
-		for d := len(buckets) - 1; d >= 1; d-- {
-			running.Add(&running, &buckets[d])
-			windowSum.Add(&windowSum, &running)
-		}
-		result.Add(&result, &windowSum)
-	}
-	return result.ToAffine(), nil
-}
-
 // Parallel computes the MSM by splitting the input across the shared
 // kernel runtime and summing the per-chunk partial MSMs in chunk order;
 // workers ≤ 0 selects the runtime's default width. The group sum is

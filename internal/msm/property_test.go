@@ -1,6 +1,7 @@
 package msm
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -13,6 +14,46 @@ import (
 // reference across many sizes (including the window-heuristic
 // boundaries) and adversarial scalar distributions — zero, one, r−1,
 // sparse bit patterns — that a single fixed-size comparison misses.
+
+// PippengerJacobian is the pre-optimization bucket method — buckets
+// accumulated directly in Jacobian coordinates via mixed additions — kept
+// as the oracle for the batch-affine path. It shares the flat digit layout
+// so the property tests cover both layouts against Naive.
+func PippengerJacobian(points []curve.AffinePoint, scalars []field.Element) (curve.AffinePoint, error) {
+	if len(points) != len(scalars) {
+		return curve.AffinePoint{}, fmt.Errorf("msm: %d points vs %d scalars", len(points), len(scalars))
+	}
+	if len(points) == 0 {
+		return curve.Identity(), nil
+	}
+	c := WindowBits(len(points))
+	numWindows := (field.Bits + c - 1) / c
+	digits := make([]uint32, len(scalars)*numWindows)
+	digitsFlat(digits, scalars, c, numWindows)
+
+	var result curve.JacobianPoint
+	buckets := make([]curve.JacobianPoint, 1<<uint(c))
+	for w := numWindows - 1; w >= 0; w-- {
+		for s := 0; s < c; s++ {
+			result.Double(&result)
+		}
+		for i := range buckets {
+			buckets[i] = curve.JacobianPoint{}
+		}
+		for i := range points {
+			if d := digits[i*numWindows+w]; d != 0 {
+				buckets[d].AddMixed(&buckets[d], &points[i])
+			}
+		}
+		var running, windowSum curve.JacobianPoint
+		for d := len(buckets) - 1; d >= 1; d-- {
+			running.Add(&running, &buckets[d])
+			windowSum.Add(&windowSum, &running)
+		}
+		result.Add(&result, &windowSum)
+	}
+	return result.ToAffine(), nil
+}
 
 // seededScalars derives a reproducible scalar vector mixing uniform
 // values with the boundary cases the bucket decomposition must handle.

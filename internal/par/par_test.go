@@ -205,16 +205,20 @@ func TestScratchBuffers(t *testing.T) {
 }
 
 func TestScratchBatchInverse(t *testing.T) {
-	s := GetScratch()
-	defer PutScratch(s)
 	v := field.RandVector(64)
 	v[5] = field.Element{}
-	dst := make([]field.Element, len(v))
-	s.BatchInverse(dst, v)
 	want := make([]field.Element, len(v))
 	field.BatchInverse(want, v)
-	if !field.VectorEqual(dst, want) {
-		t.Fatal("Scratch.BatchInverse differs from field.BatchInverse")
+	// Width 1 inverts the whole vector through one arena; wider runs invert
+	// per-chunk slices through per-worker arenas concurrently.
+	for _, w := range []int{1, 4} {
+		dst := make([]field.Element, len(v))
+		ForScratch(w, len(v), func(s *Scratch, lo, hi int) {
+			s.BatchInverse(dst[lo:hi], v[lo:hi])
+		})
+		if !field.VectorEqual(dst, want) {
+			t.Fatalf("width %d: Scratch.BatchInverse differs from field.BatchInverse", w)
+		}
 	}
 }
 

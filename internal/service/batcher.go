@@ -3,7 +3,7 @@
 // front of core.ShardedProver — the paper's §5 MLaaS scenario served as
 // real traffic rather than a pre-built batch.
 //
-// It has four parts:
+// It has three parts:
 //
 //   - an admission batcher (this file): jobs from many tenants coalesce
 //     into batches under a latency/size window (dynamic batching), with
@@ -13,9 +13,7 @@
 //   - the Gateway (service.go): job lifecycle in front of a prover —
 //     admission, fan-out, quarantine-aware retry, terminal resolution;
 //   - the HTTP API (http.go): submit / poll / stream endpoints with
-//     trace-id propagation into the flight recorder;
-//   - the load generator (loadgen.go): open-loop Poisson arrivals with
-//     heavy-tailed bursts, driving the HTTP API closed-loop per job.
+//     trace-id propagation into the flight recorder.
 package service
 
 import (

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"batchzk/internal/core"
+	"batchzk/internal/faults"
 	"batchzk/internal/field"
 	"batchzk/internal/protocol"
 	"batchzk/internal/telemetry"
@@ -31,6 +32,14 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Gateway) {
 		gw.Drain()
 	})
 	return srv, gw
+}
+
+func encodeElements(v []field.Element) []string {
+	out := make([]string, len(v))
+	for i := range v {
+		out[i] = v[i].BigInt().String()
+	}
+	return out
 }
 
 func submitBody(n int) []byte {
@@ -62,52 +71,79 @@ func postJob(t *testing.T, base, tenant string, body []byte, hdr map[string]stri
 	return resp
 }
 
-// Submit → poll round-trip: accepted job resolves to done with a
-// verifiable proof and a consistent trace id across both responses.
+// Submit → poll round-trip: accepted jobs resolve to done with a
+// verifiable proof and a consistent trace id across both responses —
+// cleanly, and under injected kernel faults (retried) and a slow shard.
 func TestHTTPSubmitPollRoundTrip(t *testing.T) {
-	srv, _ := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond})
-	resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %s", resp.Status)
-	}
-	var ack SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.JobID == "" || ack.Status != StatusQueued {
-		t.Fatalf("bad ack: %+v", ack)
-	}
-	submitTrace := resp.Header.Get("X-Trace-Id")
+	faulted := faults.NewInjector(3)
+	faulted.Force(faults.KernelFault, core.StageNames[0], 1, 1)
+	faulted.Force(faults.SlowShard, core.StageNames[2], 2, 1)
+	faultRes := core.DefaultResilience()
+	faultRes.Injector = faulted
+	for _, tc := range []struct {
+		name string
+		res  *core.Resilience
+		jobs int
+	}{
+		{"clean", nil, 1},
+		{"kernel+slowshard", faultRes, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, gw := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond, Resilience: tc.res})
+			for i := 0; i < tc.jobs; i++ {
+				resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit: %s", resp.Status)
+				}
+				var ack SubmitResponse
+				if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+					t.Fatal(err)
+				}
+				if ack.JobID == "" || ack.Status != StatusQueued {
+					t.Fatalf("bad ack: %+v", ack)
+				}
+				submitTrace := resp.Header.Get("X-Trace-Id")
 
-	poll, err := http.Get(srv.URL + "/v1/jobs/" + ack.JobID + "?wait=10s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer poll.Body.Close()
-	if poll.StatusCode != http.StatusOK {
-		t.Fatalf("poll: %s", poll.Status)
-	}
-	var jr JobResponse
-	if err := json.NewDecoder(poll.Body).Decode(&jr); err != nil {
-		t.Fatal(err)
-	}
-	if jr.Status != StatusDone {
-		t.Fatalf("job %s ended %s (%s)", ack.JobID, jr.Status, jr.Err)
-	}
-	if jr.Tenant != "acme" || jr.LatencyNs <= 0 {
-		t.Errorf("bad terminal record: %+v", jr.JobInfo)
-	}
-	if got := poll.Header.Get("X-Trace-Id"); submitTrace != "" && got != submitTrace {
-		t.Errorf("trace id changed across poll: submit=%s poll=%s", submitTrace, got)
-	}
-	blob, err := base64.StdEncoding.DecodeString(jr.Proof)
-	if err != nil || len(blob) == 0 {
-		t.Fatalf("done job carries no decodable proof: %v", err)
-	}
-	var proof protocol.Proof
-	if err := proof.UnmarshalBinary(blob); err != nil {
-		t.Fatalf("served proof does not deserialize: %v", err)
+				poll, err := http.Get(srv.URL + "/v1/jobs/" + ack.JobID + "?wait=10s")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer poll.Body.Close()
+				if poll.StatusCode != http.StatusOK {
+					t.Fatalf("poll: %s", poll.Status)
+				}
+				var jr JobResponse
+				if err := json.NewDecoder(poll.Body).Decode(&jr); err != nil {
+					t.Fatal(err)
+				}
+				if jr.Status != StatusDone {
+					t.Fatalf("job %s ended %s (%s)", ack.JobID, jr.Status, jr.Err)
+				}
+				if jr.Tenant != "acme" || jr.LatencyNs <= 0 {
+					t.Errorf("bad terminal record: %+v", jr.JobInfo)
+				}
+				if got := poll.Header.Get("X-Trace-Id"); submitTrace != "" && got != submitTrace {
+					t.Errorf("trace id changed across poll: submit=%s poll=%s", submitTrace, got)
+				}
+				blob, err := base64.StdEncoding.DecodeString(jr.Proof)
+				if err != nil || len(blob) == 0 {
+					t.Fatalf("done job carries no decodable proof: %v", err)
+				}
+				var proof protocol.Proof
+				if err := proof.UnmarshalBinary(blob); err != nil {
+					t.Fatalf("served proof does not deserialize: %v", err)
+				}
+				if err := gw.VerifyJob(ack.JobID); err != nil {
+					t.Fatalf("served proof of %s does not verify: %v", ack.JobID, err)
+				}
+			}
+			if tc.res != nil {
+				if s := tc.res.Injector.Stats(); s.Injected[faults.KernelFault] != 1 || s.Injected[faults.SlowShard] != 1 || s.Pending != 0 {
+					t.Fatalf("fault ledger %+v: want one kernel and one slowshard fault, all resolved", s)
+				}
+			}
+		})
 	}
 }
 
