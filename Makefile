@@ -18,11 +18,11 @@ test:
 	$(GO) test ./...
 	$(GO) test -C benchmark
 
-# Exercise the concurrency-sensitive layers (batch prover stage workers,
-# pipelined module schedules, fault injector, telemetry registry/tracer)
-# under the race detector.
+# Exercise the concurrency-sensitive layers (stage executors, batch
+# prover stages, pipelined module schedules, fault injector, telemetry
+# registry/tracer) under the race detector.
 race:
-	$(GO) test -race ./internal/core/... ./internal/pipeline/... ./internal/telemetry/... ./internal/faults/... ./internal/gpusim/... \
+	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/pipeline/... ./internal/telemetry/... ./internal/faults/... ./internal/gpusim/... \
 		./internal/par/... ./internal/merkle/... ./internal/encoder/... ./internal/sumcheck/... ./internal/ntt/... ./internal/pcs/... ./internal/msm/... \
 		./internal/service/... ./internal/protocol/... ./internal/field/... ./internal/fp/... ./internal/curve/...
 
@@ -52,7 +52,9 @@ roofline:
 
 # Short coverage-guided fuzz of the codec/derivation/verification
 # surfaces (go test allows one -fuzz pattern per invocation, so one run
-# per package). Seed corpora live in each package's testdata/fuzz.
+# per package). Seed corpora live in each package's testdata/fuzz. The
+# proof-decode seeds are ~20 KB proofs; minimizing every new input that
+# size would spend the whole budget, so those stay unminimized.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzElementDecoding -fuzztime $(FUZZTIME) ./internal/field/
 	$(GO) test -run '^$$' -fuzz FuzzFieldArith -fuzztime $(FUZZTIME) ./internal/field/
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChallengeDerivation -fuzztime $(FUZZTIME) ./internal/transcript/
 	$(GO) test -run '^$$' -fuzz FuzzOpeningProofVerify -fuzztime $(FUZZTIME) ./internal/merkle/
 	$(GO) test -run '^$$' -fuzz FuzzAgainstOracles -fuzztime $(FUZZTIME) ./internal/sha2/
+	$(GO) test -run '^$$' -fuzz FuzzProofDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/protocol/
 
 # Aggregate gate: everything CI runs.
 check: build vet test race

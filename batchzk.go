@@ -36,10 +36,8 @@ import (
 	"batchzk/internal/field"
 	"batchzk/internal/gpusim"
 	"batchzk/internal/nn"
-	"batchzk/internal/par"
 	"batchzk/internal/perfmodel"
 	"batchzk/internal/protocol"
-	"batchzk/internal/sched"
 	"batchzk/internal/vml"
 )
 
@@ -110,26 +108,6 @@ func NewBatchProver(c *Circuit, p *Params, depth int) (*BatchProver, error) {
 // ProverStats is a point-in-time snapshot of a batch prover's counters,
 // including its resilience accounting (retries, quarantines, timeouts).
 type ProverStats = core.Stats
-
-// ProverSchedule configures the batch prover's per-stage worker pools —
-// the host-side analogue of the paper's §4 thread allocation. Install it
-// with BatchProver.SetSchedule; derive one from measured stage times
-// with ProportionalProverSchedule or BatchProver.CalibrateSchedule.
-type ProverSchedule = core.Schedule
-
-// ProportionalProverSchedule splits a worker budget across the four
-// prover stages in proportion to their measured busy times (§4's
-// amortized-time-ratio rule), at least one worker per stage.
-func ProportionalProverSchedule(stats ProverStats, budget int) ProverSchedule {
-	return core.ProportionalSchedule(stats, budget)
-}
-
-// ParseWorkerSpec parses a -workers flag value: a comma-separated
-// per-stage list ("2,4,1,1") or a single total budget ("8") to be split
-// by the amortized-time-ratio rule. Empty means the 1/1/1/1 default.
-func ParseWorkerSpec(spec string) (workers []int, budget int, err error) {
-	return sched.ParseWorkers(spec, len(core.StageNames))
-}
 
 // ShardedProver splits one batch across S independent prover shards,
 // scattering jobs round-robin and merging results deterministically in
@@ -343,15 +321,6 @@ func CompareBenchReports(old, cur *BenchReport, threshold float64) ([]BenchRegre
 // BenchReportFileName is the BENCH_<scenario>.json naming convention.
 func BenchReportFileName(scenario string) string { return bench.ReportFileName(scenario) }
 
-// SetKernelWorkers sets the width of the shared multicore kernel runtime
-// that every hot kernel (Merkle, encoder, sum-check, NTT, PCS, MSM) runs
-// on: w-way parallelism, 1 = fully serial, ≤ 0 = the GOMAXPROCS default.
-// Parallel kernels are bit-identical to their serial forms at any width.
-func SetKernelWorkers(w int) { par.SetWidth(w) }
-
-// KernelWorkers reports the kernel runtime's current width.
-func KernelWorkers() int { return par.Width() }
-
 // RooflineReport is the host-kernel roofline: measured serial ns/element
 // for every hot kernel against a calibrated arithmetic floor (measured
 // Montgomery-multiply / add / hash-compress latencies times each
@@ -370,6 +339,3 @@ func BuildRooflineReport(shift, reps int, seed int64) (*RooflineReport, error) {
 func ReadRooflineReport(r io.Reader) (*RooflineReport, error) {
 	return bench.ReadRooflineReport(r)
 }
-
-// RooflineBenchKind is the "kind" discriminator roofline reports carry.
-func RooflineBenchKind() string { return bench.RooflineReportKind }

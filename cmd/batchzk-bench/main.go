@@ -12,8 +12,7 @@
 //	batchzk-bench -faults all -fault-seed 7
 //	                                    # reproducible chaos run through
 //	                                    # the resilient batch prover
-//	batchzk-bench -faults all -workers 8 -shards 2 -autobalance
-//	                                    # chaos through pooled/sharded provers
+//	batchzk-bench -faults all -shards 2 # chaos through a sharded prover
 package main
 
 import (
@@ -48,14 +47,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	faultSpec := fs.String("faults", "", `chaos spec, e.g. "all", "all=0.25", "kernel=0.2,straggler=0.05"; runs a fault-injected batch instead of the experiments`)
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault plan (same seed = same faults)")
 	faultJobs := fs.Int("fault-jobs", 32, "number of proof jobs in the chaos run")
-	workers := fs.String("workers", "", `chaos-run worker pools: a list "2,4,1,1" or a total budget "8" split by measured stage shares (empty = one worker per stage)`)
 	shards := fs.Int("shards", 1, "chaos-run prover shards the batch is split across")
-	autobalance := fs.Bool("autobalance", false, "chaos run: elastically rebalance the worker pools at runtime")
-	kernelWorkers := fs.Int("kernel-workers", 0, "multicore kernel runtime width: 0 = GOMAXPROCS, 1 = serial")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	batchzk.SetKernelWorkers(*kernelWorkers)
 
 	if *list {
 		for _, id := range batchzk.Experiments() {
@@ -140,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *faultSpec != "" {
-		err := runChaos(*faultSpec, *faultSeed, *faultJobs, *workers, *shards, *autobalance, stdout)
+		err := runChaos(*faultSpec, *faultSeed, *faultJobs, *shards, stdout)
 		// Dump even when the run failed: an unreconciled ledger is exactly
 		// the run whose trace is worth reading.
 		if derr := dump(); err == nil {
@@ -149,8 +144,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		holdOpen()
 		return err
 	}
-	if *workers != "" || *shards != 1 || *autobalance {
-		return fmt.Errorf("-workers/-shards/-autobalance apply to chaos runs; pass -faults as well")
+	if *shards != 1 {
+		return fmt.Errorf("-shards applies to chaos runs; pass -faults as well")
 	}
 
 	spec, err := batchzk.Device(*device)
@@ -221,7 +216,6 @@ func openLogOutput(dest string, stderr io.Writer) (io.Writer, func(), error) {
 // BatchProver or a ShardedProver.
 type chaosProver interface {
 	SetResilience(*batchzk.Resilience)
-	SetSchedule(*batchzk.ProverSchedule)
 	ProveBatch([]batchzk.Job) []batchzk.Result
 	Verify([]batchzk.Element, *batchzk.Proof) error
 	Stats() batchzk.ProverStats
@@ -232,9 +226,9 @@ type chaosProver interface {
 // under an injected fault plan and reports how the pipeline coped: what
 // fired, what was retried, what was quarantined, and whether every
 // surviving proof still verifies. The same -faults/-fault-seed pair
-// replays the identical fault plan; -workers/-shards/-autobalance route
-// the same plan through pooled or sharded provers.
-func runChaos(spec string, seed uint64, jobs int, workers string, shards int, autobalance bool, stdout io.Writer) error {
+// replays the identical fault plan; -shards routes the same plan through
+// a sharded prover.
+func runChaos(spec string, seed uint64, jobs, shards int, stdout io.Writer) error {
 	if jobs < 1 {
 		return fmt.Errorf("chaos run needs at least one job, got %d", jobs)
 	}
@@ -250,14 +244,7 @@ func runChaos(spec string, seed uint64, jobs int, workers string, shards int, au
 	if err != nil {
 		return err
 	}
-	schedule, err := chaosSchedule(c, p, workers, autobalance)
-	if err != nil {
-		return err
-	}
-	depth := 4
-	if schedule != nil && depth < schedule.TotalWorkers() {
-		depth = schedule.TotalWorkers()
-	}
+	const depth = 4
 	var bp chaosProver
 	if shards > 1 {
 		sp, err := batchzk.NewShardedProver(c, p, shards, depth)
@@ -272,7 +259,6 @@ func runChaos(spec string, seed uint64, jobs int, workers string, shards int, au
 		}
 		bp = single
 	}
-	bp.SetSchedule(schedule)
 	res := batchzk.DefaultResilience()
 	res.Injector = inj
 	bp.SetResilience(res)
@@ -308,40 +294,4 @@ func runChaos(spec string, seed uint64, jobs int, workers string, shards int, au
 		return fmt.Errorf("fault ledger not reconciled: %d pending, %d conflicts", ls.Pending, inj.Conflicts())
 	}
 	return nil
-}
-
-// chaosSchedule resolves the chaos run's -workers/-autobalance flags,
-// mirroring the batchzk CLI's buildSchedule.
-func chaosSchedule(c *batchzk.Circuit, p *batchzk.Params, spec string, autobalance bool) (*batchzk.ProverSchedule, error) {
-	list, budget, err := batchzk.ParseWorkerSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	if list == nil && budget == 0 && !autobalance {
-		return nil, nil
-	}
-	var s batchzk.ProverSchedule
-	switch {
-	case list != nil:
-		copy(s.Workers[:], list)
-	case budget > 0:
-		probe, err := batchzk.NewBatchProver(c, p, 1)
-		if err != nil {
-			return nil, err
-		}
-		if s, err = probe.CalibrateSchedule(budget, 4); err != nil {
-			return nil, err
-		}
-	default:
-		s.Workers = [4]int{1, 1, 1, 1}
-	}
-	if autobalance {
-		s.Autobalance = true
-		if budget > 0 {
-			s.Budget = budget
-		} else {
-			s.Budget = s.TotalWorkers()
-		}
-	}
-	return &s, nil
 }

@@ -6,11 +6,7 @@
 // Usage:
 //
 //	batchzk -gates 1024 -batch 16 -depth 4      # batch proving demo
-//	batchzk -batch 64 -workers 8                 # 8 workers split by stage shares (§4)
-//	batchzk -batch 64 -workers 2,3,2,1           # explicit per-stage pools
-//	batchzk -batch 64 -workers 8 -autobalance    # elastic runtime rebalance
 //	batchzk -batch 64 -shards 4                  # split the batch across 4 provers
-//	batchzk -batch 64 -kernel-workers 4          # 4-way multicore kernel runtime
 //	batchzk -batch 16 -telemetry out/            # + metrics & Chrome trace dump
 //	batchzk -debug-addr localhost:6060           # + live pprof/expvar server
 //	batchzk prove  -gates 512 -out proof.bzk     # write a proof bundle
@@ -64,17 +60,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	batch := fs.Int("batch", 8, "number of proofs to generate")
 	depth := fs.Int("depth", 4, "pipeline depth (proofs in flight per shard)")
 	seed := fs.Int64("seed", 1, "circuit synthesis seed")
-	workers := fs.String("workers", "", `per-stage worker pools: a list "2,4,1,1" or a total budget "8" split by measured stage shares (empty = one worker per stage)`)
 	shards := fs.Int("shards", 1, "independent prover shards the batch is split across")
-	autobalance := fs.Bool("autobalance", false, "elastically rebalance the worker pools from live per-stage busy shares")
 	telemetryDir := fs.String("telemetry", "", "directory to dump telemetry (metrics.json, trace.json, spans.jsonl)")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /debug/telemetry, /healthz, /readyz and /debug/obs/slo on this address")
 	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables the obs engine`)
-	kernelWorkers := fs.Int("kernel-workers", 0, "multicore kernel runtime width: 0 = GOMAXPROCS, 1 = serial")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	batchzk.SetKernelWorkers(*kernelWorkers)
 
 	if *logDest != "" || *debugAddr != "" {
 		logOut, closeLog, err := openLogOutput(*logDest, stderr)
@@ -116,39 +108,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	schedule, err := buildSchedule(c, params, *workers, *autobalance)
-	if err != nil {
-		return err
-	}
-	effDepth := *depth
-	if schedule != nil && effDepth < schedule.TotalWorkers() {
-		// The in-flight bound gates concurrency; wider pools need at
-		// least that many proofs in flight to be useful.
-		effDepth = schedule.TotalWorkers()
-	}
-
 	var prove func([]batchzk.Job) []batchzk.Result
-	var stageWorkers [4]int
 	if *shards > 1 {
-		sp, err := batchzk.NewShardedProver(c, params, *shards, effDepth)
+		sp, err := batchzk.NewShardedProver(c, params, *shards, *depth)
 		if err != nil {
 			return err
 		}
-		sp.SetSchedule(schedule)
 		prove = sp.ProveBatch
-		stageWorkers = sp.Shard(0).StageWorkers()
 	} else {
-		bp, err := batchzk.NewBatchProver(c, params, effDepth)
+		bp, err := batchzk.NewBatchProver(c, params, *depth)
 		if err != nil {
 			return err
 		}
-		bp.SetSchedule(schedule)
 		prove = bp.ProveBatch
-		stageWorkers = bp.StageWorkers()
 	}
 	fmt.Fprintf(stdout, "circuit: %d mul gates, %d wires\n", c.NumMulGates(), c.NumWires())
-	fmt.Fprintf(stdout, "schedule: %d shard(s), stage workers %v, autobalance %v, depth %d\n",
-		*shards, stageWorkers, *autobalance, effDepth)
+	fmt.Fprintf(stdout, "pipeline: %d shard(s), depth %d\n", *shards, *depth)
 
 	jobs := make([]batchzk.Job, *batch)
 	publics := make([][]batchzk.Element, *batch)
@@ -173,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "generated and verified %d proofs in %v (%.2f proofs/s, pipeline depth %d)\n",
 		verified, elapsed.Round(time.Millisecond),
-		float64(verified)/elapsed.Seconds(), effDepth)
+		float64(verified)/elapsed.Seconds(), *depth)
 
 	if *telemetryDir != "" {
 		if err := sink.Dump(*telemetryDir); err != nil {
@@ -182,44 +157,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "telemetry written to %s (load trace.json in chrome://tracing)\n", *telemetryDir)
 	}
 	return nil
-}
-
-// buildSchedule resolves the -workers/-autobalance flags into a prover
-// schedule (nil = the one-worker-per-stage default). A per-stage list is
-// applied directly; a single budget is split by the §4 amortized-time-
-// ratio rule, calibrated on a few sample proofs of this circuit.
-func buildSchedule(c *batchzk.Circuit, params *batchzk.Params, spec string, autobalance bool) (*batchzk.ProverSchedule, error) {
-	list, budget, err := batchzk.ParseWorkerSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	if list == nil && budget == 0 && !autobalance {
-		return nil, nil
-	}
-	var s batchzk.ProverSchedule
-	switch {
-	case list != nil:
-		copy(s.Workers[:], list)
-	case budget > 0:
-		probe, err := batchzk.NewBatchProver(c, params, 1)
-		if err != nil {
-			return nil, err
-		}
-		if s, err = probe.CalibrateSchedule(budget, 4); err != nil {
-			return nil, err
-		}
-	default:
-		s.Workers = [4]int{1, 1, 1, 1}
-	}
-	if autobalance {
-		s.Autobalance = true
-		if budget > 0 {
-			s.Budget = budget
-		} else {
-			s.Budget = s.TotalWorkers()
-		}
-	}
-	return &s, nil
 }
 
 // openLogOutput resolves the -log destination: "-"/"stderr" → the

@@ -122,11 +122,6 @@ type BatchProver struct {
 	// shard is this prover's index inside a ShardedProver (-1 when the
 	// prover is unsharded), recorded on every job's flight timeline.
 	shard int
-
-	// schedCfg configures the stage worker pools (see schedule.go); graph
-	// is the live scheduler of the current Run, for introspection.
-	schedCfg *Schedule
-	graph    *sched.Graph[stageMsg]
 }
 
 // Stats returns a snapshot of the prover's counters.
@@ -262,11 +257,11 @@ type stageMsg struct {
 	quarantined bool
 }
 
-// processStage runs one prover stage on one message, from whichever
-// worker goroutine the scheduler assigned. All mutable state is either
-// inside the message or atomic, so any number of concurrent workers per
-// stage is safe; runStage layers the resilience semantics (retries,
-// deadlines, panic recovery, quarantine) per message.
+// processStage runs one prover stage on one message, on that stage's
+// goroutine. All mutable state is either inside the message or atomic,
+// so the four stages run concurrently on different messages; runStage
+// layers the resilience semantics (retries, deadlines, panic recovery,
+// quarantine) per message.
 func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
 	switch stage {
 	case 0:
@@ -301,8 +296,8 @@ func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
 			return err
 		})
 		// The in-flight state (column tree, padded witness) is
-		// dead once the proof exists; drop it before the message waits in
-		// the reorder buffer so only finished proofs occupy that window.
+		// dead once the proof exists; drop it before the message waits
+		// for emission so only finished proofs occupy that window.
 		m.f = nil
 	}
 	m.enq = time.Now()
@@ -310,36 +305,16 @@ func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
 
 // Run consumes jobs until the channel closes and emits one Result per job
 // on the returned channel, in submission order. The four stages run
-// concurrently on the sched execution layer, each served by a worker
-// pool sized by the prover's Schedule (one worker per stage by default —
-// the software realization of the full-workload state of §4; wider pools
-// realize the §4 amortized-time-ratio thread allocation). The scheduler's
-// reorder buffer restores submission order, and at most depth proofs are
-// in flight (the dynamic-loading memory bound).
+// concurrently on the sched execution layer, one goroutine per stage —
+// the software realization of the full-workload state of §4 — and at
+// most depth proofs are in flight (the dynamic-loading memory bound).
 func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 	ins := bp.instruments()
-	sc := bp.scheduleOrDefault()
-
-	specs := make([]sched.StageSpec, len(StageNames))
-	for i, name := range StageNames {
-		specs[i] = sched.StageSpec{Name: name, Workers: sc.Workers[i]}
-	}
-	opts := sched.Options{
-		Name:      "core",
-		InFlight:  bp.depth,
-		Telemetry: bp.tel,
-	}
-	if sc.Autobalance {
-		opts.Autobalance = &sched.Autobalance{
-			Interval: sc.RebalanceEvery,
-			Budget:   sc.Budget,
-		}
-	}
-	g, err := sched.NewGraph(specs, func(stage int, m *stageMsg) {
+	g, err := sched.NewGraph(StageNames[:], func(stage int, m *stageMsg) {
 		bp.processStage(stage, ins, m)
-	}, opts)
+	}, sched.Options{Name: "core", InFlight: bp.depth, Telemetry: bp.tel})
 	if err != nil {
-		// Unreachable: specs are fixed and depth is validated at
+		// Unreachable: the stages are fixed and depth is validated at
 		// construction. Surface loudly rather than wedging the stream.
 		panic(fmt.Sprintf("core: scheduler rejected prover stage graph: %v", err))
 	}
@@ -350,7 +325,6 @@ func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 			m.err = fmt.Errorf("core: stage %s scheduler panic on job %d: %v", StageNames[stage], m.id, r)
 		}
 	})
-	bp.graph = g
 
 	gin := make(chan stageMsg, bp.depth)
 	go func() {

@@ -6,6 +6,7 @@ import (
 	"batchzk/internal/field"
 	"batchzk/internal/gkr"
 	"batchzk/internal/pcs"
+	"batchzk/internal/sched"
 	"batchzk/internal/transcript"
 )
 
@@ -22,10 +23,14 @@ type GKRResult struct {
 	Err   error
 }
 
+// gkrStageNames labels the GKR batch prover's three pipeline stages.
+var gkrStageNames = [3]string{"commit", "layer-sumchecks", "opening"}
+
 // GKRBatchProver streams committed-input GKR proofs (the Virgo/Orion
-// protocol shape) through a three-stage pipeline: commit (encoder +
-// Merkle), layer sum-checks, and the input opening. Like BatchProver, the
-// emitted proofs are identical to the one-at-a-time gkr.ProveCommitted.
+// protocol shape) through a three-stage pipeline on the same sched
+// executor as BatchProver: commit (encoder + Merkle), evaluation and
+// layer sum-checks, and the input opening. Like BatchProver, the emitted
+// proofs are identical to the one-at-a-time gkr.ProveCommitted.
 type GKRBatchProver struct {
 	c      *gkr.Circuit
 	params pcs.Params
@@ -49,75 +54,81 @@ func NewGKRBatchProver(c *gkr.Circuit, params pcs.Params, depth int) (*GKRBatchP
 	return &GKRBatchProver{c: c, params: params, depth: depth}, nil
 }
 
-// Run consumes jobs until the channel closes, emitting one result per job
-// in order; the three stages work on different proofs concurrently.
-func (bp *GKRBatchProver) Run(jobs <-chan GKRJob) <-chan GKRResult {
-	results := make(chan GKRResult, bp.depth)
+// gkrMsg carries an in-flight GKR proof between stages.
+type gkrMsg struct {
+	id    int
+	input []field.Element
+	tr    *transcript.Transcript
+	st    *pcs.ProverState
+	comm  pcs.Commitment
+	gkr   *gkr.Proof
+	u, v  []field.Element
+	proof *gkr.CommittedProof
+	err   error
+}
 
-	type inflight struct {
-		id    int
-		tr    *transcript.Transcript
-		st    *pcs.ProverState
-		comm  pcs.Commitment
-		input []field.Element
-		proof *gkr.Proof
-		u, v  []field.Element
-		err   error
+// processStage runs GKR stage `stage` on one message; a message that
+// failed in an earlier stage passes through untouched.
+func (bp *GKRBatchProver) processStage(stage int, m *gkrMsg) {
+	if m.err != nil {
+		return
 	}
+	switch stage {
+	case 0:
+		if len(m.input) > bp.c.InputSize {
+			m.err = fmt.Errorf("core: job %d input exceeds circuit input size", m.id)
+			return
+		}
+		padded := make([]field.Element, bp.c.InputSize)
+		copy(padded, m.input)
+		if m.st, m.err = pcs.Commit(padded, bp.params); m.err != nil {
+			return
+		}
+		m.comm = m.st.Commitment()
+		m.tr = transcript.New(gkr.Domain)
+		m.tr.AppendDigest("gkr/input-commitment", m.comm.Root)
+	case 1:
+		var values [][]field.Element
+		if values, m.err = bp.c.Evaluate(m.input); m.err != nil {
+			return
+		}
+		m.gkr, m.u, m.v, m.err = gkr.ProveFromValues(bp.c, values, m.tr)
+	case 2:
+		opening, _, err := m.st.ProveEvalMulti([][]field.Element{m.u, m.v}, m.tr)
+		if m.err = err; err == nil {
+			m.proof = &gkr.CommittedProof{GKR: m.gkr, Commitment: m.comm, Opening: opening}
+		}
+		m.st = nil // the column tree is dead once the opening exists
+	}
+}
 
-	// Stage 1: commit to the input.
-	s1 := make(chan *inflight, bp.depth)
+// Run consumes jobs until the channel closes, emitting one result per job
+// in submission order; the three stages work on different proofs
+// concurrently, with at most depth proofs in flight.
+func (bp *GKRBatchProver) Run(jobs <-chan GKRJob) <-chan GKRResult {
+	g, err := sched.NewGraph(gkrStageNames[:], bp.processStage, sched.Options{Name: "gkr", InFlight: bp.depth})
+	if err != nil {
+		// Unreachable: the stages are fixed and depth is validated at
+		// construction.
+		panic(fmt.Sprintf("core: scheduler rejected GKR stage graph: %v", err))
+	}
+	g.SetRecover(func(stage int, m *gkrMsg, r any) {
+		m.err = fmt.Errorf("core: GKR stage %s panicked on job %d: %v", gkrStageNames[stage], m.id, r)
+	})
+	// Intake and results are depth deep, as in BatchProver.Run, so a slow
+	// submitter or consumer does not stall the stages.
+	gin := make(chan gkrMsg, bp.depth)
 	go func() {
-		defer close(s1)
+		defer close(gin)
 		for job := range jobs {
-			f := &inflight{id: job.ID, tr: transcript.New(gkr.Domain), input: job.Input}
-			padded := make([]field.Element, bp.c.InputSize)
-			n := copy(padded, job.Input)
-			if n < len(job.Input) {
-				f.err = fmt.Errorf("core: job %d input exceeds circuit input size", job.ID)
-			} else {
-				f.st, f.err = pcs.Commit(padded, bp.params)
-				if f.err == nil {
-					f.comm = f.st.Commitment()
-					f.tr.AppendDigest("gkr/input-commitment", f.comm.Root)
-				}
-			}
-			s1 <- f
+			gin <- gkrMsg{id: job.ID, input: job.Input}
 		}
 	}()
-
-	// Stage 2: evaluate + layer sum-checks.
-	s2 := make(chan *inflight, bp.depth)
-	go func() {
-		defer close(s2)
-		for f := range s1 {
-			if f.err == nil {
-				var values [][]field.Element
-				values, f.err = bp.c.Evaluate(f.input)
-				if f.err == nil {
-					f.proof, f.u, f.v, f.err = gkr.ProveFromValues(bp.c, values, f.tr)
-				}
-			}
-			s2 <- f
-		}
-	}()
-
-	// Stage 3: input opening + assembly.
+	results := make(chan GKRResult, bp.depth)
 	go func() {
 		defer close(results)
-		for f := range s2 {
-			if f.err != nil {
-				results <- GKRResult{ID: f.id, Err: f.err}
-				continue
-			}
-			opening, _, err := f.st.ProveEvalMulti([][]field.Element{f.u, f.v}, f.tr)
-			if err != nil {
-				results <- GKRResult{ID: f.id, Err: err}
-				continue
-			}
-			results <- GKRResult{ID: f.id, Proof: &gkr.CommittedProof{
-				GKR: f.proof, Commitment: f.comm, Opening: opening,
-			}}
+		for m := range g.Run(gin) {
+			results <- GKRResult{ID: m.id, Proof: m.proof, Err: m.err}
 		}
 	}()
 	return results

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-	"time"
 
 	"batchzk/internal/circuit"
 	"batchzk/internal/field"
@@ -53,16 +52,21 @@ func TestProofBytesGolden(t *testing.T) {
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	pipelined := func(streamingCommit bool, s *Schedule) []*protocol.Proof {
-		bp, err := NewBatchProver(c, p, 2)
+	type streamer interface {
+		SetStreamingCommit(bool)
+		ProveStream(func() (Job, bool), func(Result))
+	}
+	single := func() (streamer, error) { return NewBatchProver(c, p, 2) }
+	sharded := func() (streamer, error) { return NewShardedProver(c, p, 2, 2) }
+	pipelined := func(streamingCommit bool, build func() (streamer, error)) []*protocol.Proof {
+		prover, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp.SetStreamingCommit(streamingCommit)
-		bp.SetSchedule(s)
+		prover.SetStreamingCommit(streamingCommit)
 		proofs := make([]*protocol.Proof, 0, jobs)
 		next := 0
-		bp.ProveStream(func() (Job, bool) {
+		prover.ProveStream(func() (Job, bool) {
 			if next == jobs {
 				return Job{}, false
 			}
@@ -88,11 +92,9 @@ func TestProofBytesGolden(t *testing.T) {
 	}
 	for name, proofs := range map[string][]*protocol.Proof{
 		"one-shot":  oneShot,
-		"pipelined": pipelined(false, nil),
-		"streamed":  pipelined(true, nil),
-		"autobalanced": pipelined(false, &Schedule{
-			Workers: [4]int{2, 2, 2, 2}, Autobalance: true, RebalanceEvery: time.Millisecond, Budget: 8,
-		}),
+		"pipelined": pipelined(false, single),
+		"streamed":  pipelined(true, single),
+		"sharded":   pipelined(false, sharded),
 	} {
 		if got := digest(proofs); got != goldenProofDigest {
 			t.Errorf("%s proofs hash to %s, want %s", name, got, goldenProofDigest)

@@ -12,18 +12,18 @@ import (
 	"batchzk/internal/protocol"
 )
 
-// TestPooledOrderingBitIdenticalUnderFaults is the issue's ordering
-// invariant: with per-stage worker pools > 1 AND fault injection enabled,
-// results still arrive in submission order, every surviving proof is
-// bit-identical to the sequential reference prover, and the quarantine
-// ledger reconciles against the injector's.
-func TestPooledOrderingBitIdenticalUnderFaults(t *testing.T) {
+// TestOrderingBitIdenticalUnderFaults is the pipeline's ordering
+// invariant: with fault injection enabled (retries, stragglers and
+// quarantines shuffling stage timings), results still arrive in
+// submission order, every surviving proof is bit-identical to the
+// sequential reference prover, and the quarantine ledger reconciles
+// against the injector's.
+func TestOrderingBitIdenticalUnderFaults(t *testing.T) {
 	c, p := testCircuit(t)
 	bp, err := NewBatchProver(c, p, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp.SetSchedule(&Schedule{Workers: [4]int{2, 3, 2, 2}})
 	inj := faults.NewInjector(chaosSeed)
 	inj.EnableAll(0.05)
 	inj.SetStragglerDelay(200*time.Microsecond, time.Millisecond)
@@ -41,7 +41,7 @@ func TestPooledOrderingBitIdenticalUnderFaults(t *testing.T) {
 		t.Fatalf("lost results: %d of %d", len(results), len(jobs))
 	}
 
-	// Submission order, despite 9 concurrent stage workers racing.
+	// Submission order, despite retries and stragglers inside the stages.
 	for i, r := range results {
 		if r.ID != i {
 			t.Fatalf("out of order: job %d at position %d", r.ID, i)
@@ -74,7 +74,7 @@ func TestPooledOrderingBitIdenticalUnderFaults(t *testing.T) {
 	// exactly once, failures and dead letters agree, all jobs accounted.
 	ls := inj.Stats()
 	if totalInjected(ls) == 0 {
-		t.Fatal("no faults injected — seed no longer exercises the pools")
+		t.Fatal("no faults injected — seed no longer exercises the fault paths")
 	}
 	if ls.Pending != 0 || inj.Conflicts() != 0 {
 		t.Fatalf("ledger not reconciled: %+v conflicts=%d", ls, inj.Conflicts())
@@ -98,96 +98,6 @@ func TestPooledOrderingBitIdenticalUnderFaults(t *testing.T) {
 		if (r.Err != nil) != deadIDs[r.ID] {
 			t.Fatalf("job %d: result error %v disagrees with dead-letter list", r.ID, r.Err)
 		}
-	}
-}
-
-// Autobalanced pools must keep every correctness property: order,
-// verifying proofs, and a split that still covers all four stages.
-func TestAutobalancedProver(t *testing.T) {
-	c, p := testCircuit(t)
-	bp, err := NewBatchProver(c, p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp.SetSchedule(&Schedule{
-		Workers:        [4]int{2, 2, 2, 2},
-		Autobalance:    true,
-		RebalanceEvery: 2 * time.Millisecond,
-		Budget:         8,
-	})
-	jobs := make([]Job, 32)
-	for i := range jobs {
-		jobs[i] = Job{ID: i, Public: field.RandVector(2), Secret: field.RandVector(2)}
-	}
-	results := bp.ProveBatch(jobs)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
-		}
-		if r.ID != i {
-			t.Fatalf("out of order: %d at %d", r.ID, i)
-		}
-		if err := bp.Verify(jobs[i].Public, r.Proof); err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-	}
-	w := bp.StageWorkers()
-	total := 0
-	for i, v := range w {
-		if v < 1 {
-			t.Fatalf("stage %s starved: %v", StageNames[i], w)
-		}
-		total += v
-	}
-	if total > 8 {
-		t.Fatalf("autobalance exceeded budget: %v", w)
-	}
-}
-
-func TestProportionalSchedule(t *testing.T) {
-	var st Stats
-	st.StageNs = [4]int64{700, 100, 100, 100}
-	s := ProportionalSchedule(st, 10)
-	total := 0
-	for i, w := range s.Workers {
-		if w < 1 {
-			t.Fatalf("stage %d starved: %v", i, s.Workers)
-		}
-		total += w
-	}
-	if total != 10 {
-		t.Fatalf("budget not preserved: %v", s.Workers)
-	}
-	if s.Workers[0] <= s.Workers[1] {
-		t.Fatalf("dominant stage not favored: %v", s.Workers)
-	}
-	if s.TotalWorkers() != 10 {
-		t.Fatalf("TotalWorkers = %d", s.TotalWorkers())
-	}
-}
-
-func TestCalibrateSchedule(t *testing.T) {
-	c, p := testCircuit(t)
-	bp, err := NewBatchProver(c, p, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := bp.CalibrateSchedule(8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for i, w := range s.Workers {
-		if w < 1 {
-			t.Fatalf("stage %d got no workers: %v", i, s.Workers)
-		}
-		total += w
-	}
-	if total != 8 {
-		t.Fatalf("calibrated split %v does not sum to budget", s.Workers)
-	}
-	if _, err := bp.CalibrateSchedule(2, 3); err == nil {
-		t.Fatal("accepted budget below the stage count")
 	}
 }
 

@@ -46,14 +46,6 @@ func (sp *ShardedProver) Shards() int { return len(sp.shards) }
 // Shard returns shard i, for per-shard inspection (stats, quarantine).
 func (sp *ShardedProver) Shard(i int) *BatchProver { return sp.shards[i] }
 
-// SetSchedule installs the same stage-scheduling configuration on every
-// shard. Call before Run/ProveBatch.
-func (sp *ShardedProver) SetSchedule(s *Schedule) {
-	for _, bp := range sp.shards {
-		bp.SetSchedule(s)
-	}
-}
-
 // SetResilience installs the same failure-handling configuration on
 // every shard. A shared *Resilience (including a shared fault injector,
 // whose ledger is thread-safe) is fine: all per-attempt state lives in

@@ -6,7 +6,7 @@ package core
 // ends of that assumption: jobs are pulled from an iterator only as the
 // pipeline has room for them (the submission channel is unbuffered, so
 // at most depth+1 witnesses are ever materialized), and each proof is
-// handed to the caller the moment it leaves the reorder buffer. With the
+// handed to the caller the moment the pipeline emits it. With the
 // commit stage never holding an encoded matrix (see protocol.InFlight),
 // this is the host-side analogue of the paper's ~2N-block device bound:
 // peak memory tracks the in-flight window, not the batch.

@@ -11,12 +11,12 @@ import (
 // Structured event log.
 //
 // Every operationally significant event in the system — a retry, a
-// quarantine, an autobalance decision, a launch fault, an alert — is
+// quarantine, a launch fault, an alert — is
 // emitted as one JSON object on a stable schema, built on stdlib
 // log/slog. The schema contract (kept stable by CI's obs-smoke jq
 // check) is: every record has "time", "level", "msg" (the event name,
 // dot-namespaced like "job.quarantined"), and "component" (the layer
-// that emitted it: core, sched, gpusim, vml, obs). Everything else is
+// that emitted it: core, gpusim, vml, obs). Everything else is
 // typed attributes; the helpers below fix the attribute names the rest
 // of the codebase uses, so "trace_id" is always "trace_id".
 

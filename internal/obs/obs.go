@@ -6,7 +6,7 @@
 // flight timelines. This package judges it, in four coupled parts:
 //
 //   - a structured, leveled event log (log/slog, JSON, trace-id-aware)
-//     that core, sched, gpusim, and vml emit operational events into;
+//     that core, gpusim, and vml emit operational events into;
 //   - an SLO engine: configurable objectives (end-to-end p99 latency,
 //     per-stage latency, error rate) evaluated over sliding windows,
 //     with multi-window burn rates and an error-budget ledger;

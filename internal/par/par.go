@@ -9,8 +9,8 @@
 // SetWidth (default GOMAXPROCS) plus the calling goroutine itself: a
 // caller always executes the first chunk inline and then helps drain the
 // shared task queue while waiting, so nested parallel kernels (a parallel
-// encoder inside a parallel PCS commit, itself inside a sched.Graph stage
-// worker) degrade gracefully to inline execution instead of deadlocking
+// encoder inside a parallel PCS commit, itself running on one of the
+// concurrent sched.Graph stage goroutines) degrade gracefully to inline execution instead of deadlocking
 // or oversubscribing the machine. A saturated queue likewise falls back
 // to inline execution, bounding the total goroutine count at
 // width-1 pool workers regardless of how many kernels run concurrently.

@@ -25,9 +25,17 @@ import (
 
 var proofMagic = [4]byte{'B', 'Z', 'K', '1'}
 
-// maxLen bounds every length field to keep a corrupt stream from
-// triggering huge allocations.
-const maxLen = 1 << 28
+// maxLen bounds every length field; maxPrealloc caps how many entries
+// the decoder allocates for a length before reading them. Slices grow as
+// entries actually arrive, so a short stream claiming a huge length
+// fails at its end instead of allocating for the claim.
+const (
+	maxLen      = 1 << 28
+	maxPrealloc = 1 << 10
+)
+
+// grow returns an empty slice with room for min(n, maxPrealloc) entries.
+func grow[T any](n int) []T { return make([]T, 0, min(n, maxPrealloc)) }
 
 type encoder struct {
 	w   io.Writer
@@ -110,9 +118,11 @@ func (d *decoder) elems() []field.Element {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]field.Element, n)
-	for i := range out {
-		d.elem(&out[i])
+	out := grow[field.Element](n)
+	for i := 0; i < n && d.err == nil; i++ {
+		var x field.Element
+		d.elem(&x)
+		out = append(out, x)
 	}
 	return out
 }
@@ -197,20 +207,25 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	}
 	p.Outputs = d.elems()
 	d.elem(&p.OTau)
-	p.Hadamard = &sumcheck.TripleProof{Rounds: make([]sumcheck.TripleRound, d.u32())}
-	for i := range p.Hadamard.Rounds {
-		for j := range p.Hadamard.Rounds[i].At {
-			d.elem(&p.Hadamard.Rounds[i].At[j])
+	nHad := d.u32()
+	p.Hadamard = &sumcheck.TripleProof{Rounds: grow[sumcheck.TripleRound](nHad)}
+	for i := 0; i < nHad && d.err == nil; i++ {
+		var rd sumcheck.TripleRound
+		for j := range rd.At {
+			d.elem(&rd.At[j])
 		}
+		p.Hadamard.Rounds = append(p.Hadamard.Rounds, rd)
 	}
 	d.elem(&p.LRho)
 	d.elem(&p.RRho)
-	p.Linear = &sumcheck.ProductProof{Rounds: make([]sumcheck.ProductRound, d.u32())}
-	for i := range p.Linear.Rounds {
-		rd := &p.Linear.Rounds[i]
+	nLin := d.u32()
+	p.Linear = &sumcheck.ProductProof{Rounds: grow[sumcheck.ProductRound](nLin)}
+	for i := 0; i < nLin && d.err == nil; i++ {
+		var rd sumcheck.ProductRound
 		d.elem(&rd.At0)
 		d.elem(&rd.At1)
 		d.elem(&rd.At2)
+		p.Linear.Rounds = append(p.Linear.Rounds, rd)
 	}
 	d.elem(&p.WSigma)
 	p.PCSProof = &pcs.EvalProof{
@@ -221,21 +236,20 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	if d.err != nil {
 		return cr.n, d.err
 	}
-	p.PCSProof.Columns = make([]pcs.OpenedColumn, numCols)
-	for i := range p.PCSProof.Columns {
-		col := &p.PCSProof.Columns[i]
-		col.Index = d.u32()
-		col.Values = d.elems()
+	p.PCSProof.Columns = grow[pcs.OpenedColumn](numCols)
+	for i := 0; i < numCols && d.err == nil; i++ {
+		col := pcs.OpenedColumn{Index: d.u32(), Values: d.elems()}
 		mp := &merkle.Proof{Index: d.u32(), Leaf: d.digest()}
 		nSib := d.u32()
 		if d.err != nil {
 			return cr.n, d.err
 		}
-		mp.Siblings = make([]sha2.Digest, nSib)
-		for s := range mp.Siblings {
-			mp.Siblings[s] = d.digest()
+		mp.Siblings = grow[sha2.Digest](nSib)
+		for s := 0; s < nSib && d.err == nil; s++ {
+			mp.Siblings = append(mp.Siblings, d.digest())
 		}
 		col.Proof = mp
+		p.PCSProof.Columns = append(p.PCSProof.Columns, col)
 	}
 	return cr.n, d.err
 }

@@ -2,7 +2,10 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"batchzk/internal/circuit"
@@ -82,6 +85,51 @@ func TestProofDeserializationRejections(t *testing.T) {
 	incomplete := &Proof{}
 	if _, err := incomplete.MarshalBinary(); err == nil {
 		t.Fatal("serialized an incomplete proof")
+	}
+}
+
+// Every length field claims its entries before they are read. A short
+// input claiming maxLen entries in any one of them must fail as a
+// truncation without allocating for the claim.
+func TestProofDecodeBoundsAllocation(t *testing.T) {
+	zero := make([]byte, 32) // an all-zero digest, or the canonical zero element
+	u32 := func(v int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(v)) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// Well-formed prefixes, each ending just before one length field.
+	head := cat(proofMagic[:], zero, u32(1), u32(1)) // magic, root, rows, cols
+	outputs := cat(head, u32(0), zero)               // + outputs, o_tau
+	hadamard := cat(outputs, u32(0), zero, zero)     // + rounds, l_rho, r_rho
+	linear := cat(hadamard, u32(0), zero)            // + rounds, w_sigma
+	rows := cat(linear, u32(0), u32(0))              // + test row, combined row
+	column := cat(rows, u32(1), u32(0))              // + one column, its index
+
+	var empty Proof
+	if err := empty.UnmarshalBinary(cat(rows, u32(0))); err != nil {
+		t.Fatalf("prefixes are malformed: a column-free proof fails with %v", err)
+	}
+	cases := map[string][]byte{
+		"outputs":         cat(head, u32(maxLen)),
+		"hadamard rounds": cat(outputs, u32(maxLen)),
+		"linear rounds":   cat(hadamard, u32(maxLen)),
+		"test row":        cat(linear, u32(maxLen)),
+		"combined row":    cat(linear, u32(0), u32(maxLen)),
+		"columns":         cat(rows, u32(maxLen)),
+		"column values":   cat(column, u32(maxLen)),
+		"siblings":        cat(column, u32(0), u32(0), zero, u32(maxLen)),
+	}
+	for name, data := range cases {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		var p Proof
+		err := p.UnmarshalBinary(data)
+		runtime.ReadMemStats(&ms)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Errorf("%s: %d-byte input claiming %d entries: err %v, want a truncation", name, len(data), maxLen, err)
+		}
+		if d := ms.TotalAlloc - before; d >= 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(data), d)
+		}
 	}
 }
 

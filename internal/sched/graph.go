@@ -2,90 +2,49 @@ package sched
 
 import (
 	"fmt"
-	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"batchzk/internal/obs"
 	"batchzk/internal/telemetry"
 )
-
-// Autobalance configures elastic runtime rebalancing of a Graph's worker
-// pools: a controller periodically re-derives the per-stage pool sizes
-// from the busy time each stage accumulated since the last rebalance (the
-// live analogue of the paper's amortized-time-ratio rule) and applies the
-// proportional split of the worker budget.
-type Autobalance struct {
-	// Interval is the rebalance period (0 means 50ms).
-	Interval time.Duration
-	// Budget is the total worker count distributed across stages
-	// (0 means the sum of the initial pool sizes).
-	Budget int
-	// MinWorkers is the per-stage floor (0 means 1).
-	MinWorkers int
-}
-
-func (a *Autobalance) interval() time.Duration {
-	if a.Interval <= 0 {
-		return 50 * time.Millisecond
-	}
-	return a.Interval
-}
 
 // Options tune a Graph.
 type Options struct {
 	// Name prefixes the graph's telemetry series (sched/<name>/...).
 	Name string
-	// InFlight bounds the number of items inside the graph at once —
-	// the dynamic-loading memory bound. Must be ≥ 1.
+	// InFlight bounds the number of items between admission and emission
+	// — the dynamic-loading memory bound. Must be ≥ 1.
 	InFlight int
 	// Telemetry overrides the process-wide sink when non-nil.
 	Telemetry *telemetry.Sink
-	// Autobalance enables elastic pool rebalancing when non-nil.
-	Autobalance *Autobalance
 }
 
-// Graph drives items of type T through a linear list of stages, each
-// served by a worker pool, and emits them in submission order. Build one
+// Graph drives items of type T through a linear chain of named stages,
+// one goroutine per stage, and emits them in submission order. Build one
 // with NewGraph and drive it with Run (one Run per Graph).
-//
-// Elasticity is implemented as concurrency gating rather than goroutine
-// churn: every stage spawns its maximum pool up front, and a resizable
-// limiter bounds how many of those workers may process concurrently.
-// Resizing the limiter is cheap, race-free, and never strands queued
-// items the way retiring worker goroutines could.
 type Graph[T any] struct {
-	name    string
-	specs   []StageSpec
-	opts    Options
+	stages  []string
+	depth   int // Options.InFlight
 	process func(stage int, item *T)
 	recover func(stage int, item *T, r any)
 
-	limiters []*limiter
-	busyNs   []atomic.Int64
-	maxPool  []int
-
 	// Telemetry handles (nil-safe when disabled).
-	workerGauges []*telemetry.Gauge
-	queueWait    []*telemetry.Histogram
-	inFlightG    *telemetry.Gauge
-	rebalances   *telemetry.Counter
-	panics       *telemetry.Counter
+	queueWait []*telemetry.Histogram
+	inFlight  *telemetry.Gauge
+	panics    *telemetry.Counter
 
-	rebalanced atomic.Int64
-	started    atomic.Bool
+	started atomic.Bool
 }
 
-// NewGraph builds a graph over the given stages. process runs stage
-// `stage` on an item; it is called concurrently from the stage's worker
-// pool and must be safe for that (items themselves are never shared
-// between concurrent calls). Errors are the caller's concern — encode
-// them in T. A panicking process call is recovered, counted, and
-// reported through the handler installed with SetRecover; the item still
-// flows to emission so the stream never stalls.
-func NewGraph[T any](specs []StageSpec, process func(stage int, item *T), opts Options) (*Graph[T], error) {
-	if len(specs) == 0 {
+// NewGraph builds a graph over the named stages. process runs stage
+// `stage` on an item; calls for different stages run concurrently, but
+// each stage sees its items one at a time, in submission order. Errors
+// are the caller's concern — encode them in T. A panicking process call
+// is recovered, counted, and reported through the handler installed with
+// SetRecover; the item still flows on to emission so the stream never
+// stalls.
+func NewGraph[T any](stages []string, process func(stage int, item *T), opts Options) (*Graph[T], error) {
+	if len(stages) == 0 {
 		return nil, fmt.Errorf("sched: graph needs at least one stage")
 	}
 	if process == nil {
@@ -97,97 +56,32 @@ func NewGraph[T any](specs []StageSpec, process func(stage int, item *T), opts O
 	if opts.Name == "" {
 		opts.Name = "graph"
 	}
-	n := len(specs)
-	g := &Graph[T]{
-		name:    opts.Name,
-		specs:   append([]StageSpec(nil), specs...),
-		opts:    opts,
-		process: process,
-
-		limiters: make([]*limiter, n),
-		busyNs:   make([]atomic.Int64, n),
-		maxPool:  make([]int, n),
-
-		workerGauges: make([]*telemetry.Gauge, n),
-		queueWait:    make([]*telemetry.Histogram, n),
-	}
-	budget := 0
-	for i := range specs {
-		budget += specs[i].workers()
-	}
-	if ab := opts.Autobalance; ab != nil && ab.Budget > 0 {
-		budget = ab.Budget
-	}
-	minW := 1
-	if ab := opts.Autobalance; ab != nil && ab.MinWorkers > 0 {
-		minW = ab.MinWorkers
-	}
-	for i := range specs {
-		w := specs[i].workers()
-		g.maxPool[i] = w
-		if opts.Autobalance != nil {
-			// Any stage may grow to the whole spare budget on top of the
-			// other stages' floors.
-			g.maxPool[i] = budget - (n-1)*minW
-			if g.maxPool[i] < w {
-				g.maxPool[i] = w
-			}
-		}
-		g.limiters[i] = newLimiter(w)
-	}
-
 	sink := telemetry.Resolve(opts.Telemetry)
-	for i := range specs {
-		base := "sched/" + g.name + "/stage/" + g.stageName(i)
-		g.workerGauges[i] = sink.Gauge(base + "/workers")
-		g.workerGauges[i].Set(int64(specs[i].workers()))
-		g.queueWait[i] = sink.Histogram(base + "/queue_wait_ns")
+	g := &Graph[T]{
+		stages:    append([]string(nil), stages...),
+		depth:     opts.InFlight,
+		process:   process,
+		queueWait: make([]*telemetry.Histogram, len(stages)),
+		inFlight:  sink.Gauge("sched/" + opts.Name + "/in_flight"),
+		panics:    sink.Counter("sched/" + opts.Name + "/panics_recovered"),
 	}
-	g.inFlightG = sink.Gauge("sched/" + g.name + "/in_flight")
-	g.rebalances = sink.Counter("sched/" + g.name + "/rebalances")
-	g.panics = sink.Counter("sched/" + g.name + "/panics_recovered")
+	for i, name := range stages {
+		if name == "" {
+			return nil, fmt.Errorf("sched: stage %d has no name", i)
+		}
+		g.queueWait[i] = sink.Histogram("sched/" + opts.Name + "/stage/" + name + "/queue_wait_ns")
+	}
 	return g, nil
 }
 
-func (g *Graph[T]) stageName(i int) string {
-	if g.specs[i].Name != "" {
-		return g.specs[i].Name
-	}
-	return fmt.Sprintf("stage%d", i)
-}
-
 // SetRecover installs the handler called when a process call panics; it
-// runs on the recovering worker before the item is forwarded. Call
-// before Run.
+// runs on the stage goroutine before the item is forwarded. Call before
+// Run.
 func (g *Graph[T]) SetRecover(fn func(stage int, item *T, r any)) { g.recover = fn }
 
-// Workers returns the current per-stage pool sizes (the limiter targets,
-// which autobalance moves at runtime).
-func (g *Graph[T]) Workers() []int {
-	out := make([]int, len(g.limiters))
-	for i, l := range g.limiters {
-		out[i] = l.Limit()
-	}
-	return out
-}
-
-// BusyNs returns the cumulative busy time each stage's workers have
-// spent inside process calls.
-func (g *Graph[T]) BusyNs() []int64 {
-	out := make([]int64, len(g.busyNs))
-	for i := range g.busyNs {
-		out[i] = g.busyNs[i].Load()
-	}
-	return out
-}
-
-// Rebalances returns how many elastic rebalances have been applied.
-func (g *Graph[T]) Rebalances() int64 { return g.rebalanced.Load() }
-
-// envelope carries an item with its submission sequence number and the
-// timestamp of its last enqueue (for the queue-wait histograms).
+// envelope carries an item with the timestamp of its last enqueue, for
+// the queue-wait histograms.
 type envelope[T any] struct {
-	seq  uint64
 	item T
 	enq  time.Time
 }
@@ -200,89 +94,47 @@ func (g *Graph[T]) Run(in <-chan T) <-chan T {
 	if g.started.Swap(true) {
 		panic("sched: Graph.Run called twice")
 	}
-	n := len(g.specs)
-	depth := g.opts.InFlight
-	queues := make([]chan *envelope[T], n+1)
+	// Every queue is InFlight deep: the semaphore already bounds the items
+	// anywhere in the graph, so a stage never waits on a full queue.
+	queues := make([]chan *envelope[T], len(g.stages)+1)
 	for i := range queues {
-		queues[i] = make(chan *envelope[T], depth)
+		queues[i] = make(chan *envelope[T], g.depth)
 	}
-	sem := make(chan struct{}, depth)
-	out := make(chan T, depth)
-	done := make(chan struct{})
+	sem := make(chan struct{}, g.depth)
 
-	// Source: admit items under the in-flight bound and stamp sequence
-	// numbers for the reorder buffer.
+	// Admission: an item enters only once one of the InFlight slots is free.
 	go func() {
 		defer close(queues[0])
-		var seq uint64
 		for item := range in {
 			sem <- struct{}{}
-			g.inFlightG.Add(1)
-			queues[0] <- &envelope[T]{seq: seq, item: item, enq: time.Now()}
-			seq++
+			g.inFlight.Add(1)
+			queues[0] <- &envelope[T]{item: item, enq: time.Now()}
 		}
 	}()
-
-	// Stage worker pools. Workers beyond the limiter target park on
-	// acquire; the autobalance controller moves the targets.
-	for i := 0; i < n; i++ {
-		var wg sync.WaitGroup
-		for w := 0; w < g.maxPool[i]; w++ {
-			wg.Add(1)
-			go g.worker(i, queues[i], queues[i+1], &wg)
-		}
-		go func(i int) {
-			wg.Wait()
-			close(queues[i+1])
-		}(i)
+	for i := range g.stages {
+		go g.stage(i, queues[i], queues[i+1])
 	}
-
-	// Reorder buffer: emit strictly in submission order, releasing the
-	// in-flight slot only at emission so the bound covers the buffer.
+	// Emission releases the slot, so the bound covers every item a stage
+	// has finished but the consumer has not yet been handed.
+	out := make(chan T, g.depth)
 	go func() {
 		defer close(out)
-		defer close(done)
-		pending := make(map[uint64]*envelope[T])
-		var next uint64
-		for env := range queues[n] {
-			pending[env.seq] = env
-			for {
-				e, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				out <- e.item
-				g.inFlightG.Add(-1)
-				<-sem
-				next++
-			}
+		for env := range queues[len(g.stages)] {
+			out <- env.item
+			g.inFlight.Add(-1)
+			<-sem
 		}
 	}()
-
-	if g.opts.Autobalance != nil {
-		go g.autobalance(done)
-	}
 	return out
 }
 
-// worker is one pool goroutine of stage i: acquire a concurrency slot,
-// pull an item, process it (with last-resort panic recovery), forward.
-func (g *Graph[T]) worker(i int, in <-chan *envelope[T], fwd chan<- *envelope[T], wg *sync.WaitGroup) {
-	defer wg.Done()
-	lim := g.limiters[i]
-	for {
-		lim.acquire()
-		env, ok := <-in
-		if !ok {
-			lim.release()
-			return
-		}
+// stage is the goroutine serving stage i: pull, process (with last-resort
+// panic recovery), forward.
+func (g *Graph[T]) stage(i int, in <-chan *envelope[T], fwd chan<- *envelope[T]) {
+	defer close(fwd)
+	for env := range in {
 		g.queueWait[i].Observe(time.Since(env.enq).Nanoseconds())
-		start := time.Now()
 		g.runProcess(i, &env.item)
-		g.busyNs[i].Add(time.Since(start).Nanoseconds())
-		lim.release()
 		env.enq = time.Now()
 		fwd <- env
 	}
@@ -298,135 +150,4 @@ func (g *Graph[T]) runProcess(stage int, item *T) {
 		}
 	}()
 	g.process(stage, item)
-}
-
-// autobalance periodically re-derives the pool split from the busy time
-// accumulated since the last rebalance and applies it.
-func (g *Graph[T]) autobalance(done <-chan struct{}) {
-	ab := g.opts.Autobalance
-	ticker := time.NewTicker(ab.interval())
-	defer ticker.Stop()
-	last := make([]int64, len(g.busyNs))
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-			g.RebalanceNow(last)
-		}
-	}
-}
-
-// RebalanceNow applies one elastic rebalance from the busy time
-// accumulated since the snapshot in last (which it updates in place);
-// pass nil to rebalance from all-time busy totals. It is exported so
-// tests and callers with their own pacing can trigger a deterministic
-// rebalance without waiting on the controller's ticker. No-op unless
-// the graph was built with Options.Autobalance.
-func (g *Graph[T]) RebalanceNow(last []int64) {
-	ab := g.opts.Autobalance
-	if ab == nil {
-		return
-	}
-	n := len(g.specs)
-	weights := make([]float64, n)
-	total := 0.0
-	for i := range g.busyNs {
-		d := g.busyNs[i].Load()
-		if last != nil {
-			cur := d
-			d -= last[i]
-			last[i] = cur
-		}
-		if d < 0 {
-			d = 0
-		}
-		weights[i] = float64(d)
-		total += weights[i]
-	}
-	if total <= 0 {
-		return // no work observed this window; keep the current split
-	}
-	budget := ab.Budget
-	if budget <= 0 {
-		for i := range g.specs {
-			budget += g.specs[i].workers()
-		}
-	}
-	minW := ab.MinWorkers
-	if minW < 1 {
-		minW = 1
-	}
-	want := Proportional(weights, budget, minW)
-	changed := false
-	before := make([]int, n)
-	after := make([]int, n)
-	for i, w := range want {
-		if w > g.maxPool[i] {
-			w = g.maxPool[i]
-		}
-		before[i] = g.limiters[i].Limit()
-		after[i] = w
-		if before[i] != w {
-			g.limiters[i].setLimit(w)
-			g.workerGauges[i].Set(int64(w))
-			changed = true
-		}
-	}
-	if changed {
-		g.rebalanced.Add(1)
-		g.rebalances.Inc()
-		obs.Info("sched", "autobalance.rebalanced",
-			slog.String("graph", g.name),
-			slog.String("workers_before", fmt.Sprint(before)),
-			slog.String("workers_after", fmt.Sprint(after)),
-			slog.Int("budget", budget))
-	}
-}
-
-// limiter is a resizable counting semaphore: at most limit holders at
-// once, with setLimit waking parked waiters when the limit grows.
-type limiter struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	limit  int
-	active int
-}
-
-func newLimiter(limit int) *limiter {
-	l := &limiter{limit: limit}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-func (l *limiter) acquire() {
-	l.mu.Lock()
-	for l.active >= l.limit {
-		l.cond.Wait()
-	}
-	l.active++
-	l.mu.Unlock()
-}
-
-func (l *limiter) release() {
-	l.mu.Lock()
-	l.active--
-	l.mu.Unlock()
-	l.cond.Signal()
-}
-
-func (l *limiter) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	l.mu.Lock()
-	l.limit = n
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-func (l *limiter) Limit() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.limit
 }

@@ -1,165 +1,28 @@
-// Package sched is the unified execution layer of the reproduction: one
-// stage-graph scheduler that both internal/core's BatchProver and
-// internal/pipeline's module schedules run on.
+// Package sched is the execution layer of the reproduction: two
+// executors over a linear list of stages.
 //
-// The paper's §4 assigns GPU threads to the prover modules in proportion
-// to each module's amortized time ratio — the encoder, Merkle tree, and
-// sum-check kernels each own a slice of the device sized so no stage
-// starves the pipeline. sched is the host-side realization of that rule,
-// in two disciplines over the same stage-graph description:
-//
-//   - Graph (graph.go): an elastic streaming executor. Each stage runs a
-//     worker pool of configurable size; pool sizes are set explicitly,
-//     derived from the amortized-time-ratio rule (Proportional), or
-//     rebalanced at runtime from live per-stage busy shares
-//     (Options.Autobalance). Because parallel stage workers break FIFO
-//     ordering, a reorder buffer re-emits results in submission order,
-//     and a semaphore bounds the number of items in flight (the paper's
-//     dynamic-loading memory bound).
+//   - Graph (graph.go): the streaming executor internal/core's batch
+//     provers run on. Each named stage is served by one goroutine, and
+//     FIFO channels join consecutive stages, so items leave in submission
+//     order. An admission semaphore, released only at emission, bounds
+//     the number of items inside the graph (the paper's dynamic-loading
+//     memory bound).
 //
 //   - RunCycles (cycles.go): the cycle-synchronous executor for modules
 //     whose stages share cross-task state (the double-buffer discipline
 //     of Figure 5): one task enters per cycle, stages run in descending
-//     order within a cycle, with an optional end-of-cycle barrier. It is
-//     the degenerate one-worker-per-stage case of the same stage graph,
-//     kept synchronous so buffer reads never overtake writes.
+//     order within a cycle, with an optional end-of-cycle barrier, so
+//     buffer reads never overtake writes.
 //
-// Both disciplines share the failure contract (a panicking stage worker
-// is recovered and attributed, never allowed to wedge the graph) and the
-// telemetry surface: per-stage worker-count gauges
-// (sched/<graph>/stage/<name>/workers), queue-wait histograms
-// (sched/<graph>/stage/<name>/queue_wait_ns), busy counters, and a
-// rebalance counter, all nil-safe when telemetry is disabled.
+// The paper's §4 thread allocation (threads per module in proportion to
+// the module's amortized time) lives in the GPU simulator
+// (core.SystemStages → gpusim), where a module's share of the device is
+// what the model varies. On the host every stage owns one goroutine and
+// the kernels inside it share the par runtime's GOMAXPROCS-wide pool.
+//
+// Both executors recover a panicking stage instead of letting it wedge
+// the run, and record nil-safe telemetry: per-stage queue-wait
+// histograms (sched/<graph>/stage/<name>/queue_wait_ns), an in-flight
+// gauge and a panics_recovered counter for Graph; cycle, slot and error
+// series for RunCycles.
 package sched
-
-import (
-	"fmt"
-)
-
-// StageSpec describes one stage of a linear stage graph.
-type StageSpec struct {
-	// Name labels the stage in telemetry and introspection.
-	Name string
-	// Workers is the stage's worker-pool size (0 means 1).
-	Workers int
-}
-
-func (s StageSpec) workers() int {
-	if s.Workers < 1 {
-		return 1
-	}
-	return s.Workers
-}
-
-// Proportional splits a worker budget across stages in proportion to
-// their weights — the paper's §4 amortized-time-ratio rule (thread count
-// ∝ per-module amortized time), with a floor of min workers per stage so
-// no stage ever starves. Rounding uses the largest-remainder method, so
-// the split is deterministic, sums exactly to the budget, and never
-// allocates below the floor. A budget smaller than len(weights)·min is
-// raised to the floor allocation; zero or negative weights are treated
-// as "no measured demand" and share only the floor.
-func Proportional(weights []float64, budget, min int) []int {
-	n := len(weights)
-	if n == 0 {
-		return nil
-	}
-	if min < 1 {
-		min = 1
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = min
-	}
-	spare := budget - n*min
-	if spare <= 0 {
-		return out
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		// No signal: spread the spare round-robin for a near-even split.
-		for i := 0; i < spare; i++ {
-			out[i%n]++
-		}
-		return out
-	}
-	// Largest-remainder apportionment of the spare workers.
-	type frac struct {
-		i int
-		f float64
-	}
-	fracs := make([]frac, n)
-	assigned := 0
-	for i, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		ideal := float64(spare) * w / total
-		base := int(ideal)
-		out[i] += base
-		assigned += base
-		fracs[i] = frac{i: i, f: ideal - float64(base)}
-	}
-	// Hand the leftover to the largest fractional parts; ties break on
-	// the lower stage index so the result is stable across runs.
-	for assigned < spare {
-		best := -1
-		for j := range fracs {
-			if best < 0 || fracs[j].f > fracs[best].f {
-				best = j
-			}
-		}
-		out[fracs[best].i]++
-		fracs[best].f = -1
-		assigned++
-	}
-	return out
-}
-
-// ParseWorkers parses a CLI worker specification: either a comma-
-// separated per-stage list ("2,4,1,1" → explicit pool sizes) or a single
-// integer ("8" → a total budget to split by the amortized-time-ratio
-// rule). It returns the explicit sizes (nil when a budget was given) and
-// the budget (0 when an explicit list was given).
-func ParseWorkers(spec string, numStages int) (workers []int, budget int, err error) {
-	if spec == "" {
-		return nil, 0, nil
-	}
-	var vals []int
-	rest := spec
-	for rest != "" {
-		var tok string
-		if i := indexByte(rest, ','); i >= 0 {
-			tok, rest = rest[:i], rest[i+1:]
-		} else {
-			tok, rest = rest, ""
-		}
-		v := 0
-		if _, err := fmt.Sscanf(tok, "%d", &v); err != nil || v < 1 {
-			return nil, 0, fmt.Errorf("sched: bad worker count %q in %q (want positive integers)", tok, spec)
-		}
-		vals = append(vals, v)
-	}
-	switch len(vals) {
-	case 1:
-		return nil, vals[0], nil
-	case numStages:
-		return vals, 0, nil
-	default:
-		return nil, 0, fmt.Errorf("sched: worker list %q has %d entries, want %d (one per stage) or a single total budget", spec, len(vals), numStages)
-	}
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}

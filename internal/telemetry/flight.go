@@ -15,7 +15,7 @@ import (
 // The span tracer answers "where did wall time go, per stage, across all
 // jobs"; the flight recorder answers the orthogonal service question:
 // "what happened to *this* job". Every proof job is minted a TraceID at
-// submission and keeps it across stage hops, worker pools, retries,
+// submission and keeps it across stage hops, retries,
 // shard assignment, and dead-letter quarantine, accumulating one
 // JobTimeline: submit → queue wait → per-stage spans (with attempt
 // counts) → (retries/quarantine) → emit. Timelines export as JSON
