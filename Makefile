@@ -19,11 +19,12 @@ test:
 	$(GO) test -C benchmark
 
 # Exercise the concurrency-sensitive layers (stage executors, batch
-# prover stages, pipelined module schedules, fault injector, telemetry
-# registry/tracer) under the race detector.
+# prover stages, pipelined module schedules, the parallel sum-check kernel
+# and the GKR layer proofs on it, fault injector, telemetry registry/tracer)
+# under the race detector.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/pipeline/... ./internal/telemetry/... ./internal/faults/... ./internal/gpusim/... \
-		./internal/par/... ./internal/merkle/... ./internal/encoder/... ./internal/sumcheck/... ./internal/ntt/... ./internal/pcs/... ./internal/msm/... \
+		./internal/par/... ./internal/merkle/... ./internal/encoder/... ./internal/sumcheck/... ./internal/gkr/... ./internal/ntt/... ./internal/pcs/... ./internal/msm/... \
 		./internal/service/... ./internal/protocol/... ./internal/field/... ./internal/fp/... ./internal/curve/...
 
 vet:
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/fp/
 	$(GO) test -run '^$$' -fuzz FuzzChallengeDerivation -fuzztime $(FUZZTIME) ./internal/transcript/
 	$(GO) test -run '^$$' -fuzz FuzzOpeningProofVerify -fuzztime $(FUZZTIME) ./internal/merkle/
+	$(GO) test -run '^$$' -fuzz FuzzVerify -fuzztime $(FUZZTIME) ./internal/sumcheck/
 	$(GO) test -run '^$$' -fuzz FuzzAgainstOracles -fuzztime $(FUZZTIME) ./internal/sha2/
 	$(GO) test -run '^$$' -fuzz FuzzProofDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/protocol/
 

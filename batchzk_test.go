@@ -2,8 +2,11 @@ package batchzk
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"batchzk/internal/sumcheck"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -152,6 +155,28 @@ func TestPublicAPIModules(t *testing.T) {
 	for i := range cw {
 		if !codes[0][i].Equal(&cw[i]) {
 			t.Fatal("batch codeword differs")
+		}
+	}
+}
+
+// TestVerifySumRejectsWrongRoundCount: a proof of the right claim with
+// one round too few or too many — an honest proof over [claim, 0, …] of
+// that size, so every round check passes — is rejected with ErrReject.
+func TestVerifySumRejectsWrongRoundCount(t *testing.T) {
+	evals := RandVector(32)
+	_, claim, err := ProveSum("t", evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{16, 64} {
+		forged := make([]Element, size)
+		forged[0] = claim
+		sp, _, err := ProveSum("t", forged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifySum("t", claim, sp, evals); !errors.Is(err, sumcheck.ErrReject) {
+			t.Fatalf("%d-entry proof for a 32-entry table: got %v, want ErrReject", size, err)
 		}
 	}
 }

@@ -193,8 +193,10 @@ func ProveFromValues(c *Circuit, values [][]field.Element, tr *transcript.Transc
 				g[gate.In0].Add(&g[gate.In0], &t)
 			}
 		}
+		// The sum-check reads its tables and never writes them, so both
+		// phases run on the layer's values themselves.
+		vML, _ := poly.NewMultilinear(next)
 		hML, _ := poly.NewMultilinear(h)
-		vML, _ := poly.NewMultilinear(append([]field.Element{}, next...))
 		gML, _ := poly.NewMultilinear(g)
 		p1, pointU, finals1, err := sumcheck.ProveAffineProduct(hML, vML, gML, claim, tr)
 		if err != nil {
@@ -227,9 +229,8 @@ func ProveFromValues(c *Circuit, values [][]field.Element, tr *transcript.Transc
 			}
 		}
 		aML, _ := poly.NewMultilinear(a2)
-		vML2, _ := poly.NewMultilinear(append([]field.Element{}, next...))
 		bML, _ := poly.NewMultilinear(b2)
-		p2, pointV, finals2, err := sumcheck.ProveAffineProduct(aML, vML2, bML, claim2, tr)
+		p2, pointV, finals2, err := sumcheck.ProveAffineProduct(aML, vML, bML, claim2, tr)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("gkr: layer %d phase 2: %w", i, err)
 		}
@@ -296,14 +297,19 @@ func Verify(c *Circuit, proof *Proof, tr *transcript.Transcript) (u, v []field.E
 			err = fmt.Errorf("%w: layer %d missing phases", ErrReject, i)
 			return
 		}
+		// Both phases run over the next layer's indices.
+		s := log2(c.InputSize)
+		if i+1 < c.Depth() {
+			s = log2(len(c.Layers[i+1]))
+		}
 		var expected1, expected2 field.Element
-		u, expected1, err = sumcheck.VerifyAffineProduct(claim, lp.Phase1, tr)
+		u, expected1, err = sumcheck.VerifyAffineProduct(s, claim, lp.Phase1, tr)
 		if err != nil {
 			err = fmt.Errorf("%w: layer %d phase 1: %v", ErrReject, i, err)
 			return
 		}
 		tr.AppendElement("gkr/vu", &lp.VU)
-		v, expected2, err = sumcheck.VerifyAffineProduct(expected1, lp.Phase2, tr)
+		v, expected2, err = sumcheck.VerifyAffineProduct(s, expected1, lp.Phase2, tr)
 		if err != nil {
 			err = fmt.Errorf("%w: layer %d phase 2: %v", ErrReject, i, err)
 			return

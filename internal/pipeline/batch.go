@@ -216,25 +216,16 @@ func BatchSumcheck(tables [][]field.Element, challenge SumcheckChallenge) ([]Sum
 
 	err := runSchedule("sumcheck", len(tables), nVars, func(_, stage, task int) error {
 		in := size >> stage
-		half := in / 2
 		var src []field.Element
 		if stage == 0 {
 			src = tables[task] // dynamic loading from host memory
 		} else {
 			src = buffers[stage].ReadBuf()[:in]
 		}
-		dst := buffers[stage+1].WriteBuf()[:half]
-
-		var p1, p2 field.Element
-		for b := 0; b < half; b++ {
-			p1.Add(&p1, &src[b])
-			p2.Add(&p2, &src[b+half])
-		}
-		results[task].Proof.Rounds[stage] = sumcheck.RoundPair{P1: p1, P2: p2}
-		r := challenge(task, stage, p1, p2)
-		for b := 0; b < half; b++ {
-			dst[b].Lerp(&r, &src[b], &src[b+half])
-		}
+		dst := buffers[stage+1].WriteBuf()[:in/2]
+		results[task].Proof.Rounds[stage] = sumcheck.Round(dst, src, func(m sumcheck.RoundPair) field.Element {
+			return challenge(task, stage, m.P1, m.P2)
+		})
 		if stage == nVars-1 {
 			results[task].Final = dst[0]
 		}

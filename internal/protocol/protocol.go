@@ -498,7 +498,7 @@ func Verify(c *circuit.Circuit, p *Params, public []field.Element, proof *Proof)
 	// 2. Hadamard sum-check against the claimed Õ(τ).
 	tau := tr.ChallengeElements("tau", p.gateVars)
 	tr.AppendElement("o_tau", &proof.OTau)
-	rho, finalTriple, err := sumcheck.VerifyTriple(proof.OTau, proof.Hadamard, tr)
+	rho, finalTriple, err := sumcheck.VerifyTriple(p.gateVars, proof.OTau, proof.Hadamard, tr)
 	if err != nil {
 		return fmt.Errorf("%w: hadamard: %v", ErrReject, err)
 	}
@@ -531,7 +531,7 @@ func Verify(c *circuit.Circuit, p *Params, public []field.Element, proof *Proof)
 		t.Mul(&alphas[3+k], &vals[k])
 		claim.Add(&claim, &t)
 	}
-	sigma, finalLin, err := sumcheck.VerifyProduct(claim, proof.Linear, tr)
+	sigma, finalLin, err := sumcheck.VerifyProduct(p.wireVars, claim, proof.Linear, tr)
 	if err != nil {
 		return fmt.Errorf("%w: linear: %v", ErrReject, err)
 	}

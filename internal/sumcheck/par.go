@@ -1,18 +1,18 @@
 package sumcheck
 
 import (
+	"fmt"
+
 	"batchzk/internal/field"
 	"batchzk/internal/par"
+	"batchzk/internal/poly"
 	"batchzk/internal/transcript"
 )
 
-// Parallel round kernels shared by every sum-check variant (plain,
-// product, affine, triple). Each round of Algorithm 1 does two
-// data-parallel sweeps over the half table: an evaluation sweep that
-// reduces to the round message, and a fold sweep that binds the round
-// challenge. Both split into deterministic chunks; the evaluation sweep
-// accumulates per-chunk partials and reduces them in chunk order, so the
-// proof bytes are bit-identical to the serial prover for any width.
+// The kernel every variant runs on: proveFrom proves, verify checks. Each
+// round sweeps the half table twice, to evaluate the round message and to
+// fold in the challenge, in deterministic chunks whose partial sums reduce
+// in chunk order, so the proof bytes do not depend on the width.
 
 // parallelHalf is the half-table length below which rounds run serially
 // (late rounds shrink geometrically; chunking a 64-entry fold costs more
@@ -20,50 +20,27 @@ import (
 // parallel path at small sizes.
 var parallelHalf = 2048
 
-// roundChunks resolves the chunk count for a half-table sweep. The count
-// is pinned before dispatch so a concurrent SetWidth cannot change the
-// partial-buffer layout mid-round.
-func roundChunks(half int) int {
+// foldWidth is the par width of a fold sweep over half entries.
+func foldWidth(half int) int {
 	if half < parallelHalf {
 		return 1
 	}
-	return par.Chunks(0, half)
+	return 0
 }
 
-// halfSums returns (Σ_b table[b], Σ_b table[b+half]) over the low/high
-// halves — the plain variant's round message.
-func halfSums(s *par.Scratch, table []field.Element) (p1, p2 field.Element) {
-	half := len(table) / 2
-	k := roundChunks(half)
-	if k <= 1 {
-		for b := 0; b < half; b++ {
-			p1.Add(&p1, &table[b])
-			p2.Add(&p2, &table[b+half])
-		}
-		return
-	}
-	partials := s.ZeroElements(0, 2*k)
-	par.ForChunks(k, half, func(c, lo, hi int) {
-		var s1, s2 field.Element
-		for b := lo; b < hi; b++ {
-			s1.Add(&s1, &table[b])
-			s2.Add(&s2, &table[b+half])
-		}
-		partials[2*c] = s1
-		partials[2*c+1] = s2
-	})
-	for c := 0; c < k; c++ {
-		p1.Add(&p1, &partials[2*c])
-		p2.Add(&p2, &partials[2*c+1])
-	}
-	return
-}
+// terms adds a block's contribution to the round polynomial's values at
+// 0, 1, …, d into acc, given aligned entries of every table's two halves.
+type terms func(low, high [][]field.Element, acc []field.Element)
 
-// reduceSums runs body over deterministic chunks of [0, half), collecting
-// `arity` partial sums per chunk and reducing them in chunk order into
-// out. body must add its chunk's contribution into out[0..arity).
+// reduceSums runs body over deterministic chunks of [0, half), each adding
+// into its own `arity` partial sums, and reduces them in chunk order into
+// out. The chunk count is pinned before dispatch, so a concurrent SetWidth
+// cannot change the partial-buffer layout mid-round.
 func reduceSums(s *par.Scratch, half, arity int, out []field.Element, body func(lo, hi int, acc []field.Element)) {
-	k := roundChunks(half)
+	k := 1
+	if half >= parallelHalf {
+		k = par.Chunks(0, half)
+	}
 	if k <= 1 {
 		body(0, half, out)
 		return
@@ -79,55 +56,6 @@ func reduceSums(s *par.Scratch, half, arity int, out []field.Element, body func(
 	}
 }
 
-// foldTables binds the round challenge in place: table[b] ← lerp(r,
-// table[b], table[b+half]) for every table.
-func foldTables(r *field.Element, tables ...[]field.Element) {
-	foldTablesInto(r, tables, tables)
-}
-
-// foldTablesInto binds the round challenge: dst[t][b] ← lerp(r, src[t][b],
-// src[t][b+half]) for every table t, fused per index; dst[t] is src[t]
-// itself or a separate buffer of at least half its length. Writes are
-// disjoint by index and never land in a high half, which is only read
-// during the sweep, so any chunking is bit-identical to the serial fold.
-func foldTablesInto(r *field.Element, dst, src [][]field.Element) {
-	half := len(src[0]) / 2
-	w := 0
-	if half < parallelHalf {
-		w = 1
-	}
-	par.ForWidth(w, half, func(lo, hi int) {
-		for t, tb := range src {
-			out := dst[t]
-			for b := lo; b < hi; b++ {
-				out[b].Lerp(r, &tb[b], &tb[b+half])
-			}
-		}
-	})
-}
-
-// foldRound binds the round challenge and halves every table. Round 0
-// folds out of place: tables then still are the caller's, which are read
-// but never written, and each is replaced by a fresh table of half the
-// length that the later rounds fold in place. This is what lets the
-// product provers run on the caller's tables without cloning them — the
-// only copy ever made is already half the size.
-func foldRound(r *field.Element, round int, tables [][]field.Element) {
-	half := len(tables[0]) / 2
-	src := tables
-	if round == 0 {
-		src = append([][]field.Element(nil), tables...)
-		arena := make([]field.Element, len(tables)*half)
-		for t := range tables {
-			tables[t] = arena[t*half : (t+1)*half]
-		}
-	}
-	foldTablesInto(r, tables, src)
-	for t := range tables {
-		tables[t] = tables[t][:half]
-	}
-}
-
 // Source supplies the entries of a sum-check's tables to its first
 // rounds: it fills dst[t][i] with entry lo+i of table t, for every table t
 // and every i < len(dst[t]). The prover calls it from several goroutines
@@ -136,7 +64,7 @@ func foldRound(r *field.Element, round int, tables [][]field.Element) {
 // sourceRounds−1 produces, a 2^-sourceRounds fraction of the source, are
 // the only ones ever materialized. A caller whose tables are cheap to
 // compute on the fly (an eq table, gate inputs gathered from a witness)
-// never stores them.
+// never stores them, and a caller's tables in memory are never written.
 type Source func(lo int, dst [][]field.Element)
 
 // sourceRounds is how many rounds a prover evaluates straight from its
@@ -159,11 +87,11 @@ func TableSource(tables ...[]field.Element) Source {
 	}
 }
 
-// sourceBlock is how many entries of each table a first-round chunk
+// sourceBlock is how many entries of each table a source-round chunk
 // fetches from its Source at a time.
 const sourceBlock = 512
 
-// sourceBlocks walks [lo, hi) of the first round's half range in blocks,
+// sourceBlocks walks [lo, hi) of a source round's half range in blocks,
 // handing f the block's offset and the matching entries of every table's
 // low half (entries b) and high half (entries b+half).
 func sourceBlocks(src Source, k, half, lo, hi int, f func(off int, low, high [][]field.Element)) {
@@ -181,135 +109,202 @@ func sourceBlocks(src Source, k, half, lo, hi int, f func(off int, low, high [][
 	}
 }
 
-// sourceSums is reduceSums for the first round: body receives aligned
-// blocks of the low and high halves of the k source tables.
-func sourceSums(s *par.Scratch, src Source, k, half, arity int, out []field.Element, body func(low, high [][]field.Element, acc []field.Element)) {
-	reduceSums(s, half, arity, out, func(lo, hi int, acc []field.Element) {
-		sourceBlocks(src, k, half, lo, hi, func(_ int, low, high [][]field.Element) {
-			body(low, high, acc)
-		})
-	})
-}
-
-// tableSums is reduceSums for a later round over materialized tables,
-// handing body the chunk's slices of every table's two halves.
-func tableSums(s *par.Scratch, tables [][]field.Element, arity int, out []field.Element, body func(low, high [][]field.Element, acc []field.Element)) {
-	half := len(tables[0]) / 2
-	reduceSums(s, half, arity, out, func(lo, hi int, acc []field.Element) {
-		low, high := make([][]field.Element, len(tables)), make([][]field.Element, len(tables))
-		for t, tb := range tables {
-			low[t], high[t] = tb[lo:hi], tb[half+lo:half+hi]
-		}
-		body(low, high, acc)
-	})
-}
-
 // bind returns the Source of src's k tables (2·half entries each) with
 // their top variable fixed to r: entry b is lerp(r, src(b), src(b+half)).
 func bind(src Source, k, half int, r field.Element) Source {
 	return func(lo int, dst [][]field.Element) {
-		s := par.GetScratch()
-		defer par.PutScratch(s)
-		low, high := make([][]field.Element, k), make([][]field.Element, k)
-		for t := range low {
-			low[t], high[t] = s.Elements(t, len(dst[t])), s.Elements(k+t, len(dst[t]))
-		}
-		src(lo, low)
-		src(lo+half, high)
-		for t, out := range dst {
-			for i := range out {
-				out[i].Lerp(&r, &low[t][i], &high[t][i])
+		sourceBlocks(src, k, half, lo, lo+len(dst[0]), func(off int, low, high [][]field.Element) {
+			for t := range dst {
+				out := dst[t][off-lo:]
+				for i := range low[t] {
+					out[i].Lerp(&r, &low[t][i], &high[t][i])
+				}
 			}
-		}
+		})
 	}
 }
 
-// foldSource binds a source round's challenge: it returns k fresh tables
-// of length half with table t's entry b = lerp(r, src_t(b), src_t(b+half)),
-// the tables every later round folds in place.
-func foldSource(r *field.Element, src Source, k, half int) [][]field.Element {
+// newTables returns k tables of length half in one arena.
+func newTables(k, half int) [][]field.Element {
 	arena := make([]field.Element, k*half)
 	tables := make([][]field.Element, k)
 	for t := range tables {
 		tables[t] = arena[t*half : (t+1)*half : (t+1)*half]
 	}
-	w := 0
-	if half < parallelHalf {
-		w = 1
-	}
-	par.ForWidth(w, half, func(lo, hi int) {
-		sourceBlocks(src, k, half, lo, hi, func(off int, low, high [][]field.Element) {
-			for t, out := range tables {
-				out = out[off:]
-				for i := range low[t] {
-					out[i].Lerp(r, &low[t][i], &high[t][i])
-				}
-			}
-		})
+	return tables
+}
+
+// foldSource stores the k tables of bind(src, k, half, r), which every
+// later round folds in place.
+func foldSource(r field.Element, src Source, k, half int) [][]field.Element {
+	tables, bound := newTables(k, half), bind(src, k, half, r)
+	par.ForWidth(foldWidth(half), half, func(lo, hi int) {
+		dst := make([][]field.Element, k)
+		for t := range dst {
+			dst[t] = tables[t][lo:hi]
+		}
+		bound(lo, dst)
 	})
 	return tables
 }
 
-// proveFrom runs an n-round sum-check for Σ_b Π_t table_t(b) over the k
-// tables of src. terms adds one chunk's contribution to the round
-// polynomial's values at the arity points 0, 1, …; the transcript labels
-// start with domain. It returns the round messages, the challenge point
-// (x_1..x_n order), the claimed sum — the first round's value at 0 plus
-// its value at 1, so no pass of its own — and the tables' final values.
-//
-// The first sourceRounds rounds read src, bound to each challenge in
-// turn; the fold after the last of them stores the tables, which later
-// rounds fold in place.
-func proveFrom(domain string, n, k, arity int, src Source, terms func(low, high [][]field.Element, acc []field.Element), tr *transcript.Transcript) (msgs [][]field.Element, point []field.Element, claim field.Element, finals []field.Element) {
-	if n == 0 {
-		finals = make([]field.Element, k)
-		v := make([][]field.Element, k)
-		for t := range v {
-			v[t] = finals[t : t+1]
+// step is one round over tables in memory: it sums the message into msg,
+// draws r = next(round, msg) and folds, dst[t][b] ← lerp(r, src[t][b],
+// src[t][b+half]), into dst: src itself or tables at least half as long,
+// which it leaves half long. No write lands in a high half, which is only
+// read, so any chunking folds as the serial loop does. It returns r.
+func step(s *par.Scratch, dst, src [][]field.Element, msg []field.Element, body terms, next challenger, round int) field.Element {
+	half := len(src[0]) / 2
+	reduceSums(s, half, len(msg), msg, func(lo, hi int, acc []field.Element) {
+		low, high := make([][]field.Element, len(src)), make([][]field.Element, len(src))
+		for t, tb := range src {
+			low[t], high[t] = tb[lo:hi], tb[half+lo:half+hi]
 		}
-		src(0, v)
-		claim.SetOne()
-		for t := range finals {
-			claim.Mul(&claim, &finals[t])
+		body(low, high, acc)
+	})
+	r := next(round, msg)
+	par.ForWidth(foldWidth(half), half, func(lo, hi int) {
+		for t, tb := range src {
+			out := dst[t]
+			for b := lo; b < hi; b++ {
+				out[b].Lerp(&r, &tb[b], &tb[b+half])
+			}
 		}
-		tr.AppendUint64(domain+"/n", 0)
-		tr.AppendElement(domain+"/claim", &claim)
-		return nil, []field.Element{}, claim, finals
+	})
+	for t := range dst {
+		dst[t] = dst[t][:half]
 	}
-	all := make([]field.Element, n*arity)
-	challenges := make([]field.Element, n)
-	var tables [][]field.Element
+	return r
+}
+
+// Round is one round of Algorithm 1, the work of one stage of the
+// pipelined prover (§3.2): it returns the message (Σ_b src[b], Σ_b
+// src[b+half]) and writes src folded with the challenge next(message) into
+// dst[:len(src)/2]. src is read, never written, unless dst is src.
+func Round(dst, src []field.Element, next func(RoundPair) field.Element) RoundPair {
 	s := par.GetScratch()
 	defer par.PutScratch(s)
-	for i := 0; i < n; i++ {
-		msg := all[i*arity : (i+1)*arity]
-		msgs = append(msgs, msg)
-		half := 1 << (n - 1 - i)
-		if tables == nil {
-			sourceSums(s, src, k, half, arity, msg, terms)
-		} else {
-			tableSums(s, tables, arity, msg, terms)
-		}
+	var msg [2]field.Element
+	step(s, [][]field.Element{dst}, [][]field.Element{src}, msg[:], plainTerms, func(_ int, m []field.Element) field.Element {
+		return next(RoundPair{P1: m[0], P2: m[1]})
+	}, 0)
+	return RoundPair{P1: msg[0], P2: msg[1]}
+}
+
+// challenger returns round i's challenge once the prover has sent msg,
+// the round polynomial's values at 0, 1, …. A sum-check of no rounds calls
+// it once, at round 0, with msg = (claim, 0), and ignores the result.
+type challenger func(round int, msg []field.Element) field.Element
+
+// fiatShamir is the challenger of a non-interactive n-round sum-check
+// under domain's labels: round 0 first absorbs n and the claim msg[0] +
+// msg[1]; each round absorbs msg, as one list or value by value under
+// labels if given, and draws the challenge.
+func fiatShamir(tr *transcript.Transcript, domain string, n int, labels ...string) challenger {
+	return func(i int, msg []field.Element) (r field.Element) {
 		if i == 0 {
+			var claim field.Element
 			claim.Add(&msg[0], &msg[1])
 			tr.AppendUint64(domain+"/n", uint64(n))
 			tr.AppendElement(domain+"/claim", &claim)
 		}
-		tr.AppendElements(domain+"/round", msg)
-		r := tr.ChallengeElement(domain + "/r")
-		challenges[i] = r
-		switch {
-		case tables != nil:
-			foldRound(&r, i, tables)
-		case i+1 < sourceRounds && i+1 < n:
-			src = bind(src, k, half, r)
-		default:
-			tables = foldSource(&r, src, k, half)
+		if i == n {
+			return r
+		}
+		if labels == nil {
+			tr.AppendElements(domain+"/round", msg)
+		}
+		for j, l := range labels {
+			tr.AppendElement(l, &msg[j])
+		}
+		return tr.ChallengeElement(domain + "/r")
+	}
+}
+
+// fixed is the challenger that hands out rs in round order.
+func fixed(rs []field.Element) challenger {
+	return func(i int, _ []field.Element) (r field.Element) {
+		if i < len(rs) {
+			r = rs[i]
+		}
+		return r
+	}
+}
+
+// proveFrom is the one sum-check prover: n rounds over the k tables of
+// src, each message's arity values summed by body, each challenge drawn
+// from next. The first sourceRounds rounds read src, bound to each
+// challenge in turn; the fold after the last of them stores the tables,
+// which later rounds fold in place. It returns the messages end to end,
+// the point (x_1..x_n order), the claim — round 0's values at 0 and 1
+// summed, so no pass of its own — and the tables' final values.
+func proveFrom(n, k, arity int, src Source, body terms, next challenger) (msgs, point []field.Element, claim field.Element, finals []field.Element) {
+	msgs = make([]field.Element, max(n, 1)*arity)
+	var tables [][]field.Element
+	if n == 0 { // the tables are their one entry, beside a zero high half
+		tables = newTables(k, 1)
+		src(0, tables)
+		body(tables, newTables(k, 1), msgs)
+		next(0, msgs)
+	}
+	point = make([]field.Element, n)
+	s := par.GetScratch()
+	defer par.PutScratch(s)
+	for i := range n {
+		msg := msgs[i*arity : (i+1)*arity]
+		half := 1 << (n - 1 - i)
+		r := &point[n-1-i] // round i binds x_{n-i}
+		if tables != nil {
+			*r = step(s, tables, tables, msg, body, next, i)
+			continue
+		}
+		reduceSums(s, half, arity, msg, func(lo, hi int, acc []field.Element) {
+			sourceBlocks(src, k, half, lo, hi, func(_ int, low, high [][]field.Element) {
+				body(low, high, acc)
+			})
+		})
+		*r = next(i, msg)
+		if i+1 < sourceRounds && i+1 < n {
+			src = bind(src, k, half, *r)
+		} else {
+			tables = foldSource(*r, src, k, half)
 		}
 	}
 	finals = make([]field.Element, k)
 	for t := range finals {
 		finals[t] = tables[t][0]
 	}
-	return msgs, reversed(challenges), claim, finals
+	claim.Add(&msgs[0], &msgs[1])
+	return msgs[:n*arity], point, claim, finals
+}
+
+// verify is the one sum-check verifier: it checks want rounds of degree-d
+// round polynomials, their values at 0..d laid end to end in msgs, against
+// claim, drawing each challenge from next; any other round count is
+// rejected. It returns the point (x_1..x_n order) and the final claimed
+// value, which the caller checks against the polynomial.
+func verify(claim field.Element, d, want int, msgs []field.Element, next challenger) ([]field.Element, field.Element, error) {
+	if len(msgs) != want*(d+1) {
+		return nil, field.Element{}, fmt.Errorf("%w: %d round values, want %d rounds of %d", ErrReject, len(msgs), want, d+1)
+	}
+	if want == 0 {
+		next(0, []field.Element{claim, {}})
+	}
+	expected, point := claim, make([]field.Element, want)
+	for i := range want {
+		msg := msgs[i*(d+1) : (i+1)*(d+1)]
+		var sum field.Element
+		sum.Add(&msg[0], &msg[1])
+		if !sum.Equal(&expected) {
+			return nil, field.Element{}, fmt.Errorf("%w: round %d sum mismatch", ErrReject, i)
+		}
+		r := &point[want-1-i]
+		*r = next(i, msg)
+		if d == 1 {
+			expected.Lerp(r, &msg[0], &msg[1])
+		} else {
+			expected = poly.InterpolateEvalAt(msg, r)
+		}
+	}
+	return point, expected, nil
 }

@@ -140,9 +140,9 @@ func TestProveTripleBitIdenticalAcrossWidths(t *testing.T) {
 	}
 }
 
-// The product provers run on the caller's tables without cloning them, so
-// they must leave them exactly as they found them — callers (gkr, the
-// benchmark's kernel replay) prove over the same tables again.
+// Every prover runs on the caller's tables without cloning them, so it
+// must leave them exactly as it found them — callers (gkr, the benchmark's
+// kernel replay) prove over the same tables again.
 func TestProductProversLeaveInputsUntouched(t *testing.T) {
 	lowerGrain(t)
 	rng := rand.New(rand.NewSource(45))
@@ -167,6 +167,10 @@ func TestProductProversLeaveInputsUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, _, _, err := ProveAffineProduct(a, b, c, claim, transcript.New("scA")); err != nil {
+			t.Fatal(err)
+		}
+		Prove(a, transcript.New("sc1"))
+		if _, _, err := ProveWithChallenges(b, field.RandVector(n)); err != nil {
 			t.Fatal(err)
 		}
 		for i, m := range []*poly.Multilinear{a, b, c} {

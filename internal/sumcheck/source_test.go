@@ -9,12 +9,15 @@ import (
 
 	"batchzk/internal/field"
 	"batchzk/internal/par"
+	"batchzk/internal/poly"
 	"batchzk/internal/transcript"
 )
 
-// refProveTriple and refProveProduct are the provers as they were before
-// the first round moved onto a Source: a separate pass for the claim, and
-// every round — the first included — over tables held in full.
+// The reference provers: refProveTriple and refProveProduct as they were
+// before the first round moved onto a Source, refProve (Algorithm 1) and
+// refProveAffine as they were before they moved onto the shared kernel.
+// Each makes a separate pass for the claim and runs every round — the
+// first included — over tables held in full.
 
 func refFold(r *field.Element, tables [][]field.Element) {
 	half := len(tables[0]) / 2
@@ -100,6 +103,81 @@ func refProveProduct(ft, gt []field.Element, tr *transcript.Transcript) (*Produc
 	return proof, reversed(challenges), claim, [2]field.Element{tables[0][0], tables[1][0]}
 }
 
+func refProve(table []field.Element, tr *transcript.Transcript) (*Proof, []field.Element, field.Element) {
+	n := 0
+	for 1<<n < len(table) {
+		n++
+	}
+	tables := [][]field.Element{table}
+	var claim field.Element
+	for b := range table {
+		claim.Add(&claim, &table[b])
+	}
+	tr.AppendUint64("sumcheck/n", uint64(n))
+	tr.AppendElement("sumcheck/claim", &claim)
+	proof := &Proof{Rounds: make([]RoundPair, n)}
+	challenges := make([]field.Element, n)
+	for i := 0; i < n; i++ {
+		half := len(tables[0]) / 2
+		var rd RoundPair
+		for b := 0; b < half; b++ {
+			rd.P1.Add(&rd.P1, &tables[0][b])
+			rd.P2.Add(&rd.P2, &tables[0][b+half])
+		}
+		proof.Rounds[i] = rd
+		tr.AppendElement("sumcheck/p1", &rd.P1)
+		tr.AppendElement("sumcheck/p2", &rd.P2)
+		r := tr.ChallengeElement("sumcheck/r")
+		challenges[i] = r
+		refFold(&r, tables)
+	}
+	return proof, reversed(challenges), claim
+}
+
+func refProveAffine(at, vt, ct []field.Element, tr *transcript.Transcript) (*ProductProof, []field.Element, field.Element, [3]field.Element) {
+	n := 0
+	for 1<<n < len(at) {
+		n++
+	}
+	tables := [][]field.Element{at, vt, ct}
+	var claim, t field.Element
+	for b := range at {
+		t.Mul(&at[b], &vt[b])
+		claim.Add(&claim, &t)
+		claim.Add(&claim, &ct[b])
+	}
+	tr.AppendUint64("sumcheckA/n", uint64(n))
+	tr.AppendElement("sumcheckA/claim", &claim)
+	proof := &ProductProof{Rounds: make([]ProductRound, n)}
+	challenges := make([]field.Element, n)
+	for i := 0; i < n; i++ {
+		a, v, c := tables[0], tables[1], tables[2]
+		half := len(a) / 2
+		var sums [3]field.Element
+		var a2, v2, c2 field.Element
+		for b := 0; b < half; b++ {
+			t.Mul(&a[b], &v[b])
+			sums[0].Add(&sums[0], &t)
+			sums[0].Add(&sums[0], &c[b])
+			t.Mul(&a[b+half], &v[b+half])
+			sums[1].Add(&sums[1], &t)
+			sums[1].Add(&sums[1], &c[b+half])
+			a2.Lerp(&two, &a[b], &a[b+half])
+			v2.Lerp(&two, &v[b], &v[b+half])
+			c2.Lerp(&two, &c[b], &c[b+half])
+			t.Mul(&a2, &v2)
+			sums[2].Add(&sums[2], &t)
+			sums[2].Add(&sums[2], &c2)
+		}
+		proof.Rounds[i] = ProductRound{At0: sums[0], At1: sums[1], At2: sums[2]}
+		tr.AppendElements("sumcheckA/round", sums[:])
+		r := tr.ChallengeElement("sumcheckA/r")
+		challenges[i] = r
+		refFold(&r, tables)
+	}
+	return proof, reversed(challenges), claim, [3]field.Element{tables[0][0], tables[1][0], tables[2][0]}
+}
+
 // shortTable is a random table of `real` entries padded with zeros to 2^n.
 func shortTable(rng *rand.Rand, n, real int) (short, padded []field.Element) {
 	padded = make([]field.Element, 1<<n)
@@ -111,11 +189,11 @@ func shortTable(rng *rand.Rand, n, real int) (short, padded []field.Element) {
 	return padded[:real], padded
 }
 
-// TestSourceProversMatchReference pins the Source-fed first round to the
-// full-table provers: same proof, point, claim, and final values, for
-// full tables, for zero-padded tables handed over without their padding
-// (including shorter than one half, and empty), and at several widths
-// with the parallel grain forced down.
+// TestSourceProversMatchReference pins every variant on the shared kernel
+// to its reference prover: same proof, point, claim, and final values, at
+// several widths with the parallel grain forced down. The triple and
+// product provers are also fed zero-padded tables without their padding
+// (including shorter than one half, and empty) through a Source.
 func TestSourceProversMatchReference(t *testing.T) {
 	lowerGrain(t)
 	rng := rand.New(rand.NewSource(12))
@@ -141,9 +219,32 @@ func TestSourceProversMatchReference(t *testing.T) {
 				if !reflect.DeepEqual(gotQ, wantQ) || !field.VectorEqual(gotQt, wantQt) || gotD != wantD || gotG != wantG {
 					t.Fatalf("product n=%d real=%d width=%d: differs from the reference prover", n, real, w)
 				}
+				if real != size {
+					continue
+				}
+				em, fm, gm := multilinear(t, ep), multilinear(t, fp), multilinear(t, gp)
+				wantR, wantRt, wantS := refProve(ep, transcript.New("src"))
+				gotR, gotRt, gotS := Prove(em, transcript.New("src"))
+				if !reflect.DeepEqual(gotR, wantR) || !field.VectorEqual(gotRt, wantRt) || gotS != wantS {
+					t.Fatalf("plain n=%d width=%d: differs from the reference prover", n, w)
+				}
+				wantA, wantAt, claim, wantAF := refProveAffine(ep, fp, gp, transcript.New("src"))
+				gotA, gotAt, gotAF, err := ProveAffineProduct(em, fm, gm, claim, transcript.New("src"))
+				if err != nil || !reflect.DeepEqual(gotA, wantA) || !field.VectorEqual(gotAt, wantAt) || gotAF != wantAF {
+					t.Fatalf("affine n=%d width=%d: differs from the reference prover (%v)", n, w, err)
+				}
 			}
 		}
 	}
+}
+
+func multilinear(t *testing.T, evals []field.Element) *poly.Multilinear {
+	t.Helper()
+	m, err := poly.NewMultilinear(evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestSourceFirstRoundStaysInBlocks: the prover asks a Source for blocks

@@ -16,7 +16,7 @@ func TestProveVerifyRoundTrip(t *testing.T) {
 		if proof.NumRounds() != n {
 			t.Fatalf("n=%d rounds=%d", n, proof.NumRounds())
 		}
-		gotPoint, final, err := Verify(claim, proof, transcript.New("sc"))
+		gotPoint, final, err := Verify(n, claim, proof, transcript.New("sc"))
 		if err != nil {
 			t.Fatalf("n=%d verify: %v", n, err)
 		}
@@ -39,7 +39,7 @@ func TestVerifyRejectsWrongClaim(t *testing.T) {
 	proof, _, claim := Prove(m, transcript.New("sc"))
 	var bad field.Element
 	bad.Add(&claim, &[]field.Element{field.One()}[0])
-	if _, _, err := Verify(bad, proof, transcript.New("sc")); !errors.Is(err, ErrReject) {
+	if _, _, err := Verify(6, bad, proof, transcript.New("sc")); !errors.Is(err, ErrReject) {
 		t.Fatalf("wrong claim accepted: %v", err)
 	}
 }
@@ -50,20 +50,20 @@ func TestVerifyRejectsTamperedRound(t *testing.T) {
 	for round := 0; round < 6; round += 2 {
 		tampered := &Proof{Rounds: append([]RoundPair{}, proof.Rounds...)}
 		tampered.Rounds[round].P1.Add(&tampered.Rounds[round].P1, &[]field.Element{field.One()}[0])
-		_, final, err := Verify(claim, tampered, transcript.New("sc"))
+		_, final, err := Verify(6, claim, tampered, transcript.New("sc"))
 		if err == nil {
 			// Tampering a single P1 in a way that preserves P1+P2 is not
 			// possible here (we only changed P1), so sums must mismatch —
 			// except in round > 0 where the expected value also shifts.
 			// In every case a final-evaluation check must fail:
-			pt, _, _ := Verify(claim, tampered, transcript.New("sc"))
+			pt, _, _ := Verify(6, claim, tampered, transcript.New("sc"))
 			eval, _ := m.Evaluate(pt)
 			if eval.Equal(&final) {
 				t.Fatalf("round %d tampering passed all checks", round)
 			}
 		}
 	}
-	if _, _, err := Verify(claim, &Proof{}, transcript.New("sc")); err == nil {
+	if _, _, err := Verify(6, claim, &Proof{}, transcript.New("sc")); err == nil {
 		t.Fatal("empty proof accepted")
 	}
 }
@@ -75,7 +75,7 @@ func TestSoundnessAgainstWrongPolynomial(t *testing.T) {
 	q := poly.RandMultilinear(5)
 	proof, _, _ := Prove(m, transcript.New("sc"))
 	wrongClaim := q.HypercubeSum()
-	_, _, err := Verify(wrongClaim, proof, transcript.New("sc"))
+	_, _, err := Verify(5, wrongClaim, proof, transcript.New("sc"))
 	if err == nil {
 		t.Fatal("first-round sum check should already fail for a wrong claim")
 	}
@@ -158,7 +158,7 @@ func TestProductProveVerify(t *testing.T) {
 		if !claim.Equal(&want) {
 			t.Fatal("claim != inner product")
 		}
-		gotPoint, finalProd, err := VerifyProduct(claim, proof, transcript.New("sc2"))
+		gotPoint, finalProd, err := VerifyProduct(n, claim, proof, transcript.New("sc2"))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -187,10 +187,10 @@ func TestProductRejections(t *testing.T) {
 
 	var bad field.Element
 	bad.Add(&claim, &[]field.Element{field.One()}[0])
-	if _, _, err := VerifyProduct(bad, proof, transcript.New("sc2")); !errors.Is(err, ErrReject) {
+	if _, _, err := VerifyProduct(4, bad, proof, transcript.New("sc2")); !errors.Is(err, ErrReject) {
 		t.Fatalf("wrong product claim accepted: %v", err)
 	}
-	if _, _, err := VerifyProduct(claim, &ProductProof{}, transcript.New("sc2")); err == nil {
+	if _, _, err := VerifyProduct(4, claim, &ProductProof{}, transcript.New("sc2")); err == nil {
 		t.Fatal("empty product proof accepted")
 	}
 	h := poly.RandMultilinear(5)
@@ -200,7 +200,7 @@ func TestProductRejections(t *testing.T) {
 
 	tampered := &ProductProof{Rounds: append([]ProductRound{}, proof.Rounds...)}
 	tampered.Rounds[2].At2.Add(&tampered.Rounds[2].At2, &claim)
-	pt, finalProd, err := VerifyProduct(claim, tampered, transcript.New("sc2"))
+	pt, finalProd, err := VerifyProduct(4, claim, tampered, transcript.New("sc2"))
 	if err == nil {
 		fe, _ := f.Evaluate(pt)
 		ge, _ := g.Evaluate(pt)
@@ -242,4 +242,13 @@ func BenchmarkProve(b *testing.B) {
 
 func sizeName(n int) string {
 	return "n=" + string(rune('0'+n/10)) + string(rune('0'+n%10))
+}
+
+// reversed turns round-order challenges into a point in x_1..x_n order.
+func reversed(rs []field.Element) []field.Element {
+	out := make([]field.Element, len(rs))
+	for i := range rs {
+		out[i] = rs[len(rs)-1-i]
+	}
+	return out
 }

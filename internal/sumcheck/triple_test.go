@@ -28,7 +28,7 @@ func TestTripleProveVerify(t *testing.T) {
 		if !claim.Equal(&want) {
 			t.Fatal("claim mismatch")
 		}
-		gotPoint, finalProd, err := VerifyTriple(claim, proof, transcript.New("sc3"))
+		gotPoint, finalProd, err := VerifyTriple(n, claim, proof, transcript.New("sc3"))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -75,7 +75,7 @@ func TestTripleWithEqPolynomial(t *testing.T) {
 
 	// Verify, then check the final value using the closed-form eq
 	// evaluation (what the real verifier does — no eq table needed).
-	pt, finalProd, err := VerifyTriple(claim, proof, transcript.New("had"))
+	pt, finalProd, err := VerifyTriple(n, claim, proof, transcript.New("had"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +101,10 @@ func TestTripleRejections(t *testing.T) {
 
 	var bad field.Element
 	bad.Add(&claim, &[]field.Element{field.One()}[0])
-	if _, _, err := VerifyTriple(bad, proof, transcript.New("sc3")); !errors.Is(err, ErrReject) {
+	if _, _, err := VerifyTriple(4, bad, proof, transcript.New("sc3")); !errors.Is(err, ErrReject) {
 		t.Fatalf("wrong claim accepted: %v", err)
 	}
-	if _, _, err := VerifyTriple(claim, &TripleProof{}, transcript.New("sc3")); err == nil {
+	if _, _, err := VerifyTriple(4, claim, &TripleProof{}, transcript.New("sc3")); err == nil {
 		t.Fatal("empty proof accepted")
 	}
 	h := poly.RandMultilinear(5)
@@ -117,7 +117,7 @@ func TestTripleRejections(t *testing.T) {
 
 	tampered := &TripleProof{Rounds: append([]TripleRound{}, proof.Rounds...)}
 	tampered.Rounds[1].At[3].Add(&tampered.Rounds[1].At[3], &claim)
-	pt, finalProd, err := VerifyTriple(claim, tampered, transcript.New("sc3"))
+	pt, finalProd, err := VerifyTriple(4, claim, tampered, transcript.New("sc3"))
 	if err == nil {
 		// Must be caught at the external final check.
 		ee, _ := e.Evaluate(pt)

@@ -79,7 +79,7 @@ func VerifySum(domain string, claim Element, proof *SumcheckProof, evals []Eleme
 	if err != nil {
 		return err
 	}
-	point, final, err := sumcheck.Verify(claim, proof, transcript.New(domain))
+	point, final, err := sumcheck.Verify(m.NumVars(), claim, proof, transcript.New(domain))
 	if err != nil {
 		return err
 	}
