@@ -90,13 +90,25 @@ type Assignment []field.Element
 
 // Evaluate computes the witness for the given inputs.
 func (c *Circuit) Evaluate(public, secret []field.Element) (Assignment, error) {
+	return c.EvaluateInto(nil, public, secret)
+}
+
+// EvaluateInto is Evaluate writing the witness into dst's memory, which it
+// grows only if dst is too short; whatever dst held is overwritten. A
+// caller that proves one circuit many times reuses one buffer this way.
+func (c *Circuit) EvaluateInto(dst Assignment, public, secret []field.Element) (Assignment, error) {
 	if len(public) != c.NumPublic {
 		return nil, fmt.Errorf("circuit: %d public inputs, want %d", len(public), c.NumPublic)
 	}
 	if len(secret) != c.NumSecret {
 		return nil, fmt.Errorf("circuit: %d secret inputs, want %d", len(secret), c.NumSecret)
 	}
-	w := make(Assignment, c.numWires)
+	w := dst[:0]
+	if cap(w) < c.numWires {
+		w = make(Assignment, c.numWires)
+	}
+	w = w[:c.numWires]
+	clear(w)
 	w[0] = field.One()
 	copy(w[1:], public)
 	copy(w[1+c.NumPublic:], secret)

@@ -27,6 +27,7 @@ import (
 	"batchzk/internal/circuit"
 	"batchzk/internal/field"
 	"batchzk/internal/obs"
+	"batchzk/internal/par"
 	"batchzk/internal/protocol"
 	"batchzk/internal/sched"
 	"batchzk/internal/telemetry"
@@ -237,6 +238,7 @@ func (bp *BatchProver) Params() *protocol.Params { return bp.p }
 type stageMsg struct {
 	id    int
 	src   Job
+	arena *protocol.Arena // the proof's memory, recycled at hand-off
 	f     *protocol.InFlight
 	proof *protocol.Proof
 	err   error
@@ -262,7 +264,12 @@ type stageMsg struct {
 // so the four stages run concurrently on different messages; runStage
 // layers the resilience semantics (retries, deadlines, panic recovery,
 // quarantine) per message.
-func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
+//
+// arenas is the run's free list of per-proof arenas: a proof takes one at
+// its first stage and gives it back when its result is handed out, the
+// same point that frees its in-flight slot, so depth arenas serve every
+// proof after the first depth.
+func (bp *BatchProver) processStage(stage int, ins instruments, arenas chan *protocol.Arena, m *stageMsg) {
 	switch stage {
 	case 0:
 		m.started = time.Now()
@@ -272,12 +279,17 @@ func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
 		m.job.SetTrace(m.trace)
 		m.waitNs = 0 // admission wait is stamped by the flight recorder
 		job := m.src
+		select {
+		case m.arena = <-arenas:
+		default:
+			m.arena = new(protocol.Arena)
+		}
 		bp.runStage(0, ins, m, func() error {
 			var err error
 			if job.Witness == nil {
-				m.f, err = protocol.StartProofFromInputs(bp.c, bp.p, job.Public, job.Secret)
+				m.f, err = m.arena.StartProofFromInputs(bp.c, bp.p, job.Public, job.Secret)
 			} else {
-				m.f, err = protocol.StartProof(bp.c, bp.p, job.Witness)
+				m.f, err = m.arena.StartProof(bp.c, bp.p, job.Witness)
 			}
 			return err
 		})
@@ -310,8 +322,9 @@ func (bp *BatchProver) processStage(stage int, ins instruments, m *stageMsg) {
 // most depth proofs are in flight (the dynamic-loading memory bound).
 func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 	ins := bp.instruments()
+	arenas := make(chan *protocol.Arena, bp.depth)
 	g, err := sched.NewGraph(StageNames[:], func(stage int, m *stageMsg) {
-		bp.processStage(stage, ins, m)
+		bp.processStage(stage, ins, arenas, m)
 	}, sched.Options{Name: "core", InFlight: bp.depth, Telemetry: bp.tel})
 	if err != nil {
 		// Unreachable: the stages are fixed and depth is validated at
@@ -338,29 +351,40 @@ func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 		}
 	}()
 
-	results := make(chan Result, bp.depth)
+	// Unbuffered: a result is handed out when the consumer takes it, and
+	// only then does its proof give back its slot and its arena.
+	results := make(chan Result)
 	go func() {
 		defer close(results)
-		for m := range g.Run(gin) {
+		g.Run(gin, func(m stageMsg) {
 			m.job.End()
 			e2eNs := time.Since(m.started).Nanoseconds()
 			ins.e2e.Observe(e2eNs)
 			obs.Active().ObserveQueueDepth(bp.inFlight.Add(-1))
 			ins.inFlight.Add(-1)
 			obs.Active().ObserveJob(bp.shard, e2eNs, m.err != nil, m.quarantined)
+			if m.arena != nil {
+				select {
+				case arenas <- m.arena:
+				default:
+				}
+			}
 			if m.err != nil {
 				bp.failed.Add(1)
 				ins.failed.Inc()
 				ins.flight.Emit(m.trace, m.err.Error())
 				results <- Result{ID: m.id, Err: m.err, Trace: m.trace}
-				continue
+				return
 			}
 			bp.completed.Add(1)
 			ins.completed.Inc()
 			ins.flight.Emit(m.trace, "")
 			obs.Debug("core", "job.completed", obs.Job(m.id), obs.Trace(m.trace), obs.Shard(bp.shard))
 			results <- Result{ID: m.id, Proof: m.proof, Trace: m.trace}
-		}
+		})
+		// The arenas die with the run; the kernels' free lists are
+		// emptied so an idle prover holds no proof-sized buffers.
+		par.ReleaseIdle()
 	}()
 	return results
 }

@@ -5,6 +5,7 @@ import (
 
 	"batchzk/internal/field"
 	"batchzk/internal/gkr"
+	"batchzk/internal/par"
 	"batchzk/internal/pcs"
 	"batchzk/internal/sched"
 	"batchzk/internal/transcript"
@@ -115,8 +116,9 @@ func (bp *GKRBatchProver) Run(jobs <-chan GKRJob) <-chan GKRResult {
 	g.SetRecover(func(stage int, m *gkrMsg, r any) {
 		m.err = fmt.Errorf("core: GKR stage %s panicked on job %d: %v", gkrStageNames[stage], m.id, r)
 	})
-	// Intake and results are depth deep, as in BatchProver.Run, so a slow
-	// submitter or consumer does not stall the stages.
+	// Intake is depth deep, as in BatchProver.Run, so a slow submitter
+	// does not stall the stages; a result is handed out, freeing its slot,
+	// when the consumer takes it.
 	gin := make(chan gkrMsg, bp.depth)
 	go func() {
 		defer close(gin)
@@ -124,12 +126,13 @@ func (bp *GKRBatchProver) Run(jobs <-chan GKRJob) <-chan GKRResult {
 			gin <- gkrMsg{id: job.ID, input: job.Input}
 		}
 	}()
-	results := make(chan GKRResult, bp.depth)
+	results := make(chan GKRResult)
 	go func() {
 		defer close(results)
-		for m := range g.Run(gin) {
+		g.Run(gin, func(m gkrMsg) {
 			results <- GKRResult{ID: m.id, Proof: m.proof, Err: m.err}
-		}
+		})
+		par.ReleaseIdle()
 	}()
 	return results
 }

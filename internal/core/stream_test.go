@@ -66,8 +66,10 @@ func TestProveStreamBitIdentical(t *testing.T) {
 // pipeline frees slots. Every spot a job can occupy between the
 // iterator and the emitter is depth-sized or a single goroutine hand:
 // producer hand (1) + forwarder hand (1) + submission buffer (depth) +
-// scheduler in-flight window (depth) + result buffer (depth) + result
-// hand (1) — so at most 3·depth+3 jobs exist before the first emission,
+// admission hand (1) + scheduler in-flight window (depth), where a job
+// keeps its slot until its result is handed out. The first hand-off
+// frees one slot, so one more pull can land before emit reads the
+// counter: at most 2·depth+4 jobs, within the 3·depth+3 asserted,
 // independent of batch size.
 func TestProveStreamBoundsPulls(t *testing.T) {
 	c, p := testCircuit(t)

@@ -210,8 +210,38 @@ func (e *Element) SetBytes(b [Bytes]byte) error {
 // SetBytesWide reduces an arbitrary big-endian byte string modulo r.
 // It is used to map hash output into the field.
 func (e *Element) SetBytesWide(b []byte) *Element {
-	v := new(big.Int).SetBytes(b)
-	return e.SetBigInt(v)
+	if len(b) > 2*Bytes {
+		return e.SetBigInt(new(big.Int).SetBytes(b))
+	}
+	// Up to 64 bytes — every transcript challenge — read as hi·2^256 + lo
+	// without big.Int. Below r, hi's limbs are the Montgomery form of
+	// hi·R⁻¹, so times R³ they give hi·R = hi·2^256; lo times R² gives lo.
+	var wide [2 * Bytes]byte
+	copy(wide[2*Bytes-len(b):], b)
+	hi, lo := reduced256(wide[:Bytes]), reduced256(wide[Bytes:])
+	hi.Mul(&hi, &rCube)
+	lo.Mul(&lo, &rSquare)
+	return e.Add(&hi, &lo)
+}
+
+// rCube = R^3 mod r: the Montgomery product of R^2 with itself.
+var rCube = *new(Element).Mul(&rSquare, &rSquare)
+
+// reduced256 reads 32 big-endian bytes as limbs and reduces them below r
+// (2^256 < 6r, so at most five subtractions).
+func reduced256(b []byte) Element {
+	var x Element
+	for i := range x {
+		x[3-i] = binary.BigEndian.Uint64(b[8*i:])
+	}
+	for !lessThanModulus(&x) {
+		var c uint64
+		x[0], c = bits.Sub64(x[0], q0, 0)
+		x[1], c = bits.Sub64(x[1], q1, c)
+		x[2], c = bits.Sub64(x[2], q2, c)
+		x[3], _ = bits.Sub64(x[3], q3, c)
+	}
+	return x
 }
 
 // Rand sets e to a uniformly random field element using crypto/rand.

@@ -377,3 +377,28 @@ func BenchmarkInverse(b *testing.B) {
 		inv.Inverse(&x)
 	}
 }
+
+// SetBytesWide reduces strings of up to 64 bytes without big.Int; it must
+// agree with the big.Int reduction at every length up to and past that,
+// on random strings and on all-ones ones (the largest value of a length).
+func TestSetBytesWideMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= 2*Bytes+8; n++ {
+		for trial := 0; trial < 8; trial++ {
+			b := make([]byte, n)
+			if trial == 0 {
+				for i := range b {
+					b[i] = 0xff
+				}
+			} else {
+				rng.Read(b)
+			}
+			var e Element
+			e.SetBytesWide(b)
+			want := new(big.Int).Mod(new(big.Int).SetBytes(b), Modulus())
+			if e.BigInt().Cmp(want) != 0 {
+				t.Fatalf("%d bytes %x: SetBytesWide = %v, want %v", n, b, e.BigInt(), want)
+			}
+		}
+	}
+}

@@ -204,6 +204,40 @@ func TestScratchBuffers(t *testing.T) {
 	}
 }
 
+// A FreeList hands back what was put, most recent first, and a new zero
+// value only when it is empty; goroutines sharing one never get the same
+// item at once.
+func TestFreeListReuses(t *testing.T) {
+	var l FreeList[[]int]
+	a, b := l.Get(), l.Get()
+	if a == b || *a != nil {
+		t.Fatal("an empty list must hand out distinct zero values")
+	}
+	l.Put(a)
+	l.Put(b)
+	if l.Get() != b || l.Get() != a {
+		t.Fatal("the list did not hand back its items, most recent first")
+	}
+	var wg sync.WaitGroup
+	var held sync.Map
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				x := l.Get()
+				if _, dup := held.LoadOrStore(x, true); dup {
+					t.Error("one item handed to two holders at once")
+					return
+				}
+				held.Delete(x)
+				l.Put(x)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestScratchBatchInverse(t *testing.T) {
 	v := field.RandVector(64)
 	v[5] = field.Element{}

@@ -21,14 +21,18 @@ type Scratch struct {
 	h       sha2.Hasher
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// scratches is the shared free list of arenas. A FreeList, not a
+// sync.Pool: a pool drops arenas at every collection and strands them on
+// the P that last returned one, and each arena dropped is its buffers
+// grown again by the next kernel call.
+var scratches FreeList[Scratch]
 
-// GetScratch borrows a scratch arena from the shared pool.
-func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+// GetScratch borrows a scratch arena from the shared free list.
+func GetScratch() *Scratch { return scratches.Get() }
 
-// PutScratch returns a scratch arena to the pool. The caller must not
-// retain any buffer obtained from it.
-func PutScratch(s *Scratch) { scratchPool.Put(s) }
+// PutScratch returns a scratch arena to the free list. The caller must
+// not retain any buffer obtained from it.
+func PutScratch(s *Scratch) { scratches.Put(s) }
 
 // Elements returns a length-n element buffer in the given slot, reusing
 // the slot's capacity. Contents are unspecified — use ZeroElements for a
@@ -84,4 +88,68 @@ func (s *Scratch) Hasher() *sha2.Hasher {
 // without allocating.
 func (s *Scratch) BatchInverse(dst, v []field.Element) {
 	field.BatchInverseWithScratch(dst, v, s.Elements(7, len(v)))
+}
+
+// FreeList keeps the buffers a kernel needs for the length of one call
+// and hands them to the next call, so a steady-state kernel allocates
+// none. Unlike a sync.Pool it drops nothing at a garbage collection, nor
+// strands a buffer on the P that returned it, so a large buffer is reused
+// for certain while work runs; it holds at most as many buffers as were
+// ever in use at once, until ReleaseIdle empties it. The zero value is an
+// empty list.
+type FreeList[T any] struct {
+	mu     sync.Mutex
+	free   []*T
+	listed bool // in freeLists, for ReleaseIdle
+}
+
+// Get returns a buffer given back by Put, or a new zero one.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.free[n-1]
+	l.free = l.free[:n-1]
+	return x
+}
+
+// Put gives x back for a later Get; the caller must not use x afterwards.
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	if !l.listed {
+		l.listed = true
+		freeListsMu.Lock()
+		freeLists = append(freeLists, l)
+		freeListsMu.Unlock()
+	}
+	l.mu.Unlock()
+}
+
+func (l *FreeList[T]) release() {
+	l.mu.Lock()
+	clear(l.free)
+	l.free = l.free[:0]
+	l.mu.Unlock()
+}
+
+var (
+	freeListsMu sync.Mutex
+	freeLists   []interface{ release() }
+)
+
+// ReleaseIdle empties every FreeList. A prover calls it when its run has
+// handed out its last result, so an idle process holds none of the
+// buffers — which would otherwise stay live next to whatever the caller
+// keeps, and double in the heap Go grows before it next collects — and
+// the next run grows them again in its first proofs.
+func ReleaseIdle() {
+	freeListsMu.Lock()
+	defer freeListsMu.Unlock()
+	for _, l := range freeLists {
+		l.release()
+	}
 }

@@ -248,12 +248,13 @@ func VerifyEval(comm Commitment, point []field.Element, value field.Element, pro
 		return fmt.Errorf("%w: %d opened columns, want %d", ErrReject, len(proof.Columns), len(idx))
 	}
 
-	encTest, err := enc.Encode(proof.TestRow)
-	if err != nil {
+	s := par.GetScratch()
+	defer par.PutScratch(s)
+	encTest, encEval := s.Elements(0, enc.CodewordLen()), s.Elements(1, enc.CodewordLen())
+	if err := enc.EncodeInto(encTest, proof.TestRow); err != nil {
 		return err
 	}
-	encEval, err := enc.Encode(proof.CombinedRow)
-	if err != nil {
+	if err := enc.EncodeInto(encEval, proof.CombinedRow); err != nil {
 		return err
 	}
 

@@ -57,10 +57,25 @@ type StreamingCommitter struct {
 	rowsIn  int           // complete rows absorbed
 	carry   []field.Element
 
-	// block views one arena of streamRowBlock codewords, allocated at the
+	// block views one arena of streamRowBlock codewords, laid out at the
 	// first flush and overwritten by every later one.
 	block [][]field.Element
+	bufs  *commitBuffers
 }
+
+// commitBuffers is the memory a StreamingCommitter works in: the codeword
+// block's arena, the partial-row carry and the column hashers. Finish
+// hands it back to commitBufs, so a steady prover reuses the last
+// commitment's buffers instead of allocating its own. Every flush
+// overwrites the block and NewStreamingCommitter resets the hashers, so
+// nothing stale is read.
+type commitBuffers struct {
+	arena   []field.Element
+	carry   []field.Element
+	hashers []sha2.Hasher
+}
+
+var commitBufs par.FreeList[commitBuffers]
 
 // NewStreamingCommitter prepares a streaming commitment for the given
 // layout. Feed it exactly NumRows·NumCols elements via AddChunk, then
@@ -73,13 +88,15 @@ func NewStreamingCommitter(params Params, mode CommitMode) (*StreamingCommitter,
 	if err != nil {
 		return nil, err
 	}
-	sc := &StreamingCommitter{
-		params:  params,
-		mode:    mode,
-		enc:     enc,
-		colHash: make([]sha2.Hasher, enc.CodewordLen()),
+	bufs := commitBufs.Get()
+	if len(bufs.hashers) < enc.CodewordLen() {
+		bufs.hashers = make([]sha2.Hasher, enc.CodewordLen())
 	}
-	return sc, nil
+	colHash := bufs.hashers[:enc.CodewordLen()]
+	for j := range colHash {
+		colHash[j].Reset()
+	}
+	return &StreamingCommitter{params: params, mode: mode, enc: enc, colHash: colHash, carry: bufs.carry[:0], bufs: bufs}, nil
 }
 
 // Rows returns how many complete rows have been absorbed.
@@ -126,7 +143,10 @@ func (sc *StreamingCommitter) flushRows(vals []field.Element, nRows int) error {
 	cols := sc.params.NumCols
 	if sc.block == nil {
 		n, cwLen := min(streamRowBlock, sc.params.NumRows), sc.enc.CodewordLen()
-		arena := make([]field.Element, n*cwLen)
+		if cap(sc.bufs.arena) < n*cwLen {
+			sc.bufs.arena = make([]field.Element, n*cwLen)
+		}
+		arena := sc.bufs.arena
 		sc.block = make([][]field.Element, n)
 		for i := range sc.block {
 			sc.block[i] = arena[i*cwLen : (i+1)*cwLen : (i+1)*cwLen]
@@ -207,7 +227,9 @@ func (sc *StreamingCommitter) Finish() (*StreamState, error) {
 		}
 		st.comm = Commitment{Root: root, NumRows: sc.params.NumRows, NumCols: sc.params.NumCols}
 	default:
-		leaves := make([]sha2.Digest, len(sc.colHash))
+		s := par.GetScratch()
+		defer par.PutScratch(s)
+		leaves := s.Digests(len(sc.colHash)) // BuildFromDigests copies them
 		par.For(len(leaves), func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				leaves[j] = sc.colHash[j].Sum()
@@ -220,7 +242,9 @@ func (sc *StreamingCommitter) Finish() (*StreamState, error) {
 		st.tree = tree
 		st.comm = Commitment{Root: tree.Root(), NumRows: sc.params.NumRows, NumCols: sc.params.NumCols}
 	}
-	sc.colHash, sc.block = nil, nil // dead weight from here on
+	sc.bufs.carry = sc.carry
+	commitBufs.Put(sc.bufs)
+	sc.colHash, sc.block, sc.carry, sc.bufs = nil, nil, nil, nil // dead weight from here on
 	return st, nil
 }
 

@@ -37,8 +37,9 @@ const (
 // grow returns an empty slice with room for min(n, maxPrealloc) entries.
 func grow[T any](n int) []T { return make([]T, 0, min(n, maxPrealloc)) }
 
+// encoder appends the wire form to b; the first error stops it.
 type encoder struct {
-	w   io.Writer
+	b   []byte
 	err error
 }
 
@@ -50,17 +51,12 @@ func (e *encoder) u32(v int) {
 		e.err = fmt.Errorf("protocol: length %d out of range", v)
 		return
 	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(v))
-	_, e.err = e.w.Write(b[:])
+	e.b = binary.LittleEndian.AppendUint32(e.b, uint32(v))
 }
 
 func (e *encoder) elem(x *field.Element) {
-	if e.err != nil {
-		return
-	}
 	b := x.ToBytes()
-	_, e.err = e.w.Write(b[:])
+	e.b = append(e.b, b[:]...)
 }
 
 func (e *encoder) elems(xs []field.Element) {
@@ -70,12 +66,7 @@ func (e *encoder) elems(xs []field.Element) {
 	}
 }
 
-func (e *encoder) digest(d sha2.Digest) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(d[:])
-}
+func (e *encoder) digest(d sha2.Digest) { e.b = append(e.b, d[:]...) }
 
 type decoder struct {
 	r   io.Reader
@@ -140,19 +131,25 @@ func (d *decoder) digest() sha2.Digest {
 
 // WriteTo serializes the proof.
 func (p *Proof) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	e := &encoder{w: cw}
-	if _, err := cw.Write(proofMagic[:]); err != nil {
-		return cw.n, err
+	b, err := p.MarshalBinary()
+	if err != nil {
+		return 0, err
 	}
+	n, err := w.Write(b)
+	return int64(n), err
+}
+
+// appendTo appends the proof's wire form to b.
+func (p *Proof) appendTo(b []byte) ([]byte, error) {
+	if p.Hadamard == nil || p.Linear == nil || p.PCSProof == nil {
+		return nil, fmt.Errorf("protocol: cannot serialize incomplete proof")
+	}
+	e := &encoder{b: append(b, proofMagic[:]...)}
 	e.digest(p.Commitment.Root)
 	e.u32(p.Commitment.NumRows)
 	e.u32(p.Commitment.NumCols)
 	e.elems(p.Outputs)
 	e.elem(&p.OTau)
-	if p.Hadamard == nil || p.Linear == nil || p.PCSProof == nil {
-		return cw.n, fmt.Errorf("protocol: cannot serialize incomplete proof")
-	}
 	e.u32(len(p.Hadamard.Rounds))
 	for i := range p.Hadamard.Rounds {
 		for j := range p.Hadamard.Rounds[i].At {
@@ -177,7 +174,7 @@ func (p *Proof) WriteTo(w io.Writer) (int64, error) {
 		e.u32(col.Index)
 		e.elems(col.Values)
 		if col.Proof == nil {
-			return cw.n, fmt.Errorf("protocol: column %d missing Merkle proof", i)
+			return nil, fmt.Errorf("protocol: column %d missing Merkle proof", i)
 		}
 		e.u32(col.Proof.Index)
 		e.digest(col.Proof.Leaf)
@@ -186,7 +183,7 @@ func (p *Proof) WriteTo(w io.Writer) (int64, error) {
 			e.digest(s)
 		}
 	}
-	return cw.n, e.err
+	return e.b, e.err
 }
 
 // ReadFrom deserializes a proof written by WriteTo.
@@ -254,13 +251,14 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	return cr.n, d.err
 }
 
-// MarshalBinary serializes the proof to a byte slice.
+// MarshalBinary serializes the proof to a byte slice, allocated once at
+// its final size.
 func (p *Proof) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	n, err := p.Size()
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return p.appendTo(make([]byte, 0, n))
 }
 
 // UnmarshalBinary parses a proof serialized by MarshalBinary, rejecting
@@ -276,24 +274,24 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Size returns the serialized proof size in bytes.
+// Size returns the serialized proof size in bytes, without serializing.
 func (p *Proof) Size() (int, error) {
-	b, err := p.MarshalBinary()
-	if err != nil {
-		return 0, err
+	if p.Hadamard == nil || p.Linear == nil || p.PCSProof == nil {
+		return 0, fmt.Errorf("protocol: cannot serialize incomplete proof")
 	}
-	return len(b), nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	const u32, el = 4, field.Bytes
+	n := len(proofMagic) + sha2.Size + 2*u32 +
+		u32 + el*len(p.Outputs) + el +
+		u32 + 4*el*len(p.Hadamard.Rounds) + 2*el +
+		u32 + 3*el*len(p.Linear.Rounds) + el +
+		u32 + el*len(p.PCSProof.TestRow) + u32 + el*len(p.PCSProof.CombinedRow) + u32
+	for i, col := range p.PCSProof.Columns {
+		if col.Proof == nil {
+			return 0, fmt.Errorf("protocol: column %d missing Merkle proof", i)
+		}
+		n += 2*u32 + el*len(col.Values) + u32 + sha2.Size + u32 + sha2.Size*len(col.Proof.Siblings)
+	}
+	return n, nil
 }
 
 type countingReader struct {

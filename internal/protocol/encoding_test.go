@@ -52,6 +52,15 @@ func TestProofSerializationRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, data2) {
 		t.Fatal("serialization is not canonical")
 	}
+	// Size is computed without serializing; it must be the exact length,
+	// which MarshalBinary allocates up front, and WriteTo writes the same.
+	if n, err := proof.Size(); err != nil || n != len(data) || cap(data) != len(data) {
+		t.Fatalf("Size() = %d, %v; MarshalBinary gave %d bytes in a %d-byte buffer", n, err, len(data), cap(data))
+	}
+	var buf bytes.Buffer
+	if n, err := proof.WriteTo(&buf); err != nil || n != int64(len(data)) || !bytes.Equal(buf.Bytes(), data) {
+		t.Fatalf("WriteTo wrote %d bytes (%v), not the MarshalBinary bytes", n, err)
+	}
 }
 
 func TestProofDeserializationRejections(t *testing.T) {

@@ -35,6 +35,7 @@ import (
 
 	"batchzk/internal/circuit"
 	"batchzk/internal/field"
+	"batchzk/internal/par"
 	"batchzk/internal/pcs"
 	"batchzk/internal/poly"
 	"batchzk/internal/sumcheck"
@@ -181,11 +182,10 @@ func (s *splitEq) dot(v []field.Element) field.Element {
 // V = α0·vL(ρ) + α1·vR(ρ) + α2·vO(τ) + Σ αk·e_{public wires},
 // where vL, vR, vO are the transposes of the gate wiring maps applied to
 // eq(ρ, ·) and eq(τ, ·) — computable by prover AND verifier in O(|C|).
-// V is zero on the padding wires, so it is returned over the circuit's
-// wires only. It also returns the list of public wire indices in claim
-// order.
-func publicCombination(c *circuit.Circuit, rho, tau, alphas []field.Element) ([]field.Element, []int) {
-	v := make([]field.Element, c.NumWires())
+// V is zero on the padding wires, so it is written over the circuit's
+// wires only, into v (c.NumWires() entries, whatever they held).
+func publicCombination(c *circuit.Circuit, rho, tau, alphas, v []field.Element) {
+	clear(v)
 	eqRho, eqTau := newSplitEq(rho), newSplitEq(tau)
 	var t, er, et field.Element
 	for g, gate := range c.Gates {
@@ -217,11 +217,9 @@ func publicCombination(c *circuit.Circuit, rho, tau, alphas []field.Element) ([]
 	}
 	// Public wires: the constant-one wire, public inputs, constants, and
 	// output wires, each pinned with its own α.
-	wires := publicWires(c)
-	for k, wi := range wires {
+	for k, wi := range publicWires(c) {
 		v[wi].Add(&v[wi], &alphas[3+k])
 	}
-	return v, wires
 }
 
 // publicWires lists the wires whose values the verifier pins: wire 0,
@@ -318,7 +316,7 @@ func (f *InFlight) run() (*Proof, error) {
 type InFlight struct {
 	c     *circuit.Circuit
 	p     *Params
-	w     []field.Element // the witness, the only copy held
+	w     []field.Element // the witness, the only copy held (an Arena's)
 	ss    *pcs.StreamState
 	tr    *transcript.Transcript
 	proof *Proof
@@ -326,32 +324,72 @@ type InFlight struct {
 	tau, rho, sigma []field.Element
 }
 
+// Arena is the memory a proof holds from its first stage to its last,
+// beyond the proof itself: the witness. A proof never aliases its arena,
+// so once Finish has returned (or the proof has failed) the arena may
+// start the next proof, which then allocates no witness. The zero value
+// is an empty arena; an arena serves one proof at a time. What a single
+// stage needs — the commitment's zero padding, the linear check's V, the
+// opening's padded last row — comes from free lists or scratch instead,
+// so idle arenas do not hold a copy of it each.
+type Arena struct {
+	w []field.Element
+}
+
+// Stage-local buffers, shared by every proof and verification: zero rows
+// to pad the commitment with (never written, so they stay zero) and the
+// linear check's V vectors.
+var zeroRows, linearVs par.FreeList[[]field.Element]
+
+// take returns *buf resized to n entries, reallocating only when it is
+// too short. The entries keep whatever they held.
+func take(buf *[]field.Element, n int) []field.Element {
+	if cap(*buf) < n {
+		*buf = make([]field.Element, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // StartProof runs the commitment stage: the padded wire vector is encoded
 // row by row (linear-time encoder) and its columns Merkle-hashed. w is
 // copied, so the caller may reuse it.
 func StartProof(c *circuit.Circuit, p *Params, w circuit.Assignment) (*InFlight, error) {
-	if len(w) != c.NumWires() {
-		return nil, fmt.Errorf("protocol: witness length %d, want %d", len(w), c.NumWires())
-	}
-	return start(c, p, append([]field.Element(nil), w...))
+	return new(Arena).StartProof(c, p, w)
 }
 
 // StartProofFromInputs is StartProof for a witness the circuit has yet to
 // compute: the proof keeps the witness the evaluation produces, so it
 // exists once.
 func StartProofFromInputs(c *circuit.Circuit, p *Params, public, secret []field.Element) (*InFlight, error) {
-	w, err := c.Evaluate(public, secret)
+	return new(Arena).StartProofFromInputs(c, p, public, secret)
+}
+
+// StartProof is the package's StartProof working in a.
+func (a *Arena) StartProof(c *circuit.Circuit, p *Params, w circuit.Assignment) (*InFlight, error) {
+	if len(w) != c.NumWires() {
+		return nil, fmt.Errorf("protocol: witness length %d, want %d", len(w), c.NumWires())
+	}
+	a.w = append(a.w[:0], w...)
+	return a.start(c, p)
+}
+
+// StartProofFromInputs is the package's StartProofFromInputs working in a.
+func (a *Arena) StartProofFromInputs(c *circuit.Circuit, p *Params, public, secret []field.Element) (*InFlight, error) {
+	w, err := c.EvaluateInto(a.w, public, secret)
 	if err != nil {
 		return nil, err
 	}
-	return start(c, p, w)
+	a.w = w
+	return a.start(c, p)
 }
 
-// start commits to the padded witness in row-aligned blocks: the
+// start commits to the padded witness a.w in row-aligned blocks: the
 // committer encodes each block into its arena, absorbs the columns into
 // their hashes and moves on, so only a block of codeword rows is ever
 // live.
-func start(c *circuit.Circuit, p *Params, w []field.Element) (*InFlight, error) {
+func (a *Arena) start(c *circuit.Circuit, p *Params) (*InFlight, error) {
+	w := a.w
 	sc, err := pcs.NewStreamingCommitter(p.PCS, pcs.RetainTree)
 	if err != nil {
 		return nil, err
@@ -361,7 +399,9 @@ func start(c *circuit.Circuit, p *Params, w []field.Element) (*InFlight, error) 
 	}
 	// The padding: zero rows, fed 16 at a time (the committer's flush
 	// block) so they are hashed in whole blocks too.
-	zeros := make([]field.Element, min(p.NumWires-len(w), 16*p.PCS.NumCols))
+	zBuf := zeroRows.Get()
+	defer zeroRows.Put(zBuf)
+	zeros := take(zBuf, min(p.NumWires-len(w), 16*p.PCS.NumCols))
 	for left := p.NumWires - len(w); left > 0; left -= len(zeros) {
 		if err := sc.AddChunk(zeros[:min(left, len(zeros))]); err != nil {
 			return nil, err
@@ -412,7 +452,10 @@ func (f *InFlight) RunHadamard() error {
 func (f *InFlight) RunLinear() error {
 	wires := publicWires(f.c)
 	alphas := f.tr.ChallengeElements("alpha", 3+len(wires))
-	v, _ := publicCombination(f.c, f.rho, f.tau, alphas)
+	vBuf := linearVs.Get()
+	defer linearVs.Put(vBuf)
+	v := take(vBuf, f.c.NumWires())
+	publicCombination(f.c, f.rho, f.tau, alphas, v)
 	lin, sigma, _, linFinals := sumcheck.ProveProductFrom(f.p.wireVars, sumcheck.TableSource(v, f.w), f.tr)
 	f.sigma = sigma
 	f.proof.Linear = lin
@@ -423,10 +466,14 @@ func (f *InFlight) RunLinear() error {
 
 // Finish runs the opening stage and assembles the proof: the opening
 // re-reads rows from the padded witness and re-encodes the challenged
-// columns. The prover state and witness buffer are released on return.
+// columns. The prover state and witness buffer are released on return,
+// and the arena is free for the next proof.
 func (f *InFlight) Finish() (*Proof, error) {
 	var err error
-	if f.proof.PCSProof, _, err = f.ss.ProveEval(witnessRows(f.w, f.p.PCS.NumCols), f.sigma, f.tr); err != nil {
+	s := par.GetScratch()
+	defer par.PutScratch(s)
+	rows := witnessRows(f.w, f.p.PCS.NumCols, s.Elements(0, 2*f.p.PCS.NumCols))
+	if f.proof.PCSProof, _, err = f.ss.ProveEval(rows, f.sigma, f.tr); err != nil {
 		return nil, err
 	}
 	f.ss, f.w = nil, nil
@@ -435,10 +482,11 @@ func (f *InFlight) Finish() (*Proof, error) {
 
 // witnessRows is the pcs.RowAt of the committed matrix — the witness
 // zero-padded to NumWires, cols per row — served from the unpadded
-// witness: a window of it, the last partial row padded, or a zero row.
-func witnessRows(w []field.Element, cols int) pcs.RowAt {
+// witness: a window of it, the last partial row padded (in tail, 2·cols
+// entries, overwritten), or a zero row.
+func witnessRows(w []field.Element, cols int, tail []field.Element) pcs.RowAt {
 	whole := len(w) / cols
-	tail := make([]field.Element, 2*cols)
+	clear(tail)
 	copy(tail, w[whole*cols:])
 	return func(r int) []field.Element {
 		switch {
@@ -538,7 +586,10 @@ func Verify(c *circuit.Circuit, p *Params, public []field.Element, proof *Proof)
 	tr.AppendElement("w_sigma", &proof.WSigma)
 	// The verifier evaluates Ṽ(σ) = Σ_b V[b]·eq(σ, b) itself (O(|C|)) and
 	// checks Ṽ(σ)·W(σ) == final.
-	v, _ := publicCombination(c, rho, tau, alphas)
+	vBuf := linearVs.Get()
+	defer linearVs.Put(vBuf)
+	v := take(vBuf, c.NumWires())
+	publicCombination(c, rho, tau, alphas, v)
 	eqSigma := newSplitEq(sigma)
 	vSigma := eqSigma.dot(v)
 	prod.Mul(&vSigma, &proof.WSigma)

@@ -87,10 +87,10 @@ type envelope[T any] struct {
 }
 
 // Run consumes items from in, runs each through every stage in order,
-// and emits them on the returned channel in submission order. The
-// returned channel closes after the last item; Run may be called once
+// and hands each to emit, in submission order, on the calling goroutine;
+// it returns once the last item has been emitted. Run may be called once
 // per Graph.
-func (g *Graph[T]) Run(in <-chan T) <-chan T {
+func (g *Graph[T]) Run(in <-chan T, emit func(T)) {
 	if g.started.Swap(true) {
 		panic("sched: Graph.Run called twice")
 	}
@@ -114,18 +114,14 @@ func (g *Graph[T]) Run(in <-chan T) <-chan T {
 	for i := range g.stages {
 		go g.stage(i, queues[i], queues[i+1])
 	}
-	// Emission releases the slot, so the bound covers every item a stage
-	// has finished but the consumer has not yet been handed.
-	out := make(chan T, g.depth)
-	go func() {
-		defer close(out)
-		for env := range queues[len(g.stages)] {
-			out <- env.item
-			g.inFlight.Add(-1)
-			<-sem
-		}
-	}()
-	return out
+	// An item keeps its slot until emit returns, so the bound covers every
+	// item from admission to hand-off: finished items waiting on a slow
+	// consumer hold memory just as items in a stage do.
+	for env := range queues[len(g.stages)] {
+		emit(env.item)
+		g.inFlight.Add(-1)
+		<-sem
+	}
 }
 
 // stage is the goroutine serving stage i: pull, process (with last-resort

@@ -4,9 +4,9 @@
 //   - Graph (graph.go): the streaming executor internal/core's batch
 //     provers run on. Each named stage is served by one goroutine, and
 //     FIFO channels join consecutive stages, so items leave in submission
-//     order. An admission semaphore, released only at emission, bounds
-//     the number of items inside the graph (the paper's dynamic-loading
-//     memory bound).
+//     order. An admission semaphore, released only once the consumer's
+//     emit callback has taken an item, bounds the number of items between
+//     admission and hand-off (the paper's dynamic-loading memory bound).
 //
 //   - RunCycles (cycles.go): the cycle-synchronous executor for modules
 //     whose stages share cross-task state (the double-buffer discipline

@@ -24,11 +24,9 @@ func feed(n int) <-chan item {
 	return in
 }
 
-func collect(out <-chan item) []item {
+func collect(g *Graph[item], in <-chan item) []item {
 	var got []item
-	for it := range out {
-		got = append(got, it)
-	}
+	g.Run(in, func(it item) { got = append(got, it) })
 	return got
 }
 
@@ -50,13 +48,13 @@ func TestGraphValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect(g.Run(feed(1)))
+	collect(g, feed(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("second Run did not panic")
 		}
 	}()
-	g.Run(feed(1))
+	g.Run(feed(1), func(item) {})
 }
 
 // Every item must traverse every stage exactly once, in stage order, and
@@ -81,7 +79,7 @@ func TestGraphOrderingWithPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 64
-	got := collect(g.Run(feed(n)))
+	got := collect(g, feed(n))
 	if len(got) != n {
 		t.Fatalf("got %d items, want %d", len(got), n)
 	}
@@ -119,7 +117,7 @@ func TestGraphWorkerGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 16
-	if got := collect(g.Run(feed(n))); len(got) != n {
+	if got := collect(g, feed(n)); len(got) != n {
 		t.Fatalf("got %d items, want %d", len(got), n)
 	}
 	snap := sink.Metrics.Snapshot()
@@ -158,18 +156,15 @@ func TestGraphInFlightBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := g.Run(feed(n))
-	for i := 0; i < bound; i++ {
-		<-arrived
-	}
 	done := make(chan int)
 	go func() {
 		k := 0
-		for range out {
-			k++
-		}
+		g.Run(feed(n), func(item) { k++ })
 		done <- k
 	}()
+	for i := 0; i < bound; i++ {
+		<-arrived
+	}
 	for i := 0; i < n; i++ {
 		released.Add(1)
 		gate <- struct{}{}
@@ -199,7 +194,7 @@ func TestGraphPanicRecovery(t *testing.T) {
 	g.SetRecover(func(stage int, it *item, r any) {
 		it.err = fmt.Errorf("stage %d: %v", stage, r)
 	})
-	got := collect(g.Run(feed(8)))
+	got := collect(g, feed(8))
 	if len(got) != 8 {
 		t.Fatalf("got %d items", len(got))
 	}

@@ -124,20 +124,29 @@ func bind(src Source, k, half int, r field.Element) Source {
 	}
 }
 
-// newTables returns k tables of length half in one arena.
-func newTables(k, half int) [][]field.Element {
-	arena := make([]field.Element, k*half)
+// tableArenas holds the memory of the stored tables between proofs: they
+// die when proveFrom returns, so a steady prover reuses the last proof's
+// instead of allocating its own. foldSource writes every entry before any
+// round reads one, so a recycled arena needs no clearing.
+var tableArenas par.FreeList[[]field.Element]
+
+// newTables lays k tables of length half over arena, which it grows to
+// k·half entries if it is shorter.
+func newTables(k, half int, arena *[]field.Element) [][]field.Element {
+	if cap(*arena) < k*half {
+		*arena = make([]field.Element, k*half)
+	}
 	tables := make([][]field.Element, k)
 	for t := range tables {
-		tables[t] = arena[t*half : (t+1)*half : (t+1)*half]
+		tables[t] = (*arena)[t*half : (t+1)*half : (t+1)*half]
 	}
 	return tables
 }
 
-// foldSource stores the k tables of bind(src, k, half, r), which every
-// later round folds in place.
-func foldSource(r field.Element, src Source, k, half int) [][]field.Element {
-	tables, bound := newTables(k, half), bind(src, k, half, r)
+// foldSource stores the k tables of bind(src, k, half, r) in arena; every
+// later round folds them in place.
+func foldSource(r field.Element, src Source, k, half int, arena *[]field.Element) [][]field.Element {
+	tables, bound := newTables(k, half, arena), bind(src, k, half, r)
 	par.ForWidth(foldWidth(half), half, func(lo, hi int) {
 		dst := make([][]field.Element, k)
 		for t := range dst {
@@ -240,11 +249,13 @@ func fixed(rs []field.Element) challenger {
 // summed, so no pass of its own — and the tables' final values.
 func proveFrom(n, k, arity int, src Source, body terms, next challenger) (msgs, point []field.Element, claim field.Element, finals []field.Element) {
 	msgs = make([]field.Element, max(n, 1)*arity)
+	arena := tableArenas.Get()
+	defer tableArenas.Put(arena)
 	var tables [][]field.Element
 	if n == 0 { // the tables are their one entry, beside a zero high half
-		tables = newTables(k, 1)
+		tables = newTables(k, 1, arena)
 		src(0, tables)
-		body(tables, newTables(k, 1), msgs)
+		body(tables, newTables(k, 1, new([]field.Element)), msgs)
 		next(0, msgs)
 	}
 	point = make([]field.Element, n)
@@ -267,7 +278,7 @@ func proveFrom(n, k, arity int, src Source, body terms, next challenger) (msgs, 
 		if i+1 < sourceRounds && i+1 < n {
 			src = bind(src, k, half, *r)
 		} else {
-			tables = foldSource(*r, src, k, half)
+			tables = foldSource(*r, src, k, half, arena)
 		}
 	}
 	finals = make([]field.Element, k)

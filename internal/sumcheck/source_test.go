@@ -178,6 +178,59 @@ func refProveAffine(at, vt, ct []field.Element, tr *transcript.Transcript) (*Pro
 	return proof, reversed(challenges), claim, [3]field.Element{tables[0][0], tables[1][0], tables[2][0]}
 }
 
+var two = field.NewElement(2)
+
+// refTerms is the term callbacks as they were before their cut to the
+// ALU floor: every table is Lerp'd to every point x of the round
+// polynomial, and the entries' products summed there.
+func refTerms(degree int, low, high [][]field.Element, acc []field.Element) {
+	var v, t field.Element
+	for b := range low[0] {
+		for x := 0; x <= degree; x++ {
+			t.SetOne()
+			for k := 0; k < degree; k++ {
+				v.Lerp(&tripleXs[x], &low[k][b], &high[k][b])
+				t.Mul(&t, &v)
+			}
+			if len(low) > degree { // the affine form's additive table
+				v.Lerp(&tripleXs[x], &low[degree][b], &high[degree][b])
+				t.Add(&t, &v)
+			}
+			acc[x].Add(&acc[x], &t)
+		}
+	}
+}
+
+// TestTermsMatchLerpReference: the triple, product and affine terms add
+// to the round values exactly what the Lerp-at-every-point reference
+// adds, on blocks of length 0, 1 and 513, into accumulators that already
+// hold a partial sum.
+func TestTermsMatchLerpReference(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		k, degree int
+		body      terms
+	}{
+		{"triple", 3, 3, tripleTerms},
+		{"product", 2, 2, productTerms},
+		{"affine", 3, 2, affineTerms},
+	} {
+		for _, n := range []int{0, 1, 513} {
+			low, high := make([][]field.Element, tc.k), make([][]field.Element, tc.k)
+			for i := range low {
+				low[i], high[i] = field.RandVector(n), field.RandVector(n)
+			}
+			start := field.RandVector(tc.degree + 1)
+			got, want := append([]field.Element(nil), start...), append([]field.Element(nil), start...)
+			tc.body(low, high, got)
+			refTerms(tc.degree, low, high, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s terms on %d entries differ from the Lerp reference", tc.name, n)
+			}
+		}
+	}
+}
+
 // shortTable is a random table of `real` entries padded with zeros to 2^n.
 func shortTable(rng *rand.Rand, n, real int) (short, padded []field.Element) {
 	padded = make([]field.Element, 1<<n)

@@ -10,7 +10,10 @@
 // plain Σ t (Prove; degree 1, sent as the half-table sums (π_i1, π_i2)),
 // product Σ f·g (ProveProduct; the PCS evaluation and linear checks),
 // triple Σ e·f·g (ProveTriple; the Hadamard gate check) and affine
-// Σ a·v + c (ProveAffineProduct; one phase of a GKR layer).
+// Σ a·v + c (ProveAffineProduct; one phase of a GKR layer). Per entry of
+// the half table, a round costs 14 field multiplications in the triple
+// terms, 3 in the product and affine terms and none in the plain ones,
+// plus one per table for the fold.
 //
 // The kernel takes each round's challenge from a callback handed the
 // round's message: a Fiat–Shamir transcript, or caller-supplied randomness
@@ -111,11 +114,17 @@ func plainTerms(low, high [][]field.Element, acc []field.Element) {
 	acc[1].Add(&acc[1], &s2)
 }
 
-var two = field.NewElement(2)
+// The terms below skip the multiplications the Lerp form spent on the
+// points x = 0 and 1, where a table is its low or high half. The product
+// (and affine) terms also reach x = 2 as high + (high − low), so they
+// are at the floor: 3 multiplications per entry, against 5 for a Lerp
+// at every point. The triple terms still Lerp each table to x = 2 and 3:
+// 14 multiplications per entry, against 20; reaching those points by
+// adding the difference too would make it 8.
 
 // productTerms adds the round polynomial's values at 0, 1, 2 over aligned
-// entries of the first two tables' halves: f·g on each half, and the
-// product of both tables extrapolated linearly to x = 2.
+// entries of the first two tables' halves: f·g at each half and at
+// x = 2, where each table is high + (high − low).
 func productTerms(low, high [][]field.Element, acc []field.Element) {
 	f0, g0, f1, g1 := low[0], low[1], high[0], high[1]
 	var at0, at1, at2 field.Element
@@ -125,8 +134,10 @@ func productTerms(low, high [][]field.Element, acc []field.Element) {
 		at0.Add(&at0, &t)
 		t.Mul(&f1[b], &g1[b])
 		at1.Add(&at1, &t)
-		f2.Lerp(&two, &f0[b], &f1[b])
-		g2.Lerp(&two, &g0[b], &g1[b])
+		f2.Sub(&f1[b], &f0[b])
+		f2.Add(&f2, &f1[b])
+		g2.Sub(&g1[b], &g0[b])
+		g2.Add(&g2, &g1[b])
 		t.Mul(&f2, &g2)
 		at2.Add(&at2, &t)
 	}
@@ -142,7 +153,8 @@ func affineTerms(low, high [][]field.Element, acc []field.Element) {
 	productTerms(low, high, acc)
 	var c [3]field.Element
 	plainTerms(low[2:], high[2:], c[:])
-	c[2].Lerp(&two, &c[0], &c[1])
+	c[2].Sub(&c[1], &c[0])
+	c[2].Add(&c[2], &c[1])
 	for x := range c {
 		acc[x].Add(&acc[x], &c[x])
 	}
@@ -152,14 +164,21 @@ func affineTerms(low, high [][]field.Element, acc []field.Element) {
 var tripleXs = [4]field.Element{field.NewElement(0), field.NewElement(1), field.NewElement(2), field.NewElement(3)}
 
 // tripleTerms adds, for x = 0..3, Σ e_x·f_x·g_x over aligned entries of
-// the three tables' halves, where t_x = lerp(x, low, high).
+// the three tables' halves, where t_x = lerp(x, low, high): the halves
+// themselves at x = 0 and 1.
 func tripleTerms(low, high [][]field.Element, acc []field.Element) {
 	e0, f0, g0 := low[0], low[1], low[2]
 	e1, f1, g1 := high[0], high[1], high[2]
 	var at [4]field.Element
 	var ex, fx, gx, t field.Element
 	for b := range e0 {
-		for x := range tripleXs {
+		t.Mul(&e0[b], &f0[b])
+		t.Mul(&t, &g0[b])
+		at[0].Add(&at[0], &t)
+		t.Mul(&e1[b], &f1[b])
+		t.Mul(&t, &g1[b])
+		at[1].Add(&at[1], &t)
+		for x := 2; x < 4; x++ {
 			ex.Lerp(&tripleXs[x], &e0[b], &e1[b])
 			fx.Lerp(&tripleXs[x], &f0[b], &f1[b])
 			gx.Lerp(&tripleXs[x], &g0[b], &g1[b])
