@@ -37,6 +37,13 @@ const (
 	AlertQuarantineStorm  = "quarantine-storm"
 )
 
+// minStageExcessNs is how far above its baseline, in ns, a stage must
+// run before it can breach. On a busy host a ~100 µs stage routinely
+// runs 2.5–7× its EWMA for a few jobs (preemption, a GC cycle), which is
+// noise, and a slowdown that small costs a job little. A millisecond or
+// more per job is worth an alert.
+const minStageExcessNs = 1e6
+
 // Alert severities. Critical alerts flip /readyz to not-ready.
 const (
 	SeverityWarning  = "warning"
@@ -196,7 +203,8 @@ func (s *Sentinel) Observe(kind, subject string, value float64, nowNs int64) *Al
 		reason = fmt.Sprintf("%s at %.1f ns/elem exceeds %gx its calibrated roofline floor (%.1f ns/elem)",
 			subject, value, s.cfg.FloorFactor, floor)
 	}
-	if !breach && t.n >= s.cfg.MinSamples && value > s.cfg.DegradeFactor*t.ewma {
+	if !breach && t.n >= s.cfg.MinSamples && value > s.cfg.DegradeFactor*t.ewma &&
+		(kind != AlertStageRegression || value-t.ewma >= minStageExcessNs) {
 		breach = true
 		baseline = t.ewma
 		reason = fmt.Sprintf("%s at %.1f exceeds %gx its recent baseline (%.1f)",

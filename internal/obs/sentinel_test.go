@@ -12,6 +12,10 @@ func testSentinel() *Sentinel {
 	})
 }
 
+// stageNs and slowStageNs are a healthy stage latency and a 10× slowdown
+// of it, in ns: large enough that the excess clears minStageExcessNs.
+const stageNs, slowStageNs = 10e6, 100e6
+
 // feedHealthy warms a stream's EWMA baseline past MinSamples.
 func feedHealthy(s *Sentinel, kind, subject string, v float64, n int) {
 	for i := 0; i < n; i++ {
@@ -56,11 +60,11 @@ func TestSentinelRaisesAfterConsecutiveBreaches(t *testing.T) {
 // streak never reaches RaiseAfter.
 func TestSentinelNoFlapping(t *testing.T) {
 	s := testSentinel()
-	feedHealthy(s, AlertStageRegression, "commit", 100, 8)
+	feedHealthy(s, AlertStageRegression, "commit", stageNs, 8)
 	for i := 0; i < 100; i++ {
-		v := 100.0
+		v := stageNs
 		if i%2 == 0 {
-			v = 1000 // breach on even observations, recover on odd
+			v = slowStageNs // breach on even observations, recover on odd
 		}
 		if a := s.Observe(AlertStageRegression, "commit", v, int64(200+i)); a != nil {
 			t.Fatalf("flapping stream raised an alert at i=%d: %+v", i, a)
@@ -75,26 +79,64 @@ func TestSentinelNoFlapping(t *testing.T) {
 // clear, and checks the history entry mirrors the clear stamp.
 func TestSentinelClearsAfterRecovery(t *testing.T) {
 	s := testSentinel()
-	feedHealthy(s, AlertStageRegression, "opening", 100, 8)
+	feedHealthy(s, AlertStageRegression, "opening", stageNs, 8)
 	for i := 0; i < 3; i++ {
-		s.Observe(AlertStageRegression, "opening", 1000, int64(100+i))
+		s.Observe(AlertStageRegression, "opening", slowStageNs, int64(100+i))
 	}
 	if len(s.ActiveAlerts()) != 1 {
 		t.Fatal("breach did not raise")
 	}
 	// Two healthy observations: not enough to clear.
-	s.Observe(AlertStageRegression, "opening", 100, 200)
-	s.Observe(AlertStageRegression, "opening", 100, 201)
+	s.Observe(AlertStageRegression, "opening", stageNs, 200)
+	s.Observe(AlertStageRegression, "opening", stageNs, 201)
 	if len(s.ActiveAlerts()) != 1 {
 		t.Fatal("alert cleared before ClearAfter healthy observations")
 	}
-	s.Observe(AlertStageRegression, "opening", 100, 202)
+	s.Observe(AlertStageRegression, "opening", stageNs, 202)
 	if len(s.ActiveAlerts()) != 0 {
 		t.Fatal("alert did not clear after ClearAfter healthy observations")
 	}
 	hist := s.Alerts()
 	if len(hist) != 1 || hist[0].Active() || hist[0].ClearedNs != 202 {
 		t.Fatalf("history after clear: %+v", hist)
+	}
+}
+
+// TestSentinelStageExcessFloor drives default-configured stage streams:
+// a 100 µs stage running 7× slow for a long stretch — what a busy host
+// does to a short stage — never raises, because its excess stays under
+// minStageExcessNs; a 10 ms stage at 10× raises after RaiseAfter
+// observations and clears after ClearAfter healthy ones.
+func TestSentinelStageExcessFloor(t *testing.T) {
+	s := NewSentinel(SentinelConfig{})
+	now := int64(0)
+	observe := func(subject string, v float64) *Alert {
+		now++
+		return s.Observe(AlertStageRegression, subject, v, now)
+	}
+	for i := range 20 {
+		observe("fast", 100e3+float64(i%3)*5e3)
+		observe("slow", 10e6+float64(i%3)*0.5e6)
+	}
+	for i := range 30 {
+		if a := observe("fast", 700e3); a != nil {
+			t.Fatalf("100 µs stage at 7× raised at spike %d: %+v", i, a)
+		}
+	}
+	for i := range 3 {
+		a := observe("slow", 100e6)
+		if (a != nil) != (i == 2) {
+			t.Fatalf("10 ms stage at 10×: observation %d raised %v, want a raise at the 3rd only", i, a)
+		}
+	}
+	for i := range 3 {
+		observe("slow", 10e6)
+		if active := len(s.ActiveAlerts()); active != 1-i/2 {
+			t.Fatalf("after %d healthy observations: %d active alerts", i+1, active)
+		}
+	}
+	if hist := s.Alerts(); len(hist) != 1 || hist[0].Subject != "slow" || hist[0].Active() {
+		t.Fatalf("alert history = %+v, want one cleared alert on slow", hist)
 	}
 }
 
@@ -175,11 +217,11 @@ func TestSentinelJudge(t *testing.T) {
 // another subject's track.
 func TestSentinelIndependentStreams(t *testing.T) {
 	s := testSentinel()
-	feedHealthy(s, AlertStageRegression, "commit", 100, 8)
-	feedHealthy(s, AlertStageRegression, "opening", 100, 8)
+	feedHealthy(s, AlertStageRegression, "commit", stageNs, 8)
+	feedHealthy(s, AlertStageRegression, "opening", stageNs, 8)
 	for i := 0; i < 3; i++ {
-		s.Observe(AlertStageRegression, "commit", 1000, int64(100+i))
-		s.Observe(AlertStageRegression, "opening", 100, int64(100+i))
+		s.Observe(AlertStageRegression, "commit", slowStageNs, int64(100+i))
+		s.Observe(AlertStageRegression, "opening", stageNs, int64(100+i))
 	}
 	active := s.ActiveAlerts()
 	if len(active) != 1 || active[0].Subject != "commit" {

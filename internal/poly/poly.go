@@ -257,62 +257,90 @@ func Interpolate(xs, ys []field.Element) (*Dense, error) {
 // InterpolateEvalAt evaluates the degree-(k-1) interpolant through points
 // (0, ys[0]), (1, ys[1]), …, (k-1, ys[k-1]) at x, without materializing
 // coefficients — the form sum-check verifiers use on round polynomials
-// transmitted as evaluations at small integers.
+// transmitted as evaluations at small integers. It does no field
+// inversion and allocates nothing for k up to lagrangeTabled: the
+// denominators' inverses come from lagrangeInv, and the prefix products
+// live on the stack.
 func InterpolateEvalAt(ys []field.Element, x *field.Element) field.Element {
 	k := len(ys)
-	// If x is one of the nodes, return directly.
-	for i := 0; i < k; i++ {
-		node := field.NewElement(uint64(i))
-		if node.Equal(x) {
-			return ys[i]
-		}
+	if k == 0 {
+		return field.Element{}
 	}
-	// prefix[i] = Π_{j<i} (x - j), suffix[i] = Π_{j>i} (x - j)
-	prefix := make([]field.Element, k)
-	suffix := make([]field.Element, k)
-	acc := field.One()
-	for i := 0; i < k; i++ {
+	var stack [lagrangeTabled]field.Element
+	var inv, prefix []field.Element // prefix[i] = Π_{j<i} (x − j)
+	if k <= lagrangeTabled {
+		inv, prefix = lagrangeInv[k], stack[:k]
+	} else {
+		inv, prefix = lagrangeInverses(k, invFactorials(k)), make([]field.Element, k)
+	}
+	one := field.One()
+	acc, d := one, *x // d = x − i
+	for i := range k {
+		if d.IsZero() {
+			return ys[i] // x is node i
+		}
 		prefix[i] = acc
-		node := field.NewElement(uint64(i))
-		var d field.Element
-		d.Sub(x, &node)
 		acc.Mul(&acc, &d)
+		d.Sub(&d, &one)
 	}
-	acc = field.One()
+	// Back down the nodes with the suffix product Π_{j>i} (x − j):
+	// term i is ys[i]·prefix[i]·suffix/Π_{j≠i} (i − j).
+	var out, term field.Element
+	suffix := one
 	for i := k - 1; i >= 0; i-- {
-		suffix[i] = acc
-		node := field.NewElement(uint64(i))
-		var d field.Element
-		d.Sub(x, &node)
-		acc.Mul(&acc, &d)
-	}
-	// denominators: i!·(k-1-i)!·(-1)^{k-1-i}
-	var out field.Element
-	for i := 0; i < k; i++ {
-		denom := field.One()
-		for j := 0; j < k; j++ {
-			if j == i {
-				continue
-			}
-			d := field.NewElement(uint64(absInt(i - j)))
-			if j > i {
-				d.Neg(&d)
-			}
-			denom.Mul(&denom, &d)
-		}
-		var term field.Element
-		term.Inverse(&denom)
-		term.Mul(&term, &prefix[i])
-		term.Mul(&term, &suffix[i])
+		d.Add(&d, &one)
+		term.Mul(&prefix[i], &suffix)
+		term.Mul(&term, &inv[i])
 		term.Mul(&term, &ys[i])
 		out.Add(&out, &term)
+		suffix.Mul(&suffix, &d)
 	}
 	return out
 }
 
-func absInt(x int) int {
-	if x < 0 {
-		return -x
+// lagrangeTabled bounds the node counts InterpolateEvalAt serves from
+// tables: sum-check rounds send 2 to 4 values, and past the table it
+// still works, with one inversion and one allocation per call.
+const lagrangeTabled = 16
+
+// lagrangeInv[k][i] is 1/Π_{j≠i} (i − j) over the nodes 0..k-1, for k up
+// to lagrangeTabled. The denominators depend on k alone, so the table is
+// built once, from one inversion.
+var lagrangeInv = func() [][]field.Element {
+	invFact := invFactorials(lagrangeTabled)
+	t := make([][]field.Element, lagrangeTabled+1)
+	for k := 1; k <= lagrangeTabled; k++ {
+		t[k] = lagrangeInverses(k, invFact)
 	}
-	return x
+	return t
+}()
+
+// invFactorials returns 1/0!, 1/1!, …, 1/(n-1)! from one inversion.
+func invFactorials(n int) []field.Element {
+	inv := make([]field.Element, n)
+	fact := field.One()
+	for i := 2; i < n; i++ {
+		f := field.NewElement(uint64(i))
+		fact.Mul(&fact, &f)
+	}
+	inv[n-1].Inverse(&fact)
+	for i := n - 1; i > 0; i-- {
+		f := field.NewElement(uint64(i))
+		inv[i-1].Mul(&inv[i], &f)
+	}
+	return inv
+}
+
+// lagrangeInverses returns the inverted denominators of the k nodes
+// 0..k-1: Π_{j≠i} (i − j) = i!·(k-1-i)!·(−1)^(k-1-i), so its inverse is
+// a product of two inverse factorials (invFact holds at least k).
+func lagrangeInverses(k int, invFact []field.Element) []field.Element {
+	inv := make([]field.Element, k)
+	for i := range inv {
+		inv[i].Mul(&invFact[i], &invFact[k-1-i])
+		if (k-1-i)%2 == 1 {
+			inv[i].Neg(&inv[i])
+		}
+	}
+	return inv
 }

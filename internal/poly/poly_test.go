@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -238,26 +239,51 @@ func TestInterpolate(t *testing.T) {
 	}
 }
 
+// TestInterpolateEvalAt checks the tabled, inversion-free form against
+// the coefficient form for every node count a sum-check sends and
+// beyond, up to and past the tables (lagrangeTabled), at every node, at
+// the next two integers and at random points.
 func TestInterpolateEvalAt(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	ys := randVec(r, 3) // degree-2 polynomial through (0,1,2)
-	xs := []field.Element{elem(0), elem(1), elem(2)}
-	p, _ := Interpolate(xs, ys)
-	// At the nodes.
-	for i := range xs {
-		got := InterpolateEvalAt(ys, &xs[i])
-		if !got.Equal(&ys[i]) {
-			t.Fatalf("node %d mismatch", i)
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, lagrangeTabled, lagrangeTabled + 1, lagrangeTabled + 4}
+	for _, k := range ks {
+		ys := randVec(r, k)
+		xs := make([]field.Element, k)
+		for i := range xs {
+			xs[i] = elem(uint64(i))
+		}
+		p, err := Interpolate(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range xs {
+			if got := InterpolateEvalAt(ys, &xs[i]); !got.Equal(&ys[i]) {
+				t.Fatalf("k=%d: node %d mismatch", k, i)
+			}
+		}
+		points := append(randVec(r, 10), elem(uint64(k)), elem(uint64(k+1)))
+		for i := range points {
+			got, want := InterpolateEvalAt(ys, &points[i]), p.Eval(&points[i])
+			if !got.Equal(&want) {
+				t.Fatalf("k=%d: point %d mismatch", k, i)
+			}
 		}
 	}
-	// At random points, compare with the coefficient form.
-	for i := 0; i < 10; i++ {
-		x := randVec(r, 1)[0]
-		got := InterpolateEvalAt(ys, &x)
-		want := p.Eval(&x)
-		if !got.Equal(&want) {
-			t.Fatalf("random point %d mismatch", i)
-		}
+}
+
+// BenchmarkInterpolateEvalAt times the sum-check verifier's per-round
+// interpolation at the degrees the provers send (3 values for product,
+// 4 for triple); it must report 0 allocs/op.
+func BenchmarkInterpolateEvalAt(b *testing.B) {
+	r := rand.New(rand.NewSource(8))
+	for _, k := range []int{3, 4} {
+		ys, x := randVec(r, k), randVec(r, 1)[0]
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				x = InterpolateEvalAt(ys, &x)
+			}
+		})
 	}
 }
 

@@ -12,9 +12,9 @@
 //     (encode rows → Merkle-hash columns), yielding root R — the
 //     encoder/Merkle stage of the paper's Figure 7 pipeline.
 //  2. Hadamard check. Gate semantics are flattened to L ∘ R = O over the
-//     gate hypercube (add/sub gates take right-operand 1). A random τ
-//     reduces this to the claim Σ_b eq(τ,b)·L(b)·R(b) = Õ(τ), settled by
-//     a degree-3 sum-check.
+//     gate hypercube (add/sub gates take right operand wire 0, the
+//     constant 1). A random τ reduces this to the claim
+//     Σ_b eq(τ,b)·L(b)·R(b) = Õ(τ), settled by a degree-3 sum-check.
 //  3. Linear check. The sum-check leaves claims L(ρ), R(ρ), Õ(τ); together
 //     with the public-input/output wire claims they are all inner products
 //     ⟨v, W⟩ with publicly computable vectors v. A random combination
@@ -22,9 +22,11 @@
 //  4. Opening. The final sum-check point requires one evaluation of W,
 //     proven through the polynomial commitment.
 //
-// The verifier runs in O(|C|) time (it evaluates the public combination
-// vector's MLE itself), matching the paper's protocol family, whose proofs
-// are "relatively larger and reach several MB" with linear-time verifiers.
+// The verifier runs in O(|C|) time, matching the paper's protocol family,
+// whose proofs are "relatively larger and reach several MB" with
+// linear-time verifiers: it evaluates the combination vector's MLE at σ
+// itself, in one pass over the gates that never builds the vector
+// (linearAt), and its sum-check rounds do no field inversion.
 package protocol
 
 import (
@@ -103,8 +105,10 @@ type Proof struct {
 }
 
 // gateInputs returns gate g's entries of the L and R tables: its two
-// operands for a multiplication, or their sum/difference and the constant
-// 1 for an addition/subtraction (so that L ∘ R = O holds for every gate).
+// operands for a multiplication, or their sum/difference and wire 0 (the
+// constant 1) for an addition/subtraction, so that L ∘ R = O holds for
+// every gate. Both are linear in w: applied to eq(σ, ·) instead of a
+// witness, they give the gate's row of the wiring maps at σ (linearAt).
 func gateInputs(gate circuit.Gate, w []field.Element) (l, r field.Element) {
 	switch gate.Op {
 	case circuit.OpMul:
@@ -114,7 +118,7 @@ func gateInputs(gate circuit.Gate, w []field.Element) (l, r field.Element) {
 	case circuit.OpSub:
 		l.Sub(&w[gate.A], &w[gate.B])
 	}
-	return l, field.One()
+	return l, w[0]
 }
 
 // hadamardSource supplies the gate sum-check's three tables — eq(τ, ·),
@@ -166,24 +170,13 @@ func (s *splitEq) at(e *field.Element, g int) {
 	e.Mul(&s.lo[g&s.mask], &s.hi[g>>s.k])
 }
 
-// dot returns Σ_b eq(z, b)·v[b], the multilinear extension of v (read as
-// zero past its end) at z.
-func (s *splitEq) dot(v []field.Element) field.Element {
-	var sum, e field.Element
-	for b := range v {
-		s.at(&e, b)
-		e.Mul(&e, &v[b])
-		sum.Add(&sum, &e)
-	}
-	return sum
-}
-
 // publicCombination builds the batched linear-check vector
 // V = α0·vL(ρ) + α1·vR(ρ) + α2·vO(τ) + Σ αk·e_{public wires},
 // where vL, vR, vO are the transposes of the gate wiring maps applied to
-// eq(ρ, ·) and eq(τ, ·) — computable by prover AND verifier in O(|C|).
-// V is zero on the padding wires, so it is written over the circuit's
-// wires only, into v (c.NumWires() entries, whatever they held).
+// eq(ρ, ·) and eq(τ, ·) — the prover's linear-stage table, O(|C|). V is
+// zero on the padding wires, so it is written over the circuit's wires
+// only, into v (c.NumWires() entries, whatever they held). The verifier
+// needs only Ṽ at one point and gets it from linearAt without building V.
 func publicCombination(c *circuit.Circuit, rho, tau, alphas, v []field.Element) {
 	clear(v)
 	eqRho, eqTau := newSplitEq(rho), newSplitEq(tau)
@@ -220,6 +213,71 @@ func publicCombination(c *circuit.Circuit, rho, tau, alphas, v []field.Element) 
 	for k, wi := range publicWires(c) {
 		v[wi].Add(&v[wi], &alphas[3+k])
 	}
+}
+
+// linearAt returns Ṽ(σ), the multilinear extension at σ of the vector
+// publicCombination builds, without building it. V is the wiring maps
+// transposed, so its inner product with eq(σ, ·) is the maps applied to
+// eq(σ, ·):
+//
+//	Ṽ(σ) = α0·Σ_g eq(ρ,g)·L_σ(g) + α1·Σ_g eq(ρ,g)·R_σ(g)
+//	     + α2·Σ_g eq(τ,g)·eq(σ,Out_g) + Σ_k α3+k·eq(σ,wire_k)
+//
+// with (L_σ(g), R_σ(g)) = gateInputs(gate g, eq(σ, ·)). eq(σ, ·) is
+// written over the circuit's wires into eqSigma (at least c.NumWires()
+// entries, whatever they held), one Mul per wire. eq(ρ, ·) and eq(τ, ·)
+// stay factored: gate g = h·2ᵏ + i weighs lo[i]·hi[h], so each block h of
+// 2ᵏ gates sums lo[i]·(its term) and multiplies by hi[h] once. Blocks run
+// as par chunks, whose partial sums add up in chunk order.
+func linearAt(c *circuit.Circuit, rho, tau, sigma, alphas, eqSigma []field.Element) field.Element {
+	eqSigma = eqSigma[:c.NumWires()]
+	es := newSplitEq(sigma)
+	par.For(len(eqSigma), func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			es.at(&eqSigma[b], b)
+		}
+	})
+	eqRho, eqTau := newSplitEq(rho), newSplitEq(tau)
+	k := eqRho.k
+	blocks := (len(c.Gates) + eqRho.mask) >> k
+	s := par.GetScratch()
+	defer par.PutScratch(s)
+	nc := par.Chunks(0, blocks)
+	partial := s.ZeroElements(0, 3*nc) // per chunk: Σ over L, R, O
+	par.ForChunks(nc, blocks, func(chunk, lo, hi int) {
+		var sumL, sumR, sumO, inL, inR, inO, t field.Element
+		for h := lo; h < hi; h++ {
+			inL, inR, inO = field.Element{}, field.Element{}, field.Element{}
+			for i, gate := range c.Gates[h<<k : min((h+1)<<k, len(c.Gates))] {
+				l, r := gateInputs(gate, eqSigma)
+				t.Mul(&eqRho.lo[i], &l)
+				inL.Add(&inL, &t)
+				t.Mul(&eqRho.lo[i], &r)
+				inR.Add(&inR, &t)
+				t.Mul(&eqTau.lo[i], &eqSigma[gate.Out])
+				inO.Add(&inO, &t)
+			}
+			t.Mul(&eqRho.hi[h], &inL)
+			sumL.Add(&sumL, &t)
+			t.Mul(&eqRho.hi[h], &inR)
+			sumR.Add(&sumR, &t)
+			t.Mul(&eqTau.hi[h], &inO)
+			sumO.Add(&sumO, &t)
+		}
+		partial[3*chunk], partial[3*chunk+1], partial[3*chunk+2] = sumL, sumR, sumO
+	})
+	var sum, t field.Element
+	for chunk := 0; chunk < len(partial); chunk += 3 {
+		for j := range 3 {
+			t.Mul(&alphas[j], &partial[chunk+j])
+			sum.Add(&sum, &t)
+		}
+	}
+	for j, wi := range publicWires(c) {
+		t.Mul(&alphas[3+j], &eqSigma[wi])
+		sum.Add(&sum, &t)
+	}
+	return sum
 }
 
 // publicWires lists the wires whose values the verifier pins: wire 0,
@@ -338,7 +396,8 @@ type Arena struct {
 
 // Stage-local buffers, shared by every proof and verification: zero rows
 // to pad the commitment with (never written, so they stay zero) and the
-// linear check's V vectors.
+// linear check's wire-length tables (the prover's V, the verifier's
+// eq(σ, ·)).
 var zeroRows, linearVs par.FreeList[[]field.Element]
 
 // take returns *buf resized to n entries, reallocating only when it is
@@ -584,14 +643,11 @@ func Verify(c *circuit.Circuit, p *Params, public []field.Element, proof *Proof)
 		return fmt.Errorf("%w: linear: %v", ErrReject, err)
 	}
 	tr.AppendElement("w_sigma", &proof.WSigma)
-	// The verifier evaluates Ṽ(σ) = Σ_b V[b]·eq(σ, b) itself (O(|C|)) and
-	// checks Ṽ(σ)·W(σ) == final.
-	vBuf := linearVs.Get()
-	defer linearVs.Put(vBuf)
-	v := take(vBuf, c.NumWires())
-	publicCombination(c, rho, tau, alphas, v)
-	eqSigma := newSplitEq(sigma)
-	vSigma := eqSigma.dot(v)
+	// The verifier evaluates Ṽ(σ) itself (O(|C|)) and checks
+	// Ṽ(σ)·W(σ) == final.
+	eqBuf := linearVs.Get()
+	defer linearVs.Put(eqBuf)
+	vSigma := linearAt(c, rho, tau, sigma, alphas, take(eqBuf, c.NumWires()))
 	prod.Mul(&vSigma, &proof.WSigma)
 	if !prod.Equal(&finalLin) {
 		return fmt.Errorf("%w: linear final check", ErrReject)

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"batchzk/internal/circuit"
@@ -252,5 +253,27 @@ func BenchmarkProve256Gates(b *testing.B) {
 		if _, err := Prove(c, p, public, secret); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVerify times one verification at the benchmark workloads'
+// circuit sizes.
+func BenchmarkVerify(b *testing.B) {
+	for _, logGates := range []int{8, 12, 16} {
+		c, _ := circuit.RandomCircuit(1<<logGates, 2, 2, 1)
+		p, _ := Setup(c)
+		public := field.RandVector(2)
+		proof, err := Prove(c, p, public, field.RandVector(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("gates=2^%d", logGates), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if err := Verify(c, p, public, proof); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
