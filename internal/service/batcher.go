@@ -1,15 +1,16 @@
 // Package service is the multi-tenant proving-as-a-service gateway: the
-// layer that turns "many concurrent clients" into "batched proving" in
-// front of core.ShardedProver — the paper's §5 MLaaS scenario served as
-// real traffic rather than a pre-built batch.
+// layer that turns "many concurrent clients" into one job stream for
+// core.ShardedProver's pipeline — the paper's §5 MLaaS scenario served
+// as real traffic rather than a pre-built batch.
 //
 // It has three parts:
 //
-//   - an admission batcher (this file): jobs from many tenants coalesce
-//     into batches under a latency/size window (dynamic batching), with
+//   - an admission batcher (this file): work-conserving admission with
 //     per-tenant token-bucket quotas, priority queues, a bounded queue
 //     with backpressure, and a graceful drain that flushes every
-//     accepted job exactly once;
+//     accepted job exactly once. A job waits in the queue only while
+//     the prover is busy; batches are whatever backlog built up
+//     meanwhile, never a timer's worth;
 //   - the Gateway (service.go): job lifecycle in front of a prover —
 //     admission, fan-out, quarantine-aware retry, terminal resolution;
 //   - the HTTP API (http.go): submit / poll / stream endpoints with
@@ -86,21 +87,17 @@ func (b *bucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration((1 - b.tokens) / b.spec.Rate * float64(time.Second))
 }
 
-// BatcherConfig shapes the admission window. The zero value gets the
-// documented defaults.
+// BatcherConfig shapes admission. The zero value gets the documented
+// defaults.
 type BatcherConfig struct {
-	// MaxBatch caps the number of jobs per emitted batch (default 32).
+	// MaxBatch caps the number of jobs one Take hands out (default 32).
 	MaxBatch int
-	// MaxWait bounds how long the oldest queued job waits before its
-	// batch is flushed even if under-full (default 2ms) — the latency
-	// half of the latency/size window.
-	MaxWait time.Duration
-	// QueueCap bounds the number of admitted-but-unflushed jobs; above
-	// it Submit returns ErrQueueFull (default 1024).
+	// QueueCap bounds the number of admitted-but-untaken jobs; above it
+	// Submit returns ErrQueueFull (default 1024).
 	QueueCap int
 	// Priorities is the number of priority classes (default 2). Class 0
-	// is the most urgent; batches are filled highest-priority-first,
-	// FIFO within a class.
+	// is the most urgent; Take hands out highest-priority-first, FIFO
+	// within a class.
 	Priorities int
 	// DefaultQuota applies to tenants absent from Quotas.
 	DefaultQuota QuotaSpec
@@ -112,9 +109,6 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
 	}
@@ -122,14 +116,6 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 		c.Priorities = 2
 	}
 	return c
-}
-
-// Batch is one flushed group of admitted items.
-type Batch[T any] struct {
-	Items []T
-	// Full reports whether the size cap (rather than the latency
-	// window or a drain) triggered the flush.
-	Full bool
 }
 
 // BatcherStats is a point-in-time snapshot of admission accounting.
@@ -144,7 +130,8 @@ type BatcherStats struct {
 }
 
 // Occupancy is the mean batch fill fraction: flushed items over
-// batches × MaxBatch capacity.
+// batches × MaxBatch capacity. Take hands out whatever is queued, so
+// this is the backlog the consumer found at each hand-off.
 func (s BatcherStats) Occupancy(maxBatch int) float64 {
 	if s.Batches == 0 || maxBatch <= 0 {
 		return 0
@@ -152,54 +139,39 @@ func (s BatcherStats) Occupancy(maxBatch int) float64 {
 	return float64(s.Flushed) / float64(s.Batches*int64(maxBatch))
 }
 
-type entry[T any] struct {
-	item T
-	enq  time.Time
-}
-
-// Batcher coalesces admitted items into batches under the configured
-// latency/size window. All methods are safe for concurrent use.
+// Batcher is the admission queue: Submit admits items under quotas and
+// the queue cap, Take hands them to the consumer the moment it asks and
+// any are queued. All methods are safe for concurrent use.
 type Batcher[T any] struct {
 	cfg BatcherConfig
 
 	mu       sync.Mutex
-	queues   [][]entry[T] // one FIFO per priority class
+	ready    sync.Cond // signalled on every admission and on Drain
+	queues   [][]T     // one FIFO per priority class
 	count    int
 	buckets  map[string]*bucket
 	draining bool
 	stats    BatcherStats
 
-	kick chan struct{}
-	out  chan Batch[T]
-	done chan struct{}
-
-	drainOnce sync.Once
-	// now is the clock, swappable in tests.
+	// now is the quota clock, swappable in tests.
 	now func() time.Time
 }
 
-// NewBatcher starts a batcher and its flush loop. Callers must consume
-// Out; an unread Out channel is the backpressure that stalls flushing
-// (and, transitively, admission once the queue cap is hit).
+// NewBatcher returns an empty batcher. It runs no goroutine: items
+// leave only through Take.
 func NewBatcher[T any](cfg BatcherConfig) *Batcher[T] {
 	b := &Batcher[T]{
 		cfg:     cfg.withDefaults(),
 		buckets: make(map[string]*bucket),
-		kick:    make(chan struct{}, 1),
-		out:     make(chan Batch[T], 1),
-		done:    make(chan struct{}),
 		now:     time.Now,
 	}
-	b.queues = make([][]entry[T], b.cfg.Priorities)
-	go b.loop()
+	b.ready.L = &b.mu
+	b.queues = make([][]T, b.cfg.Priorities)
 	return b
 }
 
 // Config returns the effective (defaulted) configuration.
 func (b *Batcher[T]) Config() BatcherConfig { return b.cfg }
-
-// Out delivers flushed batches until Drain closes it.
-func (b *Batcher[T]) Out() <-chan Batch[T] { return b.out }
 
 // Stats snapshots the admission counters.
 func (b *Batcher[T]) Stats() BatcherStats {
@@ -223,14 +195,13 @@ func (b *Batcher[T]) Submit(tenant string, priority int, item T) error {
 		priority = b.cfg.Priorities - 1
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.draining {
 		b.stats.RejectedDraining++
-		b.mu.Unlock()
 		return ErrDraining
 	}
 	if b.count >= b.cfg.QueueCap {
 		b.stats.RejectedQueue++
-		b.mu.Unlock()
 		return ErrQueueFull
 	}
 	now := b.now()
@@ -245,126 +216,53 @@ func (b *Batcher[T]) Submit(tenant string, priority int, item T) error {
 	}
 	if ok, retry := bk.take(now); !ok {
 		b.stats.RejectedQuota++
-		b.mu.Unlock()
 		return &QuotaError{Tenant: tenant, RetryAfter: retry}
 	}
-	b.queues[priority] = append(b.queues[priority], entry[T]{item: item, enq: now})
+	b.queues[priority] = append(b.queues[priority], item)
 	b.count++
 	b.stats.Accepted++
-	b.mu.Unlock()
-
-	select {
-	case b.kick <- struct{}{}:
-	default:
-	}
+	b.ready.Signal()
 	return nil
 }
 
-// Drain stops admission, flushes every already-accepted item (in as
-// many batches as needed), closes Out, and returns. Safe to call more
-// than once; concurrent Submits that lose the race get ErrDraining.
+// Drain stops admission: later Submits get ErrDraining, and Take hands
+// out every already-accepted item before it reports the queue drained.
+// Safe to call more than once.
 func (b *Batcher[T]) Drain() {
-	b.drainOnce.Do(func() {
-		b.mu.Lock()
-		b.draining = true
-		b.mu.Unlock()
-		select {
-		case b.kick <- struct{}{}:
-		default:
-		}
-	})
-	<-b.done
+	b.mu.Lock()
+	b.draining = true
+	b.mu.Unlock()
+	b.ready.Broadcast()
 }
 
-// popLocked removes up to MaxBatch items, highest priority class first,
-// FIFO within a class. Callers hold b.mu.
-func (b *Batcher[T]) popLocked() []T {
-	n := b.count
-	if n > b.cfg.MaxBatch {
-		n = b.cfg.MaxBatch
+// Take blocks until an item is queued or the batcher is drained. It
+// returns up to MaxBatch queued items, highest priority class first and
+// FIFO within a class, with ok true; once Drain has run and the queue
+// is empty it returns ok false. Every accepted item is taken exactly
+// once.
+func (b *Batcher[T]) Take() (items []T, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.count == 0 {
+		if b.draining {
+			return nil, false
+		}
+		b.ready.Wait()
 	}
-	items := make([]T, 0, n)
+	n := min(b.count, b.cfg.MaxBatch)
+	items = make([]T, 0, n)
 	for p := 0; p < len(b.queues) && len(items) < n; p++ {
 		q := b.queues[p]
-		take := n - len(items)
-		if take > len(q) {
-			take = len(q)
-		}
-		for i := 0; i < take; i++ {
-			items = append(items, q[i].item)
-			q[i] = entry[T]{} // release for GC
-		}
+		take := min(n-len(items), len(q))
+		items = append(items, q[:take]...)
+		clear(q[:take]) // release for GC
 		b.queues[p] = q[take:]
 		if len(b.queues[p]) == 0 {
 			b.queues[p] = nil // reset backing array
 		}
 	}
-	b.count -= len(items)
-	return items
-}
-
-// oldestLocked returns the earliest enqueue time across all priority
-// classes (each class is FIFO, so its head is its oldest). Callers hold
-// b.mu and guarantee count > 0.
-func (b *Batcher[T]) oldestLocked() time.Time {
-	var oldest time.Time
-	for _, q := range b.queues {
-		if len(q) > 0 && (oldest.IsZero() || q[0].enq.Before(oldest)) {
-			oldest = q[0].enq
-		}
-	}
-	return oldest
-}
-
-// loop is the flush pump: emit a batch whenever the size cap is hit,
-// the oldest queued item has aged past MaxWait, or a drain needs the
-// queue emptied; otherwise sleep until the window deadline or the next
-// Submit kick.
-func (b *Batcher[T]) loop() {
-	defer close(b.done)
-	defer close(b.out)
-	for {
-		b.mu.Lock()
-		var batch []T
-		full := false
-		var due time.Time
-		switch {
-		case b.count >= b.cfg.MaxBatch:
-			batch = b.popLocked()
-			full = true
-		case b.count > 0 && b.draining:
-			batch = b.popLocked()
-		case b.count > 0:
-			oldest := b.oldestLocked()
-			if b.now().Sub(oldest) >= b.cfg.MaxWait {
-				batch = b.popLocked()
-			} else {
-				due = oldest.Add(b.cfg.MaxWait)
-			}
-		}
-		if batch != nil {
-			b.stats.Batches++
-			b.stats.Flushed += int64(len(batch))
-		}
-		draining, empty := b.draining, b.count == 0
-		b.mu.Unlock()
-
-		if batch != nil {
-			b.out <- Batch[T]{Items: batch, Full: full}
-			continue
-		}
-		if draining && empty {
-			return
-		}
-		if due.IsZero() {
-			<-b.kick
-			continue
-		}
-		t := time.NewTimer(time.Until(due))
-		select {
-		case <-b.kick:
-		case <-t.C:
-		}
-		t.Stop()
-	}
+	b.count -= n
+	b.stats.Batches++
+	b.stats.Flushed += int64(n)
+	return items, true
 }

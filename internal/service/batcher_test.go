@@ -4,42 +4,62 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-// drainCollect consumes every batch from b until Drain closes the
-// stream, returning all items in emission order.
-func drainCollect[T any](t *testing.T, b *Batcher[T], done <-chan struct{}) []T {
-	t.Helper()
+// takeAll takes every batch from b until Take reports the queue
+// drained, returning all items in hand-out order. Safe to call from a
+// goroutine other than the test's.
+func takeAll[T any](t *testing.T, b *Batcher[T]) []T {
 	var items []T
-	for batch := range b.Out() {
-		if len(batch.Items) == 0 {
-			t.Error("empty batch emitted")
+	for {
+		batch, ok := b.Take()
+		if !ok {
+			return items
 		}
-		if len(batch.Items) > b.Config().MaxBatch {
-			t.Errorf("batch of %d items exceeds cap %d", len(batch.Items), b.Config().MaxBatch)
+		if len(batch) == 0 {
+			t.Error("empty batch taken")
 		}
-		items = append(items, batch.Items...)
+		if len(batch) > b.Config().MaxBatch {
+			t.Errorf("batch of %d items exceeds cap %d", len(batch), b.Config().MaxBatch)
+		}
+		items = append(items, batch...)
 	}
-	if done != nil {
-		<-done
-	}
-	return items
 }
 
-// Invariant: batches never exceed the size cap, and a full queue
-// flushes immediately in cap-sized batches.
+// fakeClock is a quota clock that moves only when the test says so.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// Invariant: batches never exceed the size cap, and a backlog is taken
+// in cap-sized batches. Nothing takes before the drain, so all ten
+// items are queued when it starts.
 func TestBatcherSizeCap(t *testing.T) {
-	b := NewBatcher[int](BatcherConfig{MaxBatch: 4, MaxWait: time.Hour, QueueCap: 128})
+	b := NewBatcher[int](BatcherConfig{MaxBatch: 4, QueueCap: 128})
 	for i := 0; i < 10; i++ {
 		if err := b.Submit("a", 0, i); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	go b.Drain()
-	items := drainCollect(t, b, nil)
+	b.Drain()
+	items := takeAll(t, b)
 	if len(items) != 10 {
 		t.Fatalf("flushed %d items, want 10", len(items))
 	}
@@ -50,47 +70,58 @@ func TestBatcherSizeCap(t *testing.T) {
 	}
 }
 
-// Invariant: no job waits (much) past the latency window — an
-// under-full batch still flushes once its oldest member ages out. The
-// assertion uses generous slack (scheduling noise under -race) but
-// still catches both failure modes that matter: waiting forever, and
-// waiting a multiple of the window.
-func TestBatcherLatencyWindow(t *testing.T) {
-	const window = 20 * time.Millisecond
-	b := NewBatcher[int](BatcherConfig{MaxBatch: 1000, MaxWait: window, QueueCap: 1000})
-	start := time.Now()
-	if err := b.Submit("a", 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case batch := <-b.Out():
-		waited := time.Since(start)
-		if len(batch.Items) != 1 {
-			t.Fatalf("batch size %d, want 1", len(batch.Items))
+// Invariant: admission is work-conserving. A taker that is already
+// waiting receives a submitted item at once, in an under-full batch,
+// with the batcher's clock frozen — so no timer or window is involved.
+func TestBatcherHandOff(t *testing.T) {
+	b := NewBatcher[int](BatcherConfig{MaxBatch: 1000, QueueCap: 1000})
+	frozen := time.Unix(0, 0)
+	b.now = func() time.Time { return frozen }
+	got := make(chan []int)
+	go func() {
+		for {
+			batch, ok := b.Take()
+			if !ok {
+				close(got)
+				return
+			}
+			got <- batch
 		}
-		if waited < window {
-			t.Errorf("flushed after %v, before the %v window", waited, window)
+	}()
+	for i := 1; i <= 3; i++ {
+		if err := b.Submit("a", 0, i); err != nil {
+			t.Fatal(err)
 		}
-		if waited > 10*window {
-			t.Errorf("flushed after %v, far past the %v window", waited, window)
+		select {
+		case batch := <-got:
+			if len(batch) != 1 || batch[0] != i {
+				t.Fatalf("taker got %v, want [%d]", batch, i)
+			}
+		case <-time.After(10 * time.Second): // a fail-safe, not a window
+			t.Fatalf("a waiting taker never received item %d", i)
 		}
-	case <-time.After(10 * window):
-		t.Fatal("under-full batch never flushed")
 	}
 	b.Drain()
+	if batch, ok := <-got; ok {
+		t.Fatalf("taker got %v after drain, want the queue reported drained", batch)
+	}
+	if s := b.Stats(); s.Batches != 3 || s.Flushed != 3 {
+		t.Fatalf("stats batches=%d flushed=%d, want 3/3", s.Batches, s.Flushed)
+	}
 }
 
 // Invariant: batches fill highest-priority-first, FIFO within a class.
 func TestBatcherPriorityOrder(t *testing.T) {
-	b := NewBatcher[string](BatcherConfig{MaxBatch: 16, MaxWait: time.Hour, QueueCap: 64, Priorities: 3})
-	// Interleave submissions across classes; the flush must re-sort.
+	b := NewBatcher[string](BatcherConfig{MaxBatch: 16, QueueCap: 64, Priorities: 3})
+	// Interleave submissions across classes; nothing takes until the
+	// drain, so Take sees all five and must re-sort them.
 	b.Submit("a", 2, "low-0")
 	b.Submit("a", 0, "high-0")
 	b.Submit("a", 1, "mid-0")
 	b.Submit("a", 2, "low-1")
 	b.Submit("a", 0, "high-1")
-	go b.Drain()
-	items := drainCollect(t, b, nil)
+	b.Drain()
+	items := takeAll(t, b)
 	want := []string{"high-0", "high-1", "mid-0", "low-0", "low-1"}
 	if len(items) != len(want) {
 		t.Fatalf("flushed %d items, want %d", len(items), len(want))
@@ -104,15 +135,15 @@ func TestBatcherPriorityOrder(t *testing.T) {
 
 // Out-of-range priorities clamp instead of panicking or dropping.
 func TestBatcherPriorityClamp(t *testing.T) {
-	b := NewBatcher[int](BatcherConfig{MaxBatch: 8, MaxWait: time.Hour, Priorities: 2})
+	b := NewBatcher[int](BatcherConfig{MaxBatch: 8, Priorities: 2})
 	if err := b.Submit("a", -5, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Submit("a", 99, 2); err != nil {
 		t.Fatal(err)
 	}
-	go b.Drain()
-	if items := drainCollect(t, b, nil); len(items) != 2 {
+	b.Drain()
+	if items := takeAll(t, b); len(items) != 2 {
 		t.Fatalf("flushed %d items, want 2", len(items))
 	}
 }
@@ -120,7 +151,7 @@ func TestBatcherPriorityClamp(t *testing.T) {
 // Invariant: queue depth is bounded; submissions above the cap get
 // ErrQueueFull and are NOT admitted (no token spent, no item queued).
 func TestBatcherQueueCapBackpressure(t *testing.T) {
-	b := NewBatcher[int](BatcherConfig{MaxBatch: 1000, MaxWait: time.Hour, QueueCap: 8})
+	b := NewBatcher[int](BatcherConfig{MaxBatch: 1000, QueueCap: 8})
 	var full int
 	for i := 0; i < 20; i++ {
 		err := b.Submit("a", 0, i)
@@ -137,8 +168,8 @@ func TestBatcherQueueCapBackpressure(t *testing.T) {
 	if s.Accepted != 8 || s.RejectedQueue != 12 {
 		t.Fatalf("stats accepted=%d rejectedQueue=%d, want 8/12", s.Accepted, s.RejectedQueue)
 	}
-	go b.Drain()
-	if items := drainCollect(t, b, nil); len(items) != 8 {
+	b.Drain()
+	if items := takeAll(t, b); len(items) != 8 {
 		t.Fatalf("flushed %d items, want 8", len(items))
 	}
 }
@@ -152,17 +183,11 @@ func TestBatcherQuotaExactUnderConcurrency(t *testing.T) {
 	const submitters = 8
 	const perSubmitter = 20 // 160 offered total
 	b := NewBatcher[int](BatcherConfig{
-		MaxBatch: 32, MaxWait: time.Millisecond, QueueCap: 1000,
+		MaxBatch: 32, QueueCap: 1000,
 		DefaultQuota: QuotaSpec{Burst: allowance}, // Rate 0: hard allowance
 	})
 	collected := make(chan []int, 1)
-	go func() { // consume concurrently so flushing never stalls admission
-		var items []int
-		for batch := range b.Out() {
-			items = append(items, batch.Items...)
-		}
-		collected <- items
-	}()
+	go func() { collected <- takeAll(t, b) }() // take while admitting
 
 	var accepted, quotaRejected int64
 	var mu sync.Mutex
@@ -209,16 +234,15 @@ func TestBatcherQuotaExactUnderConcurrency(t *testing.T) {
 	}
 }
 
-// A refilling bucket admits again after the refill interval.
+// A refilling bucket admits again after the refill interval, measured
+// on the batcher's own clock.
 func TestBatcherQuotaRefill(t *testing.T) {
 	b := NewBatcher[int](BatcherConfig{
-		MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: 64,
+		MaxBatch: 8, QueueCap: 64,
 		Quotas: map[string]QuotaSpec{"slow": {Rate: 100, Burst: 1}},
 	})
-	go func() {
-		for range b.Out() {
-		}
-	}()
+	clock := &fakeClock{t: time.Unix(0, 0)}
+	b.now = clock.now
 	if err := b.Submit("slow", 0, 1); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
@@ -227,27 +251,28 @@ func TestBatcherQuotaRefill(t *testing.T) {
 	if !errors.As(err, &qe) {
 		t.Fatalf("second immediate submit: got %v, want QuotaError", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := b.Submit("slow", 0, 3); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("bucket never refilled at 100 tokens/s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	clock.advance(qe.RetryAfter)
+	if err := b.Submit("slow", 0, 3); err != nil {
+		t.Fatalf("bucket did not refill at 100 tokens/s after the %v hint: %v", qe.RetryAfter, err)
 	}
 	b.Drain()
+	if items := takeAll(t, b); len(items) != 2 {
+		t.Fatalf("took %d items, want the 2 admitted", len(items))
+	}
 }
 
 // Invariant: drain flushes every accepted job exactly once, even with
 // submissions racing the drain; post-drain submissions get ErrDraining.
 func TestBatcherDrainFlushesExactlyOnce(t *testing.T) {
-	b := NewBatcher[int](BatcherConfig{MaxBatch: 4, MaxWait: time.Hour, QueueCap: 10000})
+	// The drain lands mid-stream: right after the midway-th acceptance,
+	// with the other submitters still racing it.
+	const midway = 300
+	b := NewBatcher[int](BatcherConfig{MaxBatch: 4, QueueCap: 10000})
 	var accepted sync.Map
 	var acceptedN int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	reached := make(chan struct{})
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -258,6 +283,9 @@ func TestBatcherDrainFlushesExactlyOnce(t *testing.T) {
 					accepted.Store(id, true)
 					mu.Lock()
 					acceptedN++
+					if acceptedN == midway {
+						close(reached)
+					}
 					mu.Unlock()
 				} else if !errors.Is(err, ErrDraining) {
 					t.Errorf("submit: %v", err)
@@ -268,15 +296,12 @@ func TestBatcherDrainFlushesExactlyOnce(t *testing.T) {
 	collected := make(chan map[int]int, 1)
 	go func() {
 		seen := make(map[int]int)
-		for batch := range b.Out() {
-			for _, id := range batch.Items {
-				seen[id]++
-			}
+		for _, id := range takeAll(t, b) {
+			seen[id]++
 		}
 		collected <- seen
 	}()
-	// Let some submissions land, then drain mid-stream.
-	time.Sleep(2 * time.Millisecond)
+	<-reached
 	b.Drain()
 	wg.Wait()
 	seen := <-collected
@@ -308,7 +333,6 @@ func TestBatcherPropertyConservation(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			cfg := BatcherConfig{
 				MaxBatch:   1 + rng.Intn(16),
-				MaxWait:    time.Duration(1+rng.Intn(5)) * time.Millisecond,
 				QueueCap:   32 + rng.Intn(256),
 				Priorities: 1 + rng.Intn(4),
 			}
@@ -318,17 +342,21 @@ func TestBatcherPropertyConservation(t *testing.T) {
 			consumerDone := make(chan struct{})
 			go func() {
 				defer close(consumerDone)
-				for batch := range b.Out() {
-					if len(batch.Items) > cfg.MaxBatch {
-						t.Errorf("batch %d > cap %d", len(batch.Items), cfg.MaxBatch)
+				for {
+					batch, ok := b.Take()
+					if !ok {
+						return
+					}
+					if len(batch) > cfg.MaxBatch {
+						t.Errorf("batch %d > cap %d", len(batch), cfg.MaxBatch)
 					}
 					flushedMu.Lock()
-					for _, id := range batch.Items {
+					for _, id := range batch {
 						flushed[id]++
 					}
 					flushedMu.Unlock()
-					if rng.Intn(4) == 0 {
-						time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+					for n := rng.Intn(4); n > 0; n-- {
+						runtime.Gosched()
 					}
 				}
 			}()
@@ -350,7 +378,7 @@ func TestBatcherPropertyConservation(t *testing.T) {
 							acceptedMu.Unlock()
 						}
 						if r.Intn(8) == 0 {
-							time.Sleep(time.Duration(r.Intn(200)) * time.Microsecond)
+							runtime.Gosched()
 						}
 					}
 				}(g)

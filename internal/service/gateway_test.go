@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -32,6 +35,47 @@ func newTestProver(t *testing.T, shards int) (*core.ShardedProver, *circuit.Circ
 	}
 	return sp, c
 }
+
+// stallProver is a stub Prover that takes no job until releaseJobs,
+// then records the internal ids in the order it takes them and answers
+// each with an empty successful result.
+type stallProver struct {
+	release chan struct{}
+	once    sync.Once
+
+	mu    sync.Mutex
+	taken []int
+}
+
+func newStallProver() *stallProver { return &stallProver{release: make(chan struct{})} }
+
+func (p *stallProver) releaseJobs() { p.once.Do(func() { close(p.release) }) }
+
+func (p *stallProver) takenIDs() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]int(nil), p.taken...)
+}
+
+func (p *stallProver) Run(jobs <-chan core.Job) <-chan core.Result {
+	out := make(chan core.Result)
+	go func() {
+		defer close(out)
+		<-p.release
+		for j := range jobs {
+			p.mu.Lock()
+			p.taken = append(p.taken, j.ID)
+			p.mu.Unlock()
+			out <- core.Result{ID: j.ID, Trace: j.Trace}
+		}
+	}()
+	return out
+}
+
+func (p *stallProver) Stats() core.Stats                             { return core.Stats{} }
+func (p *stallProver) SetResilience(*core.Resilience)                {}
+func (p *stallProver) Quarantined() []core.QuarantinedJob            { return nil }
+func (p *stallProver) Verify([]field.Element, *protocol.Proof) error { return nil }
 
 func submitN(t *testing.T, gw *Gateway, tenant string, n int) []string {
 	t.Helper()
@@ -326,5 +370,62 @@ func TestGatewayStreamExactlyOnce(t *testing.T) {
 	}
 	if gw.DroppedEvents() != 0 {
 		t.Errorf("%d events dropped with an attentive subscriber", gw.DroppedEvents())
+	}
+}
+
+// Priority inversion is bounded by one hand-off: while the prover is
+// stalled, the pump holds at most one Take (MaxBatch jobs) outside the
+// priority queue. Once the prover takes jobs again, every high-priority
+// job reaches it before any low-priority job still in the queue.
+func TestGatewayPriorityOneHandOff(t *testing.T) {
+	const maxBatch, lows, highs = 2, 6, 4
+	sp := newStallProver()
+	gw, err := NewGateway(sp, Config{MaxBatch: maxBatch, Priorities: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Drain()
+	defer sp.releaseJobs()
+
+	submit := func(priority int) {
+		t.Helper()
+		if _, err := gw.Submit("t0", priority, nil, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < lows; i++ {
+		submit(1)
+	}
+	// Wait for the pump's first Take; it then blocks handing its first
+	// job to the stalled prover, so the hand-off cannot grow.
+	for deadline := time.Now().Add(10 * time.Second); gw.Stats().Batches == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the pump never took from the queue")
+		}
+	}
+	for i := 0; i < highs; i++ {
+		submit(0)
+	}
+	st := gw.Stats()
+	handed := int(st.Accepted) - st.QueueDepth
+	if handed < 1 || handed > maxBatch {
+		t.Fatalf("%d jobs left the queue for a stalled prover, want 1..%d", handed, maxBatch)
+	}
+	sp.releaseJobs()
+	gw.Drain()
+
+	// Internal ids follow submission: lows are 1..6, highs 7..10.
+	var want []int
+	for id := 1; id <= handed; id++ {
+		want = append(want, id)
+	}
+	for id := lows + 1; id <= lows+highs; id++ {
+		want = append(want, id)
+	}
+	for id := handed + 1; id <= lows; id++ {
+		want = append(want, id)
+	}
+	if got := sp.takenIDs(); !slices.Equal(got, want) {
+		t.Fatalf("prover took jobs %v, want %v (%d handed over before the high-priority jobs)", got, want, handed)
 	}
 }

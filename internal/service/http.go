@@ -99,6 +99,12 @@ func parseElements(vals []string, max int, what string) ([]field.Element, error)
 	return out, nil
 }
 
+// queueFullRetryAfter is the Retry-After hint on ErrQueueFull. A full
+// queue clears at the prover's pace, which admission does not predict,
+// and the header counts whole seconds: one second is the shortest hint
+// that still tells a client to back off rather than retry at once.
+const queueFullRetryAfter = time.Second
+
 // maxWireElements bounds each of the public/secret arrays per request.
 const maxWireElements = 1 << 16
 
@@ -175,8 +181,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", retryAfterSeconds(quota.RetryAfter))
 			writeError(w, http.StatusTooManyRequests, err.Error())
 		case errors.Is(err, ErrQueueFull):
-			// The queue clears at batch-window cadence; hint one window.
-			w.Header().Set("Retry-After", retryAfterSeconds(g.batcher.Config().MaxWait))
+			w.Header().Set("Retry-After", retryAfterSeconds(queueFullRetryAfter))
 			writeError(w, http.StatusTooManyRequests, err.Error())
 		case errors.Is(err, ErrDraining):
 			w.Header().Set("Retry-After", "5")

@@ -220,15 +220,27 @@ func TestHTTPQuotaBackpressure(t *testing.T) {
 
 // A full admission queue answers 429 + Retry-After.
 func TestHTTPQueueFullBackpressure(t *testing.T) {
-	// MaxWait pins the window far out so the queue cannot clear.
-	srv, _ := newTestServer(t, Config{MaxBatch: 1000, MaxWait: time.Hour, QueueCap: 2})
+	// The prover takes no job, so the queue cannot clear: the pump's one
+	// Take holds at most QueueCap jobs, and at most QueueCap more queue
+	// behind it.
+	sp := newStallProver()
+	gw, err := NewGateway(sp, Config{MaxBatch: 1000, QueueCap: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		sp.releaseJobs()
+		gw.Drain()
+	})
 	saw429 := false
 	for i := 0; i < 6; i++ {
 		resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			saw429 = true
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("queue-full 429 without Retry-After")
+			if got := resp.Header.Get("Retry-After"); got != "1" {
+				t.Errorf("queue-full 429 with Retry-After %q, want \"1\"", got)
 			}
 		}
 		resp.Body.Close()

@@ -16,7 +16,7 @@ import (
 	"batchzk/internal/telemetry"
 )
 
-// Prover is the proving backend the gateway fans batches out to.
+// Prover is the proving backend the gateway hands jobs to.
 // core.BatchProver and core.ShardedProver both satisfy it.
 type Prover interface {
 	Run(jobs <-chan core.Job) <-chan core.Result
@@ -46,14 +46,17 @@ func (s Status) Terminal() bool {
 // Config shapes the gateway. Zero values get the batcher defaults plus:
 // JobDeadline 0 (off), RetryBudget 1, MaxBody 1 MiB.
 type Config struct {
-	// Batching window, queue bound, priorities, and quotas — see
+	// Hand-off size, queue bound, priorities, and quotas — see
 	// BatcherConfig.
 	MaxBatch     int
-	MaxWait      time.Duration
 	QueueCap     int
 	Priorities   int
 	DefaultQuota QuotaSpec
 	Quotas       map[string]QuotaSpec
+	// MaxWait is ignored. It used to hold under-full batches back for a
+	// latency window; admission is now work-conserving, so a job waits
+	// only while the prover is busy (see Batcher.Take).
+	MaxWait time.Duration
 
 	// JobDeadline bounds a job's wall time inside the prover pipeline
 	// (installed into the prover's Resilience). Zero disables it.
@@ -177,7 +180,9 @@ type Gateway struct {
 	seq  int
 
 	// in feeds the prover's current Run; inMu guards the close against
-	// late retry re-submissions.
+	// late retry re-submissions. It is unbuffered, so the only jobs
+	// outside the priority queue and the prover are the pump's current
+	// Take: priority inversion is bounded by MaxBatch jobs.
 	inMu     sync.RWMutex
 	in       chan core.Job
 	inClosed bool
@@ -230,12 +235,11 @@ func (g *Gateway) Config() Config { return g.cfg }
 // Called at construction and again by Resume.
 func (g *Gateway) start() {
 	g.batcher = NewBatcher[*job](BatcherConfig{
-		MaxBatch: g.cfg.MaxBatch, MaxWait: g.cfg.MaxWait,
-		QueueCap: g.cfg.QueueCap, Priorities: g.cfg.Priorities,
+		MaxBatch: g.cfg.MaxBatch, QueueCap: g.cfg.QueueCap, Priorities: g.cfg.Priorities,
 		DefaultQuota: g.cfg.DefaultQuota, Quotas: g.cfg.Quotas,
 	})
 	g.inMu.Lock()
-	g.in = make(chan core.Job, g.batcher.Config().MaxBatch)
+	g.in = make(chan core.Job)
 	g.inClosed = false
 	g.inMu.Unlock()
 	out := g.prover.Run(g.in)
@@ -272,6 +276,9 @@ func (g *Gateway) Submit(tenant string, priority int, public, secret []field.Ele
 	g.byID[seq] = j
 	g.mu.Unlock()
 
+	// The acknowledgement is the job as admitted: once in the queue it
+	// may reach the prover before Submit returns.
+	ack := j.info()
 	if err := g.batcher.Submit(tenant, priority, j); err != nil {
 		g.mu.Lock()
 		delete(g.jobs, j.extID)
@@ -280,14 +287,19 @@ func (g *Gateway) Submit(tenant string, priority int, public, secret []field.Ele
 		return JobInfo{}, err
 	}
 	obs.Debug("service", "job.accepted", obs.Job(seq), obs.Trace(trace))
-	return j.info(), nil
+	return ack, nil
 }
 
-// batchPump forwards flushed batches into the prover's job stream.
+// batchPump hands queued jobs to the prover's job stream as fast as
+// the prover takes them, until a drain has emptied the queue.
 func (g *Gateway) batchPump() {
 	defer g.pumps.Done()
-	for batch := range g.batcher.Out() {
-		for _, j := range batch.Items {
+	for {
+		batch, ok := g.batcher.Take()
+		if !ok {
+			break
+		}
+		for _, j := range batch {
 			j.mu.Lock()
 			j.status = StatusProving
 			seq := j.seq
@@ -554,12 +566,12 @@ func (g *Gateway) Drain() {
 		return
 	}
 	obs.Info("service", "gateway.draining")
-	g.batcher.Drain() // flush accepted jobs; batch pump then closes in
+	g.batcher.Drain() // batch pump takes the rest, then closes in
 	g.pumps.Wait()    // prover drains, result pump resolves everything
 	obs.Info("service", "gateway.drained")
 }
 
-// Resume restarts a drained gateway with a fresh admission window and a
+// Resume restarts a drained gateway with a fresh admission queue and a
 // new prover run. Job history (terminal records) is retained.
 func (g *Gateway) Resume() {
 	if !g.draining.Load() {

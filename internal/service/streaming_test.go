@@ -148,7 +148,7 @@ func TestHTTPBinaryProof(t *testing.T) {
 // TestHTTPBinaryProofNotDone: a job that is not done yet answers 409,
 // not an empty body.
 func TestHTTPBinaryProofNotDone(t *testing.T) {
-	// A wide batch window keeps the job queued long enough to probe it.
+	// A job with no witness never reaches done, whenever it is probed.
 	srv, gw := newTestServer(t, Config{MaxBatch: 64, MaxWait: time.Minute})
 	info, err := gw.Submit("acme", 0, nil, nil, 0)
 	if err != nil {
