@@ -24,8 +24,8 @@ test:
 # under the race detector.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/pipeline/... ./internal/telemetry/... ./internal/faults/... ./internal/gpusim/... \
-		./internal/par/... ./internal/merkle/... ./internal/encoder/... ./internal/sumcheck/... ./internal/gkr/... ./internal/ntt/... ./internal/pcs/... ./internal/msm/... \
-		./internal/service/... ./internal/protocol/... ./internal/field/... ./internal/fp/... ./internal/curve/...
+		./internal/par/... ./internal/merkle/... ./internal/encoder/... ./internal/sumcheck/... ./internal/gkr/... ./internal/pcs/... \
+		./internal/service/... ./internal/protocol/... ./internal/field/...
 
 vet:
 	$(GO) vet ./...
@@ -60,7 +60,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzElementDecoding -fuzztime $(FUZZTIME) ./internal/field/
 	$(GO) test -run '^$$' -fuzz FuzzFieldArith -fuzztime $(FUZZTIME) ./internal/field/
 	$(GO) test -run '^$$' -fuzz FuzzWideAccumulate -fuzztime $(FUZZTIME) ./internal/field/
-	$(GO) test -run '^$$' -fuzz FuzzFpArith -fuzztime $(FUZZTIME) ./internal/fp/
 	$(GO) test -run '^$$' -fuzz FuzzChallengeDerivation -fuzztime $(FUZZTIME) ./internal/transcript/
 	$(GO) test -run '^$$' -fuzz FuzzOpeningProofVerify -fuzztime $(FUZZTIME) ./internal/merkle/
 	$(GO) test -run '^$$' -fuzz FuzzVerify -fuzztime $(FUZZTIME) ./internal/sumcheck/

@@ -26,13 +26,13 @@ package baselines
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"batchzk/internal/core"
 	"batchzk/internal/encoder"
+	"batchzk/internal/field"
 	"batchzk/internal/gpusim"
-	"batchzk/internal/msm"
-	"batchzk/internal/ntt"
 	"batchzk/internal/perfmodel"
 	"batchzk/internal/pipeline"
 )
@@ -136,9 +136,75 @@ func NonPipelinedEncoderGPU(spec gpusim.DeviceSpec, msgLen, batch int) (*gpusim.
 // points, one G2 MSM over S points (≈3× the per-point cost), and seven
 // (i)NTTs over the 2S evaluation domain for the quotient polynomial.
 func grothWork(S int) (pointOps, butterflies float64) {
-	pointOps = 3*float64(msm.WorkPointOps(2*S)) + 3*float64(msm.WorkPointOps(S))
-	butterflies = 7 * float64(ntt.WorkButterflies(2*S))
+	pointOps = 3*float64(workPointOps(2*S)) + 3*float64(workPointOps(S))
+	butterflies = 7 * float64(workButterflies(2*S))
 	return pointOps, butterflies
+}
+
+// The Groth16 work counts below are closed-form: the baselines charge
+// Pippenger MSM point operations and radix-2 NTT butterflies without
+// executing either algorithm.
+
+const (
+	// bucketAddMuls is the amortized mul-equivalent cost of one
+	// batch-affine bucket addition: 2M + 1S for the chord plus ~3M as the
+	// addition's share of the round's shared inversion.
+	bucketAddMuls = 6
+	// sweepBucketMuls is the mul-equivalent cost the running-sum sweep
+	// pays per bucket: one mixed add (7M + 4S) into the running point plus
+	// one full Jacobian add (11M + 5S) into the window sum.
+	sweepBucketMuls = 27
+)
+
+// windowBits picks the Pippenger window size c for n points by minimizing
+// the batch-affine mul-equivalent cost ⌈Bits/c⌉·(6n + 27·2^c) over
+// c ∈ [2, 16] — each of the ⌈Bits/c⌉ windows pays ~6 muls per amortized
+// affine bucket addition and ~27 muls per bucket in the Jacobian
+// running-sum sweep. Ties break toward the smaller window (fewer buckets,
+// less memory).
+func windowBits(n int) int {
+	if n <= 1 {
+		return 2
+	}
+	best, bestCost := 2, -1
+	for c := 2; c <= 16; c++ {
+		numWindows := (field.Bits + c - 1) / c
+		cost := numWindows * (bucketAddMuls*n + sweepBucketMuls*(1<<uint(c)))
+		if bestCost < 0 || cost < bestCost {
+			best, bestCost = c, cost
+		}
+	}
+	return best
+}
+
+// workPointOps estimates the group-operation count of a Pippenger MSM over
+// n points — the quantity the Bellperson/Libsnark performance models
+// charge. Each window processes n bucket additions plus ~2^{c+1} sweep
+// additions, and there are ⌈254/c⌉ windows (plus 254 doublings).
+func workPointOps(n int) int {
+	b, s, d := workBreakdown(n)
+	return b + s + d
+}
+
+// workBreakdown splits the Pippenger operation count into three cost
+// classes: affine bucket additions, running-sum sweep additions over the
+// 2^{c+1} per-window bucket visits, and the per-window doublings.
+func workBreakdown(n int) (bucketAdds, sweepAdds, doublings int) {
+	if n <= 0 {
+		return 0, 0, 0
+	}
+	c := windowBits(n)
+	numWindows := (field.Bits + c - 1) / c
+	return numWindows * n, numWindows * (2 << uint(c)), field.Bits
+}
+
+// workButterflies returns the butterfly count of one size-n transform
+// (n/2·log₂n), the unit the Libsnark/Bellperson cost models charge.
+func workButterflies(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return n / 2 * bits.Len(uint(n-1))
 }
 
 // GrothReport is the Table 7 row shape for the Groth16-family systems.

@@ -9,12 +9,9 @@ import (
 	"runtime"
 	"time"
 
-	"batchzk/internal/curve"
 	"batchzk/internal/encoder"
 	"batchzk/internal/field"
 	"batchzk/internal/merkle"
-	"batchzk/internal/msm"
-	"batchzk/internal/ntt"
 	"batchzk/internal/par"
 	"batchzk/internal/poly"
 	"batchzk/internal/sha2"
@@ -227,13 +224,19 @@ type rooflineCase struct {
 	run      func() error
 }
 
+// maxRooflineShift bounds the per-kernel size at 2^28 elements. Every
+// case's inputs are resident at once (64-byte Merkle blocks, the sum-check
+// table, the encoder's message and 4n-element codeword, the batch-inverse
+// vector), about 320 bytes per element, so 2^28 already asks for ~80 GiB:
+// the bound rejects a mistyped -shift before the allocation does.
+const maxRooflineShift = 28
+
 // rooflineCases assembles the kernel suite with deterministic inputs.
 // Op models are exact where the code admits exact counting (merkle,
-// NTT, encoder, batch-inverse) and documented approximations elsewhere
-// (sum-check, MSM).
+// encoder, batch-inverse) and a documented approximation for sum-check.
 func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
-	if shift < 6 || shift > ntt.MaxLogSize {
-		return nil, fmt.Errorf("bench: roofline shift %d out of [6, %d]", shift, ntt.MaxLogSize)
+	if shift < 6 || shift > maxRooflineShift {
+		return nil, fmt.Errorf("bench: roofline shift %d out of [6, %d]", shift, maxRooflineShift)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	randVec := func(n int) []field.Element {
@@ -246,7 +249,6 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 		return out
 	}
 	n := 1 << shift
-	logN := float64(shift)
 
 	blocks := make([]merkle.Block, n)
 	for i := range blocks {
@@ -270,30 +272,7 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 	}
 
 	scTable := randVec(n)
-	nttVec := randVec(n)
 	invVec := randVec(n)
-
-	// MSM at a quarter of the base size: curve setup is itself a few
-	// thousand scalar multiplications, and the op model scales exactly.
-	msmN := n / 4
-	if msmN < 64 {
-		msmN = 64
-	}
-	msmPoints := make([]curve.AffinePoint, msmN)
-	for i := range msmPoints {
-		msmPoints[i] = curve.RandPoint()
-	}
-	msmScalars := randVec(msmN)
-	// Pippenger's op counts are exact per cost class (msm.WorkBreakdown);
-	// the field cost per class is the approximation. Batch-affine bucket
-	// additions amortize to ~6 mul-equivalents + ~6 adds (2M+1S chord plus
-	// the addition's share of the round's shared inversion); sweep bucket
-	// visits average a mixed add (7M+4S) and a full Jacobian add (11M+5S),
-	// ~13.5 muls + 7 adds each; the per-window doublings (2M+5S) are the
-	// remainder. Squares are costed as muls — the calibration measures Mul.
-	msmBucketAdds, msmSweepAdds, msmDoublings := msm.WorkBreakdown(msmN)
-	msmMuls := (6*float64(msmBucketAdds) + 13.5*float64(msmSweepAdds) + 7*float64(msmDoublings)) / float64(msmN)
-	msmAdds := (6*float64(msmBucketAdds) + 7*float64(msmSweepAdds) + 4*float64(msmDoublings)) / float64(msmN)
 
 	return []rooflineCase{
 		{
@@ -303,16 +282,6 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 			run: func() error {
 				_, err := merkle.Build(blocks)
 				return err
-			},
-		},
-		{
-			name: "ntt/forward", size: n,
-			muls:  logN / 2,
-			adds:  logN,
-			model: "exact: (n/2)·log2(n) butterflies, 1 mul + 2 add each; twiddles from cached tables (no per-transform root chains)",
-			run: func() error {
-				a := append([]field.Element(nil), nttVec...)
-				return ntt.Forward(a)
 			},
 		},
 		{
@@ -349,16 +318,6 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 				dst := make([]field.Element, len(invVec))
 				s.BatchInverse(dst, invVec)
 				return nil
-			},
-		},
-		{
-			name: "msm/pippenger", size: msmN,
-			muls:  msmMuls,
-			adds:  msmAdds,
-			model: "approx: msm.WorkBreakdown × per-class costs (batch-affine bucket add ~6 mul-eq + 6 add; sweep visit ~13.5 mul + 7 add; doubling ~7 mul + 4 add)",
-			run: func() error {
-				_, err := msm.Parallel(msmPoints, msmScalars, 0)
-				return err
 			},
 		},
 	}, nil

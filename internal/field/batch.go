@@ -52,21 +52,3 @@ func BatchInverseWithScratch(dst, v, scratch []Element) {
 		inv.Mul(&inv, &vi)
 	}
 }
-
-// PowersOf returns [1, x, x², …, x^{n-1}].
-func PowersOf(x *Element, n int) []Element {
-	out := make([]Element, n)
-	if n == 0 {
-		return out
-	}
-	out[0] = One()
-	for i := 1; i < n; i++ {
-		out[i].Mul(&out[i-1], x)
-	}
-	return out
-}
-
-// LinearCombination returns Σ coeffs[i]·vs[i] over equal-length slices.
-func LinearCombination(coeffs, vs []Element) Element {
-	return InnerProduct(coeffs, vs)
-}

@@ -73,29 +73,6 @@ func TestBatchInverseProperty(t *testing.T) {
 	}
 }
 
-func TestPowersOf(t *testing.T) {
-	x := NewElement(3)
-	p := PowersOf(&x, 5)
-	want := []uint64{1, 3, 9, 27, 81}
-	for i, w := range want {
-		if v, _ := p[i].Uint64(); v != w {
-			t.Fatalf("3^%d = %d", i, v)
-		}
-	}
-	if len(PowersOf(&x, 0)) != 0 {
-		t.Fatal("n=0 should be empty")
-	}
-}
-
-func TestLinearCombination(t *testing.T) {
-	coeffs := []Element{NewElement(2), NewElement(3)}
-	vs := []Element{NewElement(5), NewElement(7)}
-	got := LinearCombination(coeffs, vs)
-	if v, _ := got.Uint64(); v != 31 {
-		t.Fatalf("2·5 + 3·7 = %d", v)
-	}
-}
-
 func BenchmarkBatchInverse256(b *testing.B) {
 	v := RandVector(256)
 	dst := make([]Element, 256)

@@ -547,40 +547,6 @@ func (e *Element) fromMont() Element {
 	return r
 }
 
-// Exp sets e = base^k for a big-integer exponent and returns e.
-func (e *Element) Exp(base *Element, k *big.Int) *Element {
-	if k.Sign() < 0 {
-		var inv Element
-		inv.Inverse(base)
-		return e.Exp(&inv, new(big.Int).Neg(k))
-	}
-	res := one
-	b := *base
-	for i := 0; i < k.BitLen(); i++ {
-		if k.Bit(i) == 1 {
-			res.Mul(&res, &b)
-		}
-		b.Square(&b)
-	}
-	*e = res
-	return e
-}
-
-// ExpUint64 sets e = base^k and returns e.
-func (e *Element) ExpUint64(base *Element, k uint64) *Element {
-	res := one
-	b := *base
-	for k != 0 {
-		if k&1 == 1 {
-			res.Mul(&res, &b)
-		}
-		b.Square(&b)
-		k >>= 1
-	}
-	*e = res
-	return e
-}
-
 // rMinusTwo is the Fermat exponent r−2 as little-endian limbs (only the
 // low limb differs from the modulus: q0 ends in …0001, so no borrow).
 var rMinusTwo = [4]uint64{q0 - 2, q1, q2, q3}
@@ -625,37 +591,6 @@ func (e *Element) Inverse(x *Element) *Element {
 	return e
 }
 
-// Div sets e = x / y and returns e. Division by zero yields zero.
-func (e *Element) Div(x, y *Element) *Element {
-	var inv Element
-	inv.Inverse(y)
-	return e.Mul(x, &inv)
-}
-
-// Halve sets e = x / 2 and returns e.
-func (e *Element) Halve(x *Element) *Element {
-	t := *x
-	if t[0]&1 == 1 { // odd: add modulus first so the shift stays exact
-		var c uint64
-		t[0], c = bits.Add64(t[0], q0, 0)
-		t[1], c = bits.Add64(t[1], q1, c)
-		t[2], c = bits.Add64(t[2], q2, c)
-		t[3], c = bits.Add64(t[3], q3, c)
-		// shift right by 1 including the carry bit
-		t[0] = t[0]>>1 | t[1]<<63
-		t[1] = t[1]>>1 | t[2]<<63
-		t[2] = t[2]>>1 | t[3]<<63
-		t[3] = t[3]>>1 | c<<63
-	} else {
-		t[0] = t[0]>>1 | t[1]<<63
-		t[1] = t[1]>>1 | t[2]<<63
-		t[2] = t[2]>>1 | t[3]<<63
-		t[3] = t[3] >> 1
-	}
-	*e = t
-	return e
-}
-
 // Lerp sets e = (1-t)·a + t·b — the sum-check table-update primitive
 // (line 6 of Algorithm 1 in the paper) — and returns e.
 func (e *Element) Lerp(t, a, b *Element) *Element {
@@ -667,9 +602,6 @@ func (e *Element) Lerp(t, a, b *Element) *Element {
 
 // Vector convenience helpers ------------------------------------------------
 
-// NewVector allocates a zero vector of n elements.
-func NewVector(n int) []Element { return make([]Element, n) }
-
 // RandVector returns n uniformly random elements.
 func RandVector(n int) []Element {
 	v := make([]Element, n)
@@ -677,20 +609,6 @@ func RandVector(n int) []Element {
 		v[i].Rand()
 	}
 	return v
-}
-
-// VectorAdd sets dst[i] = a[i] + b[i]. The slices must have equal length.
-func VectorAdd(dst, a, b []Element) {
-	for i := range dst {
-		dst[i].Add(&a[i], &b[i])
-	}
-}
-
-// VectorScale sets dst[i] = s·a[i]. The slices must have equal length.
-func VectorScale(dst []Element, s *Element, a []Element) {
-	for i := range dst {
-		dst[i].Mul(s, &a[i])
-	}
 }
 
 // VectorSum returns Σ v[i].

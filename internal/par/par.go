@@ -2,7 +2,7 @@
 // reproduction — the multicore analogue of the paper's premise (§3) that
 // the prover's modules decompose into independent data-parallel kernels
 // that can saturate the hardware. Every hot kernel (merkle, encoder,
-// sumcheck, ntt, pcs, msm) funnels its elementwise loops through this
+// sumcheck, pcs) funnels its elementwise loops through this
 // package instead of spawning bespoke goroutines.
 //
 // The runtime is a single shared pool of worker goroutines sized by
@@ -222,8 +222,9 @@ func For(n int, fn func(lo, hi int)) {
 }
 
 // ForWidth is For with an explicit chunk-count cap, for kernels that must
-// bound their own fan-out (e.g. msm's workers parameter) or tests that
-// pin the split.
+// bound their own fan-out (e.g. the Merkle and PCS loops that run
+// serially below a size threshold, or the sum-check fold's size-derived
+// width) or tests that pin the split.
 func ForWidth(width, n int, fn func(lo, hi int)) {
 	ForChunks(width, n, func(_, lo, hi int) { fn(lo, hi) })
 }

@@ -119,7 +119,13 @@ func TestMemSamplerPhaseReset(t *testing.T) {
 
 func TestMemSamplerBackgroundTicks(t *testing.T) {
 	m := StartMemSampler(NewSink(0), time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
+	// Wait on the samples themselves, not on a fixed sleep: the start
+	// sample plus two ticks, however slowly a loaded host schedules them.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if p := m.Phases(); len(p) == 1 && p[0].Samples >= 3 {
+			break
+		}
+	}
 	phases := m.Stop()
 	if len(phases) != 1 || phases[0].Samples < 3 {
 		t.Fatalf("background ticker barely sampled: %+v", phases)
