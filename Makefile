@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChallengeDerivation -fuzztime $(FUZZTIME) ./internal/transcript/
 	$(GO) test -run '^$$' -fuzz FuzzOpeningProofVerify -fuzztime $(FUZZTIME) ./internal/merkle/
 	$(GO) test -run '^$$' -fuzz FuzzVerify -fuzztime $(FUZZTIME) ./internal/sumcheck/
+	$(GO) test -run '^$$' -fuzz FuzzEqProduct -fuzztime $(FUZZTIME) ./internal/sumcheck/
 	$(GO) test -run '^$$' -fuzz FuzzAgainstOracles -fuzztime $(FUZZTIME) ./internal/sha2/
 	$(GO) test -run '^$$' -fuzz FuzzProofDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/protocol/
 

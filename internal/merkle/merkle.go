@@ -106,15 +106,36 @@ const hashBatch = 128
 // serialized into the arena's byte buffer a batch at a time, so the hasher
 // absorbs whole buffers instead of one 32-byte Write per element.
 func HashElementsWith(s *par.Scratch, es []field.Element) sha2.Digest {
+	return hashPadded(s, es, len(es))
+}
+
+// HashElementsPadded is HashElements of es followed by zeros up to n
+// entries (none if n ≤ len(es)): the leaf of a column stored without its zero
+// tail, hashed without building the padded column. The canonical encoding
+// of zero is all zero bytes.
+func HashElementsPadded(es []field.Element, n int) sha2.Digest {
+	s := par.GetScratch()
+	defer par.PutScratch(s)
+	return hashPadded(s, es, n)
+}
+
+func hashPadded(s *par.Scratch, es []field.Element, n int) sha2.Digest {
 	h := s.Hasher()
-	buf := s.Bytes(min(len(es), hashBatch) * field.Bytes)
+	buf := s.Bytes(min(max(n, len(es)), hashBatch) * field.Bytes)
+	zeros := n - len(es)
 	for len(es) > 0 {
-		n := min(len(es), hashBatch)
-		for i := range es[:n] {
+		k := min(len(es), hashBatch)
+		for i := range es[:k] {
 			es[i].PutBytes(buf[i*field.Bytes:])
 		}
-		h.Write(buf[:n*field.Bytes])
-		es = es[n:]
+		h.Write(buf[:k*field.Bytes])
+		es = es[k:]
+	}
+	if zeros > 0 {
+		clear(buf)
+	}
+	for ; zeros > 0; zeros -= hashBatch {
+		h.Write(buf[:min(zeros, hashBatch)*field.Bytes])
 	}
 	return h.Sum()
 }

@@ -289,3 +289,16 @@ func BenchmarkBuild4096(b *testing.B) {
 		}
 	}
 }
+
+// TestHashElementsPaddedMatchesPaddedColumn: hashing a column's prefix
+// with an implied zero tail gives the leaf of the column written out in
+// full, across hashing-batch boundaries.
+func TestHashElementsPaddedMatchesPaddedColumn(t *testing.T) {
+	for _, tc := range []struct{ stored, n int }{{0, 0}, {0, 5}, {1, 1}, {3, 130}, {127, 128}, {128, 300}, {200, 200}} {
+		full := make([]field.Element, tc.n)
+		copy(full, field.RandVector(tc.stored))
+		if got, want := HashElementsPadded(full[:tc.stored], tc.n), HashElements(full); got != want {
+			t.Errorf("%d of %d entries: padded hash differs from the full column's", tc.stored, tc.n)
+		}
+	}
+}

@@ -105,10 +105,10 @@ func VerifyEvalCompact(comm Commitment, point []field.Element, value field.Eleme
 		if proof.Paths.Indices[k] != j {
 			return fmt.Errorf("%w: path index mismatch at %d", ErrReject, k)
 		}
-		if len(proof.ColumnValues[k]) != params.NumRows {
+		if len(proof.ColumnValues[k]) > params.NumRows {
 			return fmt.Errorf("%w: column %d has %d values", ErrReject, j, len(proof.ColumnValues[k]))
 		}
-		if merkle.HashElements(proof.ColumnValues[k]) != proof.Paths.Leaves[k] {
+		if merkle.HashElementsPadded(proof.ColumnValues[k], params.NumRows) != proof.Paths.Leaves[k] {
 			return fmt.Errorf("%w: column %d leaf mismatch", ErrReject, j)
 		}
 	}
@@ -127,11 +127,11 @@ func VerifyEvalCompact(comm Commitment, point []field.Element, value field.Eleme
 	lo, hi := splitPoint(point, params.NumCols)
 	eqHi := eqTableOf(hi)
 	for k, j := range proof.ColumnIndex {
-		got := field.InnerProduct(gamma, proof.ColumnValues[k])
+		got := field.InnerProduct(proof.ColumnValues[k], gamma)
 		if !got.Equal(&encTest[j]) {
 			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, j)
 		}
-		got = field.InnerProduct(eqHi, proof.ColumnValues[k])
+		got = field.InnerProduct(proof.ColumnValues[k], eqHi)
 		if !got.Equal(&encEval[j]) {
 			return fmt.Errorf("%w: column %d fails evaluation check", ErrReject, j)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"batchzk/internal/encoder"
 	"batchzk/internal/field"
-	"batchzk/internal/merkle"
 	"batchzk/internal/transcript"
 )
 
@@ -125,19 +124,18 @@ func VerifyEvalMulti(comm Commitment, points [][]field.Element, values []field.E
 		return fmt.Errorf("%w: %d opened columns, want %d", ErrReject, len(proof.Columns), len(idx))
 	}
 	for k, col := range proof.Columns {
-		if col.Index != idx[k] || len(col.Values) != params.NumRows ||
-			col.Proof == nil || col.Proof.Index != col.Index {
+		if col.Index != idx[k] {
 			return fmt.Errorf("%w: column %d malformed", ErrReject, k)
 		}
-		if !merkle.VerifyElements(comm.Root, col.Proof, col.Values) {
-			return fmt.Errorf("%w: column %d Merkle path invalid", ErrReject, k)
+		if err := checkColumn(comm.Root, col.Proof, col.Index, col.Values, params.NumRows); err != nil {
+			return err
 		}
-		got := field.InnerProduct(gamma, col.Values)
+		got := field.InnerProduct(col.Values, gamma)
 		if !got.Equal(&encRows[0][col.Index]) {
 			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, k)
 		}
 		for i := range points {
-			got := field.InnerProduct(eqHis[i], col.Values)
+			got := field.InnerProduct(col.Values, eqHis[i])
 			if !got.Equal(&encRows[i+1][col.Index]) {
 				return fmt.Errorf("%w: column %d fails evaluation check for point %d", ErrReject, k, i)
 			}

@@ -269,3 +269,69 @@ func TestCommitRootIsTreeOverColumnHashes(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroTailColumns: a committed vector whose last rows are zero opens
+// columns that stop at its last nonzero row (never ending in a zero), in
+// the single, multi-point and compact proofs alike, and each verifies.
+// The verifier reads the missing entries as zeros: a column with one
+// more zero still verifies, one with a nonzero entry in its tail or with
+// more than NumRows entries does not.
+func TestZeroTailColumns(t *testing.T) {
+	p := testParams(10)
+	values := make([]field.Element, 1<<10)
+	used := 5*p.NumCols + 3 // rows 0..5 nonzero, the rest padding
+	copy(values, field.RandVector(used))
+	st, err := Commit(values, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, point := st.Commitment(), field.RandVector(10)
+	proof, value, err := st.ProveEval(point, transcript.New("pcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, _, err := st.ProveEvalMulti([][]field.Element{point}, transcript.New("pcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact, _, err := st.ProveEvalCompact(point, transcript.New("pcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := append([][]field.Element{}, compact.ColumnValues...)
+	for _, col := range append(proof.Columns, multi.Columns...) {
+		held = append(held, col.Values)
+	}
+	for k, v := range held {
+		if n := len(v); n > 6 || (n > 0 && v[n-1].IsZero()) {
+			t.Fatalf("column %d holds %d values of %d rows, or ends in a zero", k, n, p.NumRows)
+		}
+	}
+	if err := VerifyEval(comm, point, value, proof, p, transcript.New("pcs")); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyEvalMulti(comm, [][]field.Element{point}, []field.Element{value}, multi, p, transcript.New("pcs")); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyEvalCompact(comm, point, value, compact, p, transcript.New("pcs")); err != nil {
+		t.Fatal(err)
+	}
+
+	col := &proof.Columns[0]
+	orig := col.Values
+	for _, tc := range []struct {
+		name   string
+		values []field.Element
+		ok     bool
+	}{
+		{"one more zero", append(append([]field.Element{}, orig...), field.Element{}), true},
+		{"nonzero in the tail", append(append([]field.Element{}, orig...), field.One()), false},
+		{"past NumRows", append(append([]field.Element{}, orig...), make([]field.Element, p.NumRows)...), false},
+	} {
+		col.Values = tc.values
+		err := VerifyEval(comm, point, value, proof, p, transcript.New("pcs"))
+		if tc.ok && err != nil || !tc.ok && !errors.Is(err, ErrReject) {
+			t.Errorf("%s: verify returned %v", tc.name, err)
+		}
+	}
+}

@@ -309,15 +309,21 @@ func evalValue(combined, point []field.Element, numCols int) field.Element {
 }
 
 // openColumns returns the encoded matrix's columns at positions idx
-// (duplicates allowed), one NumRows-long slice per position. Every message
-// row is re-encoded through the cone of idx into a per-worker scratch
-// codeword, so one codeword per worker is live beyond the result.
+// (duplicates allowed), one slice per position in the OpenedColumn form:
+// without their zero tails, so the rows past the last nonzero message
+// row (whose codewords are zero) are neither encoded nor stored. Every
+// other message row is re-encoded through the cone of idx into a
+// per-worker scratch codeword, so one codeword per worker is live beyond
+// the result.
 func (s *StreamState) openColumns(rows RowAt, idx []int) ([][]field.Element, error) {
 	cone, err := s.enc.Cone(idx)
 	if err != nil {
 		return nil, err
 	}
 	numRows := s.params.NumRows
+	for numRows > 0 && isZero(rows(numRows-1)) {
+		numRows--
+	}
 	backing := make([]field.Element, len(idx)*numRows)
 	cols := make([][]field.Element, len(idx))
 	for k := range cols {
@@ -346,6 +352,9 @@ func (s *StreamState) openColumns(rows RowAt, idx []int) ([][]field.Element, err
 		if err != nil {
 			return nil, err
 		}
+	}
+	for k := range cols {
+		cols[k] = TrimZeros(cols[k])
 	}
 	return cols, nil
 }

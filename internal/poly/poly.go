@@ -103,7 +103,14 @@ func (m *Multilinear) FixLastVariable(r field.Element) *Multilinear {
 // overwritten before it is read. Each split costs one Mul and one Sub:
 // v·z and v − v·z, which is v·(1−z) exactly.
 func EqTable(point []field.Element) []field.Element {
-	out := make([]field.Element, 1<<len(point))
+	return EqTableInto(make([]field.Element, 1<<len(point)), point)
+}
+
+// EqTableInto is EqTable written over out[:2^len(point)] (within out's
+// capacity), whatever it held, for callers that rebuild eq tables in one
+// buffer. It returns that slice.
+func EqTableInto(out, point []field.Element) []field.Element {
+	out = out[:1<<len(point)]
 	out[0] = field.One()
 	size := 1
 	for i := len(point) - 1; i >= 0; i-- {

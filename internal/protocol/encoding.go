@@ -59,12 +59,21 @@ func (e *encoder) elem(x *field.Element) {
 	e.b = append(e.b, b[:]...)
 }
 
-func (e *encoder) elems(xs []field.Element) {
-	e.u32(len(xs))
+func (e *encoder) elems(xs []field.Element) { e.padded(xs, len(xs)) }
+
+// padded writes xs as a list of max(n, len(xs)) entries, the missing ones
+// zero: an opened column held without its zero tail (pcs.OpenedColumn).
+func (e *encoder) padded(xs []field.Element, n int) {
+	e.u32(max(n, len(xs)))
 	for i := range xs {
 		e.elem(&xs[i])
 	}
+	for range n - len(xs) {
+		e.b = append(e.b, zeroElem[:]...)
+	}
 }
+
+var zeroElem [field.Bytes]byte
 
 func (e *encoder) digest(d sha2.Digest) { e.b = append(e.b, d[:]...) }
 
@@ -172,7 +181,7 @@ func (p *Proof) appendTo(b []byte) ([]byte, error) {
 	for i := range p.PCSProof.Columns {
 		col := &p.PCSProof.Columns[i]
 		e.u32(col.Index)
-		e.elems(col.Values)
+		e.padded(col.Values, p.Commitment.NumRows)
 		if col.Proof == nil {
 			return nil, fmt.Errorf("protocol: column %d missing Merkle proof", i)
 		}
@@ -248,7 +257,19 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 		col.Proof = mp
 		p.PCSProof.Columns = append(p.PCSProof.Columns, col)
 	}
-	return cr.n, d.err
+	if d.err != nil {
+		return cr.n, d.err
+	}
+	// A column on the wire has exactly one entry per committed row; in
+	// memory it drops its zero tail, as the prover's does.
+	for i := range p.PCSProof.Columns {
+		col := &p.PCSProof.Columns[i]
+		if len(col.Values) != p.Commitment.NumRows {
+			return cr.n, fmt.Errorf("protocol: column %d has %d values, commitment has %d rows", i, len(col.Values), p.Commitment.NumRows)
+		}
+		col.Values = pcs.TrimZeros(col.Values)
+	}
+	return cr.n, nil
 }
 
 // MarshalBinary serializes the proof to a byte slice, allocated once at
@@ -289,7 +310,7 @@ func (p *Proof) Size() (int, error) {
 		if col.Proof == nil {
 			return 0, fmt.Errorf("protocol: column %d missing Merkle proof", i)
 		}
-		n += 2*u32 + el*len(col.Values) + u32 + sha2.Size + u32 + sha2.Size*len(col.Proof.Siblings)
+		n += 2*u32 + el*max(len(col.Values), p.Commitment.NumRows) + u32 + sha2.Size + u32 + sha2.Size*len(col.Proof.Siblings)
 	}
 	return n, nil
 }

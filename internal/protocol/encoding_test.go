@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -200,5 +201,47 @@ func TestProofSize(t *testing.T) {
 	// √S column growth to the paper's 2^20 scale lands in the MB range.
 	if ls < 100*1024 {
 		t.Fatalf("proof unexpectedly small: %d bytes", ls)
+	}
+}
+
+// TestHeldProofDropsZeroTail: the opened columns of a proof whose witness
+// ends before the last committed row stop at its last nonzero row. The
+// wire form still carries NumRows entries per column and decodes back to
+// the same held proof, which verifies; a wire column of any other length
+// is rejected.
+func TestHeldProofDropsZeroTail(t *testing.T) {
+	c, p, public, proof := proofForTest(t, 256)
+	rows := (c.NumWires() + p.PCS.NumCols - 1) / p.PCS.NumCols
+	if rows >= p.PCS.NumRows {
+		t.Fatalf("witness fills all %d rows; the test needs padding rows", p.PCS.NumRows)
+	}
+	for k, col := range proof.PCSProof.Columns {
+		if n := len(col.Values); n > rows || (n > 0 && col.Values[n-1].IsZero()) {
+			t.Fatalf("column %d holds %d values for %d witness rows, or ends in a zero", k, n, rows)
+		}
+	}
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Proof
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, proof) {
+		t.Fatal("decoded proof differs from the held one")
+	}
+	if err := Verify(c, p, public, &back); err != nil {
+		t.Fatal(err)
+	}
+	long := proof.PCSProof.Columns[0].Values
+	proof.PCSProof.Columns[0].Values = make([]field.Element, p.PCS.NumRows+1)
+	data, err = proof.MarshalBinary()
+	proof.PCSProof.Columns[0].Values = long
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.UnmarshalBinary(data); err == nil {
+		t.Fatal("accepted a column longer than the commitment's rows")
 	}
 }

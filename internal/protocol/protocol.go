@@ -121,16 +121,15 @@ func gateInputs(gate circuit.Gate, w []field.Element) (l, r field.Element) {
 	return l, w[0]
 }
 
-// hadamardSource supplies the gate sum-check's three tables — eq(τ, ·),
-// L and R over the padded gate hypercube — computed on the fly from the
-// witness, so none of them is ever stored; padding gates read as zero.
-func hadamardSource(c *circuit.Circuit, w []field.Element, eqTau *splitEq) sumcheck.Source {
+// hadamardSource supplies the gate sum-check's two tables, L and R over
+// the padded gate hypercube, computed on the fly from the witness, so
+// neither is ever stored; padding gates read as zero. The third factor,
+// eq(τ, ·), is the sum-check's own (sumcheck.ProveEqProduct).
+func hadamardSource(c *circuit.Circuit, w []field.Element) sumcheck.Source {
 	return func(lo int, dst [][]field.Element) {
-		e, l, r := dst[0], dst[1], dst[2]
-		for i := range e {
-			g := lo + i
-			eqTau.at(&e[i], g)
-			if g < len(c.Gates) {
+		l, r := dst[0], dst[1]
+		for i := range l {
+			if g := lo + i; g < len(c.Gates) {
 				l[i], r[i] = gateInputs(c.Gates[g], w)
 			} else {
 				l[i], r[i] = field.Element{}, field.Element{}
@@ -493,14 +492,14 @@ func (f *InFlight) RunHadamard() error {
 	f.proof.OTau = outputAt(f.c, &eqTau, f.w)
 	f.tr.AppendElement("o_tau", &f.proof.OTau)
 
-	had, rho, hadClaim, finals := sumcheck.ProveTripleFrom(f.p.gateVars, hadamardSource(f.c, f.w, &eqTau), f.tr)
+	had, rho, hadClaim, finals := sumcheck.ProveEqProduct(f.tau, hadamardSource(f.c, f.w), f.tr)
 	if !hadClaim.Equal(&f.proof.OTau) {
 		return fmt.Errorf("protocol: Σ eq·L·R != Õ(τ); witness does not satisfy the circuit")
 	}
 	f.rho = rho
 	f.proof.Hadamard = had
-	f.proof.LRho = finals[1]
-	f.proof.RRho = finals[2]
+	f.proof.LRho = finals[0]
+	f.proof.RRho = finals[1]
 	f.tr.AppendElement("l_rho", &f.proof.LRho)
 	f.tr.AppendElement("r_rho", &f.proof.RRho)
 	return nil

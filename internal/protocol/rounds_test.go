@@ -8,6 +8,7 @@ import (
 
 	"batchzk/internal/circuit"
 	"batchzk/internal/field"
+	"batchzk/internal/poly"
 	"batchzk/internal/sumcheck"
 )
 
@@ -27,7 +28,7 @@ func forgeRounds(t *testing.T, c *circuit.Circuit, p *Params, public, secret []f
 	if !linear {
 		f.tr.ChallengeElements("tau", p.gateVars)
 		f.tr.AppendElement("o_tau", &honest.OTau)
-		forged.Hadamard, _, _, _ = sumcheck.ProveTripleFrom(rounds, sumcheck.TableSource([]field.Element{honest.OTau}, one, one), f.tr)
+		forged.Hadamard, _, _, _, _ = sumcheck.ProveTriple(padded(t, honest.OTau, rounds), padded(t, field.One(), rounds), padded(t, field.One(), rounds), f.tr)
 		return &forged
 	}
 	if err := f.RunHadamard(); err != nil {
@@ -38,6 +39,18 @@ func forgeRounds(t *testing.T, c *circuit.Circuit, p *Params, public, secret []f
 	claim.Add(&honest.Linear.Rounds[0].At0, &honest.Linear.Rounds[0].At1)
 	forged.Linear, _, _, _ = sumcheck.ProveProductFrom(rounds, sumcheck.TableSource([]field.Element{claim}, one), f.tr)
 	return &forged
+}
+
+// padded is the multilinear of n variables whose table is v, then zeros.
+func padded(t *testing.T, v field.Element, n int) *poly.Multilinear {
+	t.Helper()
+	evals := make([]field.Element, 1<<n)
+	evals[0] = v
+	m, err := poly.NewMultilinear(evals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestVerifyRejectsWrongRoundCount: a sum-check with one round too few or

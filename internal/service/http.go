@@ -281,14 +281,19 @@ func (g *Gateway) handleProof(w http.ResponseWriter, r *http.Request) {
 // for a reader); the poll endpoint stays authoritative.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	tenant := r.URL.Query().Get("tenant")
+	// Subscribe before the header goes out: a client that has seen the
+	// 200 must get every event from then on.
+	events, cancel := g.Subscribe()
+	defer cancel()
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	if flusher != nil {
 		flusher.Flush()
 	}
-	events, cancel := g.Subscribe()
-	defer cancel()
+	if g.afterStreamFlush != nil {
+		g.afterStreamFlush()
+	}
 	enc := json.NewEncoder(w)
 	for {
 		select {

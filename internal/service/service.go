@@ -200,6 +200,10 @@ type Gateway struct {
 	subs    map[int]chan Event
 	subSeq  int
 	dropped atomic.Int64
+
+	// afterStreamFlush, when set (by tests, before the handler serves),
+	// runs in each /v1/stream handler right after the header flush.
+	afterStreamFlush func()
 }
 
 // NewGateway builds and starts a gateway over prover. The prover must

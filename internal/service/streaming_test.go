@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,7 +21,10 @@ import (
 // is per-job — the first NDJSON event arrives while later jobs are
 // still proving, not after the batch drains. The last job is pinned in
 // a long injected commit-stage slowdown, so observing any event before
-// it turns terminal is deterministic, not a scheduling accident.
+// it turns terminal is deterministic, not a scheduling accident. The
+// handler is parked between its header flush and its first read while
+// the first event goes out, so a subscription taken after the flush
+// would lose that event every time.
 func TestStreamIncrementalDelivery(t *testing.T) {
 	const n = 4
 	sp, _ := newTestProver(t, 1)
@@ -36,8 +40,18 @@ func TestStreamIncrementalDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Park the stream handler right after its header flush, and let a job
+	// turn terminal (and its event go out) before it goes on: the client
+	// has its 200 by then, so it must still receive that event.
+	parked, release := make(chan struct{}), make(chan struct{})
+	gw.afterStreamFlush = func() {
+		close(parked)
+		<-release
+	}
+	var unpark sync.Once
 	srv := httptest.NewServer(gw.Handler())
 	defer func() {
+		unpark.Do(func() { close(release) })
 		srv.Close()
 		gw.Drain()
 	}()
@@ -47,8 +61,13 @@ func TestStreamIncrementalDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer streamResp.Body.Close()
+	<-parked
+	published, cancel := gw.Subscribe()
+	defer cancel()
 
 	ids := submitN(t, gw, "acme", n)
+	<-published
+	unpark.Do(func() { close(release) })
 
 	sc := bufio.NewScanner(streamResp.Body)
 	deadline := time.AfterFunc(20*time.Second, func() { streamResp.Body.Close() })

@@ -29,8 +29,9 @@ func foldWidth(half int) int {
 }
 
 // terms adds a block's contribution to the round polynomial's values at
-// 0, 1, …, d into acc, given aligned entries of every table's two halves.
-type terms func(low, high [][]field.Element, acc []field.Element)
+// 0, 1, …, d into acc, given aligned entries of every table's two halves:
+// entries off, off+1, … of the low halves and the same of the high ones.
+type terms func(off int, low, high [][]field.Element, acc []field.Element)
 
 // reduceSums runs body over deterministic chunks of [0, half), each adding
 // into its own `arity` partial sums, and reduces them in chunk order into
@@ -169,7 +170,7 @@ func step(s *par.Scratch, dst, src [][]field.Element, msg []field.Element, body 
 		for t, tb := range src {
 			low[t], high[t] = tb[lo:hi], tb[half+lo:half+hi]
 		}
-		body(low, high, acc)
+		body(lo, low, high, acc)
 	})
 	r := next(round, msg)
 	par.ForWidth(foldWidth(half), half, func(lo, hi int) {
@@ -255,7 +256,7 @@ func proveFrom(n, k, arity int, src Source, body terms, next challenger) (msgs, 
 	if n == 0 { // the tables are their one entry, beside a zero high half
 		tables = newTables(k, 1, arena)
 		src(0, tables)
-		body(tables, newTables(k, 1, new([]field.Element)), msgs)
+		body(0, tables, newTables(k, 1, new([]field.Element)), msgs)
 		next(0, msgs)
 	}
 	point = make([]field.Element, n)
@@ -270,8 +271,8 @@ func proveFrom(n, k, arity int, src Source, body terms, next challenger) (msgs, 
 			continue
 		}
 		reduceSums(s, half, arity, msg, func(lo, hi int, acc []field.Element) {
-			sourceBlocks(src, k, half, lo, hi, func(_ int, low, high [][]field.Element) {
-				body(low, high, acc)
+			sourceBlocks(src, k, half, lo, hi, func(off int, low, high [][]field.Element) {
+				body(off, low, high, acc)
 			})
 		})
 		*r = next(i, msg)

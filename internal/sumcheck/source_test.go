@@ -180,6 +180,9 @@ func refProveAffine(at, vt, ct []field.Element, tr *transcript.Transcript) (*Pro
 
 var two = field.NewElement(2)
 
+// tripleXs are the points 0..3 the degree-3 round polynomial is sent at.
+var tripleXs = [4]field.Element{field.NewElement(0), field.NewElement(1), field.NewElement(2), field.NewElement(3)}
+
 // refTerms is the term callbacks as they were before their cut to the
 // ALU floor: every table is Lerp'd to every point x of the round
 // polynomial, and the entries' products summed there.
@@ -222,7 +225,7 @@ func TestTermsMatchLerpReference(t *testing.T) {
 			}
 			start := field.RandVector(tc.degree + 1)
 			got, want := append([]field.Element(nil), start...), append([]field.Element(nil), start...)
-			tc.body(low, high, got)
+			tc.body(0, low, high, got)
 			refTerms(tc.degree, low, high, want)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s terms on %d entries differ from the Lerp reference", tc.name, n)
@@ -244,9 +247,10 @@ func shortTable(rng *rand.Rand, n, real int) (short, padded []field.Element) {
 
 // TestSourceProversMatchReference pins every variant on the shared kernel
 // to its reference prover: same proof, point, claim, and final values, at
-// several widths with the parallel grain forced down. The triple and
-// product provers are also fed zero-padded tables without their padding
-// (including shorter than one half, and empty) through a Source.
+// several widths with the parallel grain forced down. The product
+// prover is also fed zero-padded tables without their padding (including
+// shorter than one half, and empty) through a Source; the eq-product
+// prover is, in TestEqProductMatchesTriple.
 func TestSourceProversMatchReference(t *testing.T) {
 	lowerGrain(t)
 	rng := rand.New(rand.NewSource(12))
@@ -257,14 +261,14 @@ func TestSourceProversMatchReference(t *testing.T) {
 			if real < 0 {
 				continue
 			}
-			es, ep := shortTable(rng, n, size) // the eq-like table stays full
+			_, ep := shortTable(rng, n, size) // the eq-like table stays full
 			fs, fp := shortTable(rng, n, real)
 			gs, gp := shortTable(rng, n, max(real-1, 0))
 			for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 				par.SetWidth(w)
 				wantP, wantPt, wantC, wantF := refProveTriple(ep, fp, gp, transcript.New("src"))
-				gotP, gotPt, gotC, gotF := ProveTripleFrom(n, TableSource(es, fs, gs), transcript.New("src"))
-				if !reflect.DeepEqual(gotP, wantP) || !field.VectorEqual(gotPt, wantPt) || gotC != wantC || gotF != wantF {
+				gotP, gotPt, gotC, gotF, err := ProveTriple(multilinear(t, ep), multilinear(t, fp), multilinear(t, gp), transcript.New("src"))
+				if err != nil || !reflect.DeepEqual(gotP, wantP) || !field.VectorEqual(gotPt, wantPt) || gotC != wantC || gotF != wantF {
 					t.Fatalf("triple n=%d real=%d width=%d: differs from the reference prover", n, real, w)
 				}
 				wantQ, wantQt, wantD, wantG := refProveProduct(fp, gp, transcript.New("src"))

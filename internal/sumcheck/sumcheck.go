@@ -9,11 +9,14 @@
 // a block of entries to the round values, plus its transcript labels:
 // plain Σ t (Prove; degree 1, sent as the half-table sums (π_i1, π_i2)),
 // product Σ f·g (ProveProduct; the PCS evaluation and linear checks),
-// triple Σ e·f·g (ProveTriple; the Hadamard gate check) and affine
+// triple Σ e·f·g (ProveTriple), eq-product Σ eq(τ,·)·f·g (ProveEqProduct;
+// the Hadamard gate check, sent as the triple's messages) and affine
 // Σ a·v + c (ProveAffineProduct; one phase of a GKR layer). Per entry of
-// the half table, a round costs 14 field multiplications in the triple
-// terms, 3 in the product and affine terms and none in the plain ones,
-// plus one per table for the fold.
+// the half table, a round costs 4 field multiplications in the
+// eq-product terms (6 in its first round), 8 in the triple terms, 3 in
+// the product and affine terms and none in the plain ones, plus one per
+// table for the fold. The eq-product folds two tables where the triple
+// folds three: its eq factor is never a table (see eqProduct).
 //
 // The kernel takes each round's challenge from a callback handed the
 // round's message: a Fiat–Shamir transcript, or caller-supplied randomness
@@ -104,7 +107,7 @@ func productProof(msgs []field.Element) *ProductProof {
 }
 
 // plainTerms adds the two half-table sums.
-func plainTerms(low, high [][]field.Element, acc []field.Element) {
+func plainTerms(_ int, low, high [][]field.Element, acc []field.Element) {
 	var s1, s2 field.Element
 	for b := range low[0] {
 		s1.Add(&s1, &low[0][b])
@@ -115,17 +118,16 @@ func plainTerms(low, high [][]field.Element, acc []field.Element) {
 }
 
 // The terms below skip the multiplications the Lerp form spent on the
-// points x = 0 and 1, where a table is its low or high half. The product
-// (and affine) terms also reach x = 2 as high + (high − low), so they
-// are at the floor: 3 multiplications per entry, against 5 for a Lerp
-// at every point. The triple terms still Lerp each table to x = 2 and 3:
-// 14 multiplications per entry, against 20; reaching those points by
-// adding the difference too would make it 8.
+// points x = 0 and 1, where a table is its low or high half, and reach
+// each later point x+1 as the value at x plus (high − low). That puts
+// them at the floor of one multiplication per factor per point: 3 per
+// entry for the product (and affine) terms and 8 for the triple terms,
+// against 5 and 20 for a Lerp at every point.
 
 // productTerms adds the round polynomial's values at 0, 1, 2 over aligned
 // entries of the first two tables' halves: f·g at each half and at
 // x = 2, where each table is high + (high − low).
-func productTerms(low, high [][]field.Element, acc []field.Element) {
+func productTerms(_ int, low, high [][]field.Element, acc []field.Element) {
 	f0, g0, f1, g1 := low[0], low[1], high[0], high[1]
 	var at0, at1, at2 field.Element
 	var t, f2, g2 field.Element
@@ -149,10 +151,10 @@ func productTerms(low, high [][]field.Element, acc []field.Element) {
 // affineTerms adds the round polynomial of a·v + c at 0, 1, 2: the
 // product's terms for a·v, plus c, which is linear, so its value at 2
 // extrapolates from its two half sums.
-func affineTerms(low, high [][]field.Element, acc []field.Element) {
-	productTerms(low, high, acc)
+func affineTerms(off int, low, high [][]field.Element, acc []field.Element) {
+	productTerms(off, low, high, acc)
 	var c [3]field.Element
-	plainTerms(low[2:], high[2:], c[:])
+	plainTerms(off, low[2:], high[2:], c[:])
 	c[2].Sub(&c[1], &c[0])
 	c[2].Add(&c[2], &c[1])
 	for x := range c {
@@ -160,17 +162,14 @@ func affineTerms(low, high [][]field.Element, acc []field.Element) {
 	}
 }
 
-// tripleXs are the points 0..3 the degree-3 round polynomial is sent at.
-var tripleXs = [4]field.Element{field.NewElement(0), field.NewElement(1), field.NewElement(2), field.NewElement(3)}
-
 // tripleTerms adds, for x = 0..3, Σ e_x·f_x·g_x over aligned entries of
 // the three tables' halves, where t_x = lerp(x, low, high): the halves
-// themselves at x = 0 and 1.
-func tripleTerms(low, high [][]field.Element, acc []field.Element) {
+// themselves at x = 0 and 1, then one more (high − low) per step.
+func tripleTerms(_ int, low, high [][]field.Element, acc []field.Element) {
 	e0, f0, g0 := low[0], low[1], low[2]
 	e1, f1, g1 := high[0], high[1], high[2]
 	var at [4]field.Element
-	var ex, fx, gx, t field.Element
+	var ex, fx, gx, de, df, dg, t field.Element
 	for b := range e0 {
 		t.Mul(&e0[b], &f0[b])
 		t.Mul(&t, &g0[b])
@@ -178,10 +177,14 @@ func tripleTerms(low, high [][]field.Element, acc []field.Element) {
 		t.Mul(&e1[b], &f1[b])
 		t.Mul(&t, &g1[b])
 		at[1].Add(&at[1], &t)
+		de.Sub(&e1[b], &e0[b])
+		df.Sub(&f1[b], &f0[b])
+		dg.Sub(&g1[b], &g0[b])
+		ex, fx, gx = e1[b], f1[b], g1[b]
 		for x := 2; x < 4; x++ {
-			ex.Lerp(&tripleXs[x], &e0[b], &e1[b])
-			fx.Lerp(&tripleXs[x], &f0[b], &f1[b])
-			gx.Lerp(&tripleXs[x], &g0[b], &g1[b])
+			ex.Add(&ex, &de)
+			fx.Add(&fx, &df)
+			gx.Add(&gx, &dg)
 			t.Mul(&ex, &fx)
 			t.Mul(&t, &gx)
 			at[x].Add(&at[x], &t)
@@ -300,19 +303,16 @@ func ProveTriple(e, f, g *poly.Multilinear, tr *transcript.Transcript) (*TripleP
 	if f.NumVars() != n || g.NumVars() != n {
 		return nil, nil, field.Element{}, [3]field.Element{}, fmt.Errorf("sumcheck: arity mismatch %d/%d/%d", n, f.NumVars(), g.NumVars())
 	}
-	proof, point, claim, finals := ProveTripleFrom(n, TableSource(e.Evals(), f.Evals(), g.Evals()), tr)
-	return proof, point, claim, finals, nil
+	msgs, point, claim, finals := proveFrom(n, 3, 4, TableSource(e.Evals(), f.Evals(), g.Evals()), tripleTerms, fiatShamir(tr, "sumcheck3", n))
+	return tripleProof(msgs), point, claim, [3]field.Element(finals), nil
 }
 
-// ProveTripleFrom is ProveTriple over three n-variate tables supplied by
-// src (see Source), which the first rounds read instead of stored tables.
-func ProveTripleFrom(n int, src Source, tr *transcript.Transcript) (*TripleProof, []field.Element, field.Element, [3]field.Element) {
-	msgs, point, claim, finals := proveFrom(n, 3, 4, src, tripleTerms, fiatShamir(tr, "sumcheck3", n))
-	proof := &TripleProof{Rounds: make([]TripleRound, n)}
-	for i := range proof.Rounds {
-		copy(proof.Rounds[i].At[:], msgs[4*i:])
+func tripleProof(msgs []field.Element) *TripleProof {
+	p := &TripleProof{Rounds: make([]TripleRound, len(msgs)/4)}
+	for i := range p.Rounds {
+		copy(p.Rounds[i].At[:], msgs[4*i:])
 	}
-	return proof, point, claim, [3]field.Element(finals)
+	return p
 }
 
 // VerifyTriple checks an n-round degree-3 sum-check proof against a
