@@ -20,10 +20,10 @@ test:
 
 # Exercise the concurrency-sensitive layers (stage executors, batch
 # prover stages, pipelined module schedules, the parallel sum-check kernel
-# and the GKR layer proofs on it, fault injector, telemetry registry/tracer)
-# under the race detector.
+# and the GKR layer proofs on it, telemetry registry/tracer) under the
+# race detector.
 race:
-	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/pipeline/... ./internal/telemetry/... ./internal/faults/... ./internal/gpusim/... \
+	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/pipeline/... ./internal/telemetry/... ./internal/gpusim/... \
 		./internal/par/... ./internal/merkle/... ./internal/encoder/... ./internal/sumcheck/... ./internal/gkr/... ./internal/pcs/... \
 		./internal/service/... ./internal/protocol/... ./internal/field/...
 

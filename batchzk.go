@@ -32,7 +32,6 @@ import (
 	"batchzk/internal/bench"
 	"batchzk/internal/circuit"
 	"batchzk/internal/core"
-	"batchzk/internal/faults"
 	"batchzk/internal/field"
 	"batchzk/internal/gpusim"
 	"batchzk/internal/nn"
@@ -106,7 +105,8 @@ func NewBatchProver(c *Circuit, p *Params, depth int) (*BatchProver, error) {
 }
 
 // ProverStats is a point-in-time snapshot of a batch prover's counters,
-// including its resilience accounting (retries, quarantines, timeouts).
+// including its failure accounting (failed jobs, deadline timeouts,
+// recovered stage panics).
 type ProverStats = core.Stats
 
 // ShardedProver splits one batch across S independent prover shards,
@@ -134,40 +134,6 @@ func NewShardedProver(c *Circuit, p *Params, shards, depth int) (*ShardedProver,
 //     each proof is handed to emit the moment it finalizes.
 //
 // See DESIGN.md §9 for the memory model.
-
-// FaultClass names one injectable fault class: "mem", "kernel",
-// "transfer", "panic", or "straggler".
-type FaultClass = faults.Class
-
-// FaultInjector is the seeded, deterministic fault injector: whether a
-// fault fires at a (stage, job, attempt) site is a pure function of the
-// seed, so chaos runs replay bit-identically.
-type FaultInjector = faults.Injector
-
-// NewFaultInjector returns an injector with no fault classes enabled.
-func NewFaultInjector(seed uint64) *FaultInjector { return faults.NewInjector(seed) }
-
-// ParseFaultSpec builds an injector from a chaos spec such as "all",
-// "all=0.25", or "kernel=0.2,straggler=0.05".
-func ParseFaultSpec(spec string, seed uint64) (*FaultInjector, error) {
-	return faults.ParseSpec(spec, seed)
-}
-
-// Resilience configures the batch prover's failure handling: per-job
-// deadlines, bounded retries with backoff, and fault injection. Install
-// it with BatchProver.SetResilience.
-type Resilience = core.Resilience
-
-// RetryPolicy bounds how transient stage failures are retried.
-type RetryPolicy = core.RetryPolicy
-
-// QuarantinedJob is one dead-letter record of a job the pipeline gave
-// up on; BatchProver.Quarantined lists them.
-type QuarantinedJob = core.QuarantinedJob
-
-// DefaultResilience returns the recommended service configuration:
-// 4 attempts per stage with 1 ms base backoff, no deadline.
-func DefaultResilience() *Resilience { return core.DefaultResilience() }
 
 // Network is a fixed-point neural network (the §5 ML engine).
 type Network = nn.Network

@@ -9,10 +9,6 @@
 //	batchzk-bench -telemetry out/       # + dump metrics & Chrome trace
 //	batchzk-bench -debug-addr :6060     # + live pprof/expvar server
 //	batchzk-bench -list                 # list experiment ids
-//	batchzk-bench -faults all -fault-seed 7
-//	                                    # reproducible chaos run through
-//	                                    # the resilient batch prover
-//	batchzk-bench -faults all -shards 2 # chaos through a sharded prover
 package main
 
 import (
@@ -44,10 +40,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables the obs engine`)
 	floorsPath := fs.String("floors", "", "roofline report (batchzk-profile roofline -out) whose calibrated per-kernel floors seed the obs anomaly sentinel")
 	hold := fs.Duration("hold", 0, "keep the process (and the debug server) alive this long after the run, for live probing")
-	faultSpec := fs.String("faults", "", `chaos spec, e.g. "all", "all=0.25", "kernel=0.2,straggler=0.05"; runs a fault-injected batch instead of the experiments`)
-	faultSeed := fs.Uint64("fault-seed", 1, "seed for the deterministic fault plan (same seed = same faults)")
-	faultJobs := fs.Int("fault-jobs", 32, "number of proof jobs in the chaos run")
-	shards := fs.Int("shards", 1, "chaos-run prover shards the batch is split across")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -68,8 +60,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Enable telemetry before any experiment runs so the provers and
-	// simulators the harness constructs internally record into the sink,
-	// and before chaos dispatch so fault-injected runs are observable too.
+	// simulators the harness constructs internally record into the sink.
 	var sink *batchzk.TelemetrySink
 	if *telemetryDir != "" || *debugAddr != "" {
 		sink = batchzk.NewTelemetrySink()
@@ -134,20 +125,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	if *faultSpec != "" {
-		err := runChaos(*faultSpec, *faultSeed, *faultJobs, *shards, stdout)
-		// Dump even when the run failed: an unreconciled ledger is exactly
-		// the run whose trace is worth reading.
-		if derr := dump(); err == nil {
-			err = derr
-		}
-		holdOpen()
-		return err
-	}
-	if *shards != 1 {
-		return fmt.Errorf("-shards applies to chaos runs; pass -faults as well")
-	}
-
 	spec, err := batchzk.Device(*device)
 	if err != nil {
 		return err
@@ -210,88 +187,4 @@ func openLogOutput(dest string, stderr io.Writer) (io.Writer, func(), error) {
 		}
 		return f, func() { _ = f.Close() }, nil
 	}
-}
-
-// chaosProver is the surface runChaos needs from either a single
-// BatchProver or a ShardedProver.
-type chaosProver interface {
-	SetResilience(*batchzk.Resilience)
-	ProveBatch([]batchzk.Job) []batchzk.Result
-	Verify([]batchzk.Element, *batchzk.Proof) error
-	Stats() batchzk.ProverStats
-	Quarantined() []batchzk.QuarantinedJob
-}
-
-// runChaos streams a batch of proof jobs through the resilient prover
-// under an injected fault plan and reports how the pipeline coped: what
-// fired, what was retried, what was quarantined, and whether every
-// surviving proof still verifies. The same -faults/-fault-seed pair
-// replays the identical fault plan; -shards routes the same plan through
-// a sharded prover.
-func runChaos(spec string, seed uint64, jobs, shards int, stdout io.Writer) error {
-	if jobs < 1 {
-		return fmt.Errorf("chaos run needs at least one job, got %d", jobs)
-	}
-	inj, err := batchzk.ParseFaultSpec(spec, seed)
-	if err != nil {
-		return err
-	}
-	c, err := batchzk.RandomCircuit(256, 2, 2, int64(seed))
-	if err != nil {
-		return err
-	}
-	p, err := batchzk.Setup(c)
-	if err != nil {
-		return err
-	}
-	const depth = 4
-	var bp chaosProver
-	if shards > 1 {
-		sp, err := batchzk.NewShardedProver(c, p, shards, depth)
-		if err != nil {
-			return err
-		}
-		bp = sp
-	} else {
-		single, err := batchzk.NewBatchProver(c, p, depth)
-		if err != nil {
-			return err
-		}
-		bp = single
-	}
-	res := batchzk.DefaultResilience()
-	res.Injector = inj
-	bp.SetResilience(res)
-
-	batch := make([]batchzk.Job, jobs)
-	for i := range batch {
-		batch[i] = batchzk.Job{ID: i, Public: batchzk.RandVector(2), Secret: batchzk.RandVector(2)}
-	}
-	results := bp.ProveBatch(batch)
-
-	verified := 0
-	for i, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		if err := bp.Verify(batch[i].Public, r.Proof); err != nil {
-			return fmt.Errorf("job %d survived the chaos run but its proof does not verify: %w", r.ID, err)
-		}
-		verified++
-	}
-
-	st := bp.Stats()
-	fmt.Fprintf(stdout, "chaos run: spec=%q seed=%d jobs=%d shards=%d\n", spec, seed, jobs, shards)
-	fmt.Fprintf(stdout, "  completed=%d failed=%d retries=%d quarantined=%d timeouts=%d panics-recovered=%d\n",
-		st.Completed, st.Failed, st.Retries, st.Quarantined, st.Timeouts, st.PanicsRecovered)
-	fmt.Fprintf(stdout, "  faults: %s\n", inj.Summary())
-	for _, q := range bp.Quarantined() {
-		fmt.Fprintf(stdout, "  dead-letter: job %d at stage %s after %d attempt(s): %v\n", q.ID, q.Stage, q.Attempts, q.Err)
-	}
-	fmt.Fprintf(stdout, "  %d/%d surviving proofs verified\n", verified, int(st.Completed))
-
-	if ls := inj.Stats(); ls.Pending != 0 || inj.Conflicts() != 0 {
-		return fmt.Errorf("fault ledger not reconciled: %d pending, %d conflicts", ls.Pending, inj.Conflicts())
-	}
-	return nil
 }

@@ -159,9 +159,9 @@ func renderFrame(w io.Writer, base string, f *frame) {
 		return
 	}
 	s := f.snap
-	fmt.Fprintf(w, "uptime %s   jobs %d (failed %d, quarantined %d)   queue depth %d   alerts raised %d\n",
+	fmt.Fprintf(w, "uptime %s   jobs %d (failed %d)   queue depth %d   alerts raised %d\n",
 		time.Duration(s.UptimeNs).Round(time.Second), s.Jobs.Total, s.Jobs.Failed,
-		s.Jobs.Quarantined, s.Jobs.QueueDepth, s.AlertsTotal)
+		s.Jobs.QueueDepth, s.AlertsTotal)
 
 	if len(s.Stages) > 0 {
 		fmt.Fprintf(w, "\n%-18s %12s %12s %12s %10s\n", "STAGE", "RATE/S", "P50", "P99", "COUNT")

@@ -29,7 +29,7 @@ func TestTopRendersLiveSnapshot(t *testing.T) {
 	srv, e := serveObs(t, batchzk.ObsConfig{})
 	e.ObserveQueueDepth(3)
 	for i := 0; i < 10; i++ {
-		e.ObserveJob(0, int64(2*time.Millisecond), false, false)
+		e.ObserveJob(0, int64(2*time.Millisecond), false)
 		e.ObserveStage("commit", int64(time.Millisecond))
 		e.ObserveStage("opening", int64(3*time.Millisecond))
 	}
@@ -60,7 +60,7 @@ func TestTopRendersAlertsAndNotReady(t *testing.T) {
 		Now:             func() time.Time { return time.Unix(0, clockNs) },
 	})
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true, true)
+		e.ObserveJob(0, int64(time.Second), true)
 		clockNs += int64(10 * time.Millisecond)
 	}
 
@@ -107,7 +107,7 @@ func TestTopUnreachableOneShotFails(t *testing.T) {
 
 func TestTopMultiFrame(t *testing.T) {
 	srv, e := serveObs(t, batchzk.ObsConfig{})
-	e.ObserveJob(0, int64(time.Millisecond), false, false)
+	e.ObserveJob(0, int64(time.Millisecond), false)
 
 	var out bytes.Buffer
 	addr := strings.TrimPrefix(srv.URL, "http://")

@@ -20,7 +20,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,7 +45,7 @@ type Job struct {
 	// mints a fresh id at submission; a caller that already holds one —
 	// e.g. a service layer that extracted it from a request context with
 	// telemetry.TraceIDFrom — sets it here so the job keeps one timeline
-	// across API boundaries, shard hand-offs, retries, and quarantine.
+	// across API boundaries and shard hand-offs.
 	Trace telemetry.TraceID
 }
 
@@ -76,12 +75,13 @@ type Stats struct {
 	Failed     int64
 	QueueDepth int64
 	StageNs    [4]int64
-	// Resilience counters (see resilience.go): stage retries performed,
-	// jobs dead-lettered, deadline kills, and panics converted to errors.
-	Retries         int64
-	Quarantined     int64
+	// Failure counters (see failure.go): deadline kills and stage panics
+	// turned into job errors, both also counted in Failed.
 	Timeouts        int64
 	PanicsRecovered int64
+	// Retries is always 0: a failed stage is not retried. The
+	// benchmark's core.retries row still reads it.
+	Retries int64
 }
 
 // StageShare returns stage i's fraction of the total busy time.
@@ -108,14 +108,15 @@ type BatchProver struct {
 	inFlight  atomic.Int64
 	stageNs   [4]atomic.Int64
 
-	// Resilience state (see resilience.go).
-	res             *Resilience
-	retries         atomic.Int64
-	quarantinedN    atomic.Int64
+	// Failure handling (see failure.go): the per-job deadline (0 = off)
+	// and its clock, and the failure counters.
+	deadline        time.Duration
+	now             func() time.Time
 	timeouts        atomic.Int64
 	panicsRecovered atomic.Int64
-	qmu             sync.Mutex
-	quarantined     []QuarantinedJob
+	// stageHook, when set (by tests), runs at the start of every stage's
+	// work with the stage index and job id.
+	stageHook func(stage, job int)
 
 	// tel overrides the process-wide telemetry sink when non-nil.
 	tel *telemetry.Sink
@@ -135,8 +136,6 @@ func (bp *BatchProver) Stats() Stats {
 	for i := range s.StageNs {
 		s.StageNs[i] = bp.stageNs[i].Load()
 	}
-	s.Retries = bp.retries.Load()
-	s.Quarantined = bp.quarantinedN.Load()
 	s.Timeouts = bp.timeouts.Load()
 	s.PanicsRecovered = bp.panicsRecovered.Load()
 	return s
@@ -158,12 +157,8 @@ type instruments struct {
 	inFlight  *telemetry.Gauge
 	completed *telemetry.Counter
 	failed    *telemetry.Counter
-	// Resilience instruments.
-	retries     *telemetry.Counter
-	quarantined *telemetry.Counter
-	timeouts    *telemetry.Counter
-	panics      *telemetry.Counter
-	backoff     *telemetry.Histogram
+	timeouts  *telemetry.Counter
+	panics    *telemetry.Counter
 	// flight is the per-job timeline recorder (nil when telemetry is off).
 	flight *telemetry.FlightRecorder
 }
@@ -180,26 +175,26 @@ func (bp *BatchProver) instruments() instruments {
 	ins.inFlight = sink.Gauge("core/jobs/in_flight")
 	ins.completed = sink.Counter("core/jobs/completed")
 	ins.failed = sink.Counter("core/jobs/failed")
-	ins.retries = sink.Counter("core/jobs/retries")
-	ins.quarantined = sink.Counter("core/jobs/quarantined")
 	ins.timeouts = sink.Counter("core/jobs/timeouts")
 	ins.panics = sink.Counter("core/jobs/panics_recovered")
-	ins.backoff = sink.Histogram("core/job/retry_backoff_ns")
 	ins.flight = sink.FlightRecorder()
 	return ins
 }
 
 // timeStage accumulates wall time into a stage counter, the stage's
-// latency histogram, and a "core" layer span parented to the job's span.
+// latency histogram, and a "core" layer span parented to the job's span,
+// also when f panics.
 func (bp *BatchProver) timeStage(i int, ins instruments, parent telemetry.SpanID, task int, f func()) {
 	sp := ins.tracer.Begin("core", "stage/"+StageNames[i], parent, i, task)
 	start := time.Now()
+	defer func() {
+		ns := time.Since(start).Nanoseconds()
+		bp.stageNs[i].Add(ns)
+		ins.stageHist[i].Observe(ns)
+		obs.Active().ObserveStage(StageNames[i], ns)
+		sp.End()
+	}()
 	f()
-	ns := time.Since(start).Nanoseconds()
-	bp.stageNs[i].Add(ns)
-	ins.stageHist[i].Observe(ns)
-	obs.Active().ObserveStage(StageNames[i], ns)
-	sp.End()
 }
 
 // observeWait records how long a message sat in an inter-stage queue —
@@ -225,7 +220,7 @@ func NewBatchProver(c *circuit.Circuit, p *protocol.Params, depth int) (*BatchPr
 	if depth < 1 {
 		return nil, fmt.Errorf("core: pipeline depth %d < 1", depth)
 	}
-	return &BatchProver{c: c, p: p, depth: depth, shard: -1}, nil
+	return &BatchProver{c: c, p: p, depth: depth, now: time.Now, shard: -1}, nil
 }
 
 // Circuit returns the circuit being proven.
@@ -249,21 +244,16 @@ type stageMsg struct {
 	// job is the per-job telemetry span, open from dequeue to result.
 	job *telemetry.ActiveSpan
 	// trace is the job's flight-recorder id, stamped at submission and
-	// carried across every stage hop, retry, and quarantine; waitNs is the
-	// queue wait ahead of the stage currently running, for its timeline.
+	// carried across every stage hop; waitNs is the queue wait ahead of
+	// the stage currently running, for its timeline.
 	trace  telemetry.TraceID
 	waitNs int64
-	// quarantined marks a job the resilience layer dead-lettered, so the
-	// result loop can distinguish "failed" from "failed and given up on"
-	// when it feeds the obs quarantine-storm detector.
-	quarantined bool
 }
 
 // processStage runs one prover stage on one message, on that stage's
 // goroutine. All mutable state is either inside the message or atomic,
 // so the four stages run concurrently on different messages; runStage
-// layers the resilience semantics (retries, deadlines, panic recovery,
-// quarantine) per message.
+// applies the failure semantics (failure.go) per message.
 //
 // arenas is the run's free list of per-proof arenas: a proof takes one at
 // its first stage and gives it back when its result is handed out, the
@@ -272,7 +262,7 @@ type stageMsg struct {
 func (bp *BatchProver) processStage(stage int, ins instruments, arenas chan *protocol.Arena, m *stageMsg) {
 	switch stage {
 	case 0:
-		m.started = time.Now()
+		m.started = bp.now()
 		obs.Active().ObserveQueueDepth(bp.inFlight.Add(1))
 		ins.inFlight.Add(1)
 		m.job = ins.tracer.Begin("core", "job", 0, len(StageNames), m.id)
@@ -331,13 +321,7 @@ func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 		// construction. Surface loudly rather than wedging the stream.
 		panic(fmt.Sprintf("core: scheduler rejected prover stage graph: %v", err))
 	}
-	// Last-resort backstop: runStage already converts stage panics into
-	// job errors, so this only fires if the resilience layer itself dies.
-	g.SetRecover(func(stage int, m *stageMsg, r any) {
-		if m.err == nil {
-			m.err = fmt.Errorf("core: stage %s scheduler panic on job %d: %v", StageNames[stage], m.id, r)
-		}
-	})
+	g.SetRecover(func(stage int, m *stageMsg, r any) { bp.recoverStage(ins, stage, m, r) })
 
 	gin := make(chan stageMsg, bp.depth)
 	go func() {
@@ -358,11 +342,11 @@ func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 		defer close(results)
 		g.Run(gin, func(m stageMsg) {
 			m.job.End()
-			e2eNs := time.Since(m.started).Nanoseconds()
+			e2eNs := bp.now().Sub(m.started).Nanoseconds()
 			ins.e2e.Observe(e2eNs)
 			obs.Active().ObserveQueueDepth(bp.inFlight.Add(-1))
 			ins.inFlight.Add(-1)
-			obs.Active().ObserveJob(bp.shard, e2eNs, m.err != nil, m.quarantined)
+			obs.Active().ObserveJob(bp.shard, e2eNs, m.err != nil)
 			if m.arena != nil {
 				select {
 				case arenas <- m.arena:

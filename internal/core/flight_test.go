@@ -4,13 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"batchzk/internal/faults"
 	"batchzk/internal/telemetry"
 )
 
 // The flight-recorder integration contract: a job keeps exactly one
-// coherent timeline across the pipeline, including the hard path —
-// retries under fault injection and the dead-letter quarantine.
+// coherent timeline across the pipeline, a failed job included.
 
 func TestFlightTimelineCleanRun(t *testing.T) {
 	c, p := testCircuit(t)
@@ -21,7 +19,7 @@ func TestFlightTimelineCleanRun(t *testing.T) {
 	sink := telemetry.NewSink(0)
 	bp.SetTelemetry(sink)
 
-	results := bp.ProveBatch(resilienceJobs(6))
+	results := bp.ProveBatch(testJobs(6))
 	fr := sink.FlightRecorder()
 	tls := fr.Timelines()
 	if len(tls) != 6 {
@@ -43,14 +41,14 @@ func TestFlightTimelineCleanRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %d: no timeline for trace %d", r.ID, r.Trace)
 		}
-		if tl.JobID != r.ID || !tl.Done || tl.Quarantined || tl.Retries != 0 {
+		if tl.JobID != r.ID || !tl.Done || tl.Error != "" {
 			t.Fatalf("job %d timeline: %+v", r.ID, tl)
 		}
 		if len(tl.Stages) != len(StageNames) {
 			t.Fatalf("job %d recorded %d stages, want %d", r.ID, len(tl.Stages), len(StageNames))
 		}
 		for i, st := range tl.Stages {
-			if st.Stage != StageNames[i] || st.Attempts != 1 || st.DurNs <= 0 {
+			if st.Stage != StageNames[i] || st.DurNs <= 0 {
 				t.Fatalf("job %d stage %d: %+v", r.ID, i, st)
 			}
 		}
@@ -58,89 +56,45 @@ func TestFlightTimelineCleanRun(t *testing.T) {
 			t.Fatalf("job %d timeline out of order: %+v", r.ID, tl)
 		}
 	}
-	if s := fr.SLO(); s.Jobs != 6 || s.Completed != 6 || s.Retries != 0 {
+	if s := fr.SLO(); s.Jobs != 6 || s.Completed != 6 || s.Failed != 0 {
 		t.Fatalf("slo: %+v", s)
 	}
 }
 
-func TestFlightTimelineSurvivesRetry(t *testing.T) {
-	inj := faults.NewInjector(1)
-	inj.Force(faults.KernelFault, StageNames[1], 0, 1) // transient: attempt 2 succeeds
-	bp, _ := resilientProver(t, inj)
+// TestFlightTimelineRecordsFailure: a job whose stage panics keeps one
+// closed timeline: the stages up to and including the failing one, and
+// the error chain its Result carries.
+func TestFlightTimelineRecordsFailure(t *testing.T) {
+	c, p := testCircuit(t)
+	bp, err := NewBatchProver(c, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.stageHook = panicAt(2, 0)
 	sink := telemetry.NewSink(0)
 	bp.SetTelemetry(sink)
 
-	results := bp.ProveBatch(resilienceJobs(2))
-	if results[0].Err != nil {
-		t.Fatalf("job 0 failed despite retry: %v", results[0].Err)
-	}
-	tl, ok := sink.FlightRecorder().Timeline(results[0].Trace)
-	if !ok {
-		t.Fatal("retried job lost its timeline")
-	}
-	// The backoff was taken once, so exactly one retry is recorded — not
-	// one per observer or one per attempt.
-	if tl.Retries != 1 {
-		t.Fatalf("retries recorded %d times, want exactly 1", tl.Retries)
-	}
-	if tl.Quarantined || !tl.Done {
-		t.Fatalf("timeline: %+v", tl)
-	}
-	if len(tl.Stages) != len(StageNames) {
-		t.Fatalf("recorded %d stages: %+v", len(tl.Stages), tl.Stages)
-	}
-	// The faulted stage's record covers both attempts.
-	if tl.Stages[1].Attempts != 2 {
-		t.Fatalf("faulted stage attempts = %d, want 2", tl.Stages[1].Attempts)
-	}
-	// The healthy neighbor stayed untouched.
-	other, _ := sink.FlightRecorder().Timeline(results[1].Trace)
-	if other.Retries != 0 || other.Quarantined {
-		t.Fatalf("healthy job timeline: %+v", other)
-	}
-}
-
-func TestFlightTimelineSurvivesQuarantine(t *testing.T) {
-	inj := faults.NewInjector(1)
-	bp, res := resilientProver(t, inj)
-	for attempt := 1; attempt <= res.Retry.MaxAttempts; attempt++ {
-		inj.Force(faults.KernelFault, StageNames[2], 0, attempt)
-	}
-	sink := telemetry.NewSink(0)
-	bp.SetTelemetry(sink)
-
-	results := bp.ProveBatch(resilienceJobs(1))
-	if results[0].Err == nil {
-		t.Fatal("persistently faulty job succeeded")
+	results := bp.ProveBatch(testJobs(2))
+	if results[0].Err == nil || results[1].Err != nil {
+		t.Fatalf("results: %v / %v, want job 0 failed, job 1 proven", results[0].Err, results[1].Err)
 	}
 	fr := sink.FlightRecorder()
-	tls := fr.Timelines()
-	if len(tls) != 1 {
-		t.Fatalf("one job produced %d timelines", len(tls))
+	tl, ok := fr.Timeline(results[0].Trace)
+	if !ok {
+		t.Fatal("failed job lost its timeline")
 	}
-	tl := tls[0]
-	if tl.TraceID != results[0].Trace {
-		t.Fatalf("result trace %d != timeline trace %d", results[0].Trace, tl.TraceID)
+	if !tl.Done || tl.Error != results[0].Err.Error() {
+		t.Fatalf("failed timeline not closed with the result's error: %+v", tl)
 	}
-	if !tl.Quarantined || tl.QuarantineStage != StageNames[2] {
-		t.Fatalf("quarantine not on the timeline: %+v", tl)
-	}
-	// Retries recorded exactly once per backoff: MaxAttempts-1 in total.
-	if tl.Retries != res.Retry.MaxAttempts-1 {
-		t.Fatalf("retries = %d, want %d", tl.Retries, res.Retry.MaxAttempts-1)
-	}
-	if tl.Error == "" || !tl.Done {
-		t.Fatalf("quarantined timeline not closed: %+v", tl)
-	}
-	// Stages up to and including the failing one are recorded; the
-	// stages the job skipped on its way out are not.
-	if len(tl.Stages) != 3 {
+	// The panicking stage still leaves its record; the stages the job
+	// skipped on its way out do not.
+	if len(tl.Stages) != 3 || tl.Stages[2].Stage != StageNames[2] {
 		t.Fatalf("recorded stages: %+v", tl.Stages)
 	}
-	if last := tl.Stages[2]; last.Stage != StageNames[2] || last.Attempts != res.Retry.MaxAttempts {
-		t.Fatalf("failing stage record: %+v", last)
+	if other, _ := fr.Timeline(results[1].Trace); other.Error != "" || len(other.Stages) != len(StageNames) {
+		t.Fatalf("healthy job timeline: %+v", other)
 	}
-	if s := fr.SLO(); s.Quarantined != 1 || s.Completed != 0 || s.Retries != res.Retry.MaxAttempts-1 {
+	if s := fr.SLO(); s.Jobs != 2 || s.Completed != 1 || s.Failed != 1 {
 		t.Fatalf("slo: %+v", s)
 	}
 }
@@ -154,7 +108,7 @@ func TestFlightTimelineRecordsShard(t *testing.T) {
 	sink := telemetry.NewSink(0)
 	sp.SetTelemetry(sink)
 
-	results := sp.ProveBatch(resilienceJobs(8))
+	results := sp.ProveBatch(testJobs(8))
 	fr := sink.FlightRecorder()
 	shardsSeen := map[int]int{}
 	for _, r := range results {
@@ -190,7 +144,7 @@ func TestFlightTraceIDPropagatesFromCaller(t *testing.T) {
 	sink := telemetry.NewSink(0)
 	bp.SetTelemetry(sink)
 
-	jobs := resilienceJobs(1)
+	jobs := testJobs(1)
 	jobs[0].Trace = 12345
 	results := bp.ProveBatch(jobs)
 	if results[0].Trace != 12345 {
@@ -210,7 +164,7 @@ func TestFlightDisabledZeroOverheadPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := bp.ProveBatch(resilienceJobs(2))
+	results := bp.ProveBatch(testJobs(2))
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", r.ID, r.Err)
@@ -234,7 +188,7 @@ func TestMemSamplerUnderProverLoad(t *testing.T) {
 	bp.SetTelemetry(sink)
 	ms := telemetry.StartMemSampler(sink, 100*time.Microsecond)
 	defer ms.Stop()
-	for _, r := range bp.ProveBatch(resilienceJobs(4)) {
+	for _, r := range bp.ProveBatch(testJobs(4)) {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", r.ID, r.Err)
 		}

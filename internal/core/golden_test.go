@@ -19,7 +19,10 @@ import (
 // moves this digest has changed what verifiers see, however fast it is.
 const goldenProofDigest = "1d4ec8f76f4b758ebf3875f8df6cdce89bf3393a11ee50cbf316d6052c4e974c"
 
-func TestProofBytesGolden(t *testing.T) {
+// goldenBatch builds the fixed circuit, its parameters and the three
+// fixed jobs whose proofs hash to goldenProofDigest.
+func goldenBatch(t testing.TB) (*circuit.Circuit, *protocol.Params, []Job) {
+	t.Helper()
 	const seed, jobs = 1, 3
 	c, err := circuit.RandomCircuit(1<<8, 2, 2, seed)
 	if err != nil {
@@ -41,6 +44,13 @@ func TestProofBytesGolden(t *testing.T) {
 	for i := range batch {
 		batch[i] = Job{ID: i, Public: elems(2), Secret: elems(2)}
 	}
+	return c, p, batch
+}
+
+func TestProofBytesGolden(t *testing.T) {
+	c, p, batch := goldenBatch(t)
+	jobs := len(batch)
+	var err error
 	digest := func(proofs []*protocol.Proof) string {
 		h := sha256.New()
 		for _, pr := range proofs {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"batchzk/internal/circuit"
 	"batchzk/internal/field"
@@ -43,16 +44,14 @@ func NewShardedProver(c *circuit.Circuit, p *protocol.Params, shards, depth int)
 // Shards returns the number of prover shards.
 func (sp *ShardedProver) Shards() int { return len(sp.shards) }
 
-// Shard returns shard i, for per-shard inspection (stats, quarantine).
+// Shard returns shard i, for per-shard inspection (stats).
 func (sp *ShardedProver) Shard(i int) *BatchProver { return sp.shards[i] }
 
-// SetResilience installs the same failure-handling configuration on
-// every shard. A shared *Resilience (including a shared fault injector,
-// whose ledger is thread-safe) is fine: all per-attempt state lives in
-// the shards.
-func (sp *ShardedProver) SetResilience(r *Resilience) {
+// SetJobDeadline sets the same per-job deadline on every shard (see
+// BatchProver.SetJobDeadline).
+func (sp *ShardedProver) SetJobDeadline(d time.Duration) {
 	for _, bp := range sp.shards {
-		bp.SetResilience(r)
+		bp.SetJobDeadline(d)
 	}
 }
 
@@ -74,21 +73,10 @@ func (sp *ShardedProver) Stats() Stats {
 		for i := range agg.StageNs {
 			agg.StageNs[i] += s.StageNs[i]
 		}
-		agg.Retries += s.Retries
-		agg.Quarantined += s.Quarantined
 		agg.Timeouts += s.Timeouts
 		agg.PanicsRecovered += s.PanicsRecovered
 	}
 	return agg
-}
-
-// Quarantined returns the concatenated dead-letter lists of all shards.
-func (sp *ShardedProver) Quarantined() []QuarantinedJob {
-	var out []QuarantinedJob
-	for _, bp := range sp.shards {
-		out = append(out, bp.Quarantined()...)
-	}
-	return out
 }
 
 // Run scatters jobs round-robin across the shards (job k to shard k mod

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"batchzk/internal/faults"
 	"batchzk/internal/telemetry"
 )
 
@@ -142,9 +141,6 @@ type Report struct {
 	Stages []StageRecord
 	// Utilization trace: fraction of device cores busy over time.
 	Trace []UtilSample
-	// Faults is the injected-fault accounting of the run (all zero when
-	// no injector was configured).
-	Faults FaultStats
 }
 
 // StageRecord is the per-stage accounting of one run: where the stage's
@@ -226,12 +222,6 @@ type Options struct {
 	// the run into the given sink; when nil, the process-wide sink
 	// installed via telemetry.Enable is used, if any.
 	Telemetry *telemetry.Sink
-	// Faults, when set, injects deterministic device faults into the run:
-	// every (stage, task) launch is consulted against the injector's plan
-	// and the report's timing and FaultStats reflect the recovery actions
-	// (see faults.go). Unrecoverable faults abort the run with a
-	// LaunchError.
-	Faults *faults.Injector
 	// Shard is the 1-based shard label of this run inside a sharded batch
 	// (0 = unsharded). RunSharded sets it per device so each shard's
 	// simulated spans land on their own trace process ("gpusim/shard<i>")
@@ -356,17 +346,6 @@ func RunPipelined(spec DeviceSpec, stages []Stage, tasks int, opts Options) (*Re
 		Stages:            records,
 	}
 
-	// Injected device faults: every launch consults the plan; recovery
-	// time stretches the run, unrecoverable faults abort it.
-	if opts.Faults != nil {
-		fs, err := applyFaults(opts.Faults, spec, "pipelined", stages, stageNs, tasks, telemetry.Resolve(opts.Telemetry))
-		if err != nil {
-			return nil, err
-		}
-		rep.Faults = fs
-		rep.TotalNs += fs.ExtraNs
-	}
-
 	// Utilization trace: ramp-up as the pipeline fills, full-occupancy
 	// plateau, drain at the end. Stage i's kernel keeps its core share
 	// busy whenever a task occupies it — occupancy semantics, matching
@@ -484,15 +463,6 @@ func RunNaive(spec DeviceSpec, stages []Stage, tasks, threadsPerTask int, opts O
 		PeakDeviceBytes:   peak,
 		Concurrency:       k,
 		Stages:            records,
-	}
-
-	if opts.Faults != nil {
-		fs, err := applyFaults(opts.Faults, spec, "naive", stages, roundNs, tasks, telemetry.Resolve(opts.Telemetry))
-		if err != nil {
-			return nil, err
-		}
-		rep.Faults = fs
-		rep.TotalNs += fs.ExtraNs
 	}
 
 	if cap := traceCap(opts); cap > 0 {

@@ -15,8 +15,8 @@ import (
 //	/healthz        — liveness: 200 whenever the process serves requests,
 //	                  with uptime and whether obs is enabled.
 //	/readyz         — readiness: 200 while no critical alert is active;
-//	                  503 with the blocking reason during a quarantine
-//	                  storm or sustained SLO burn. Flips back on recovery.
+//	                  503 with the blocking reason during a storm of
+//	                  failed jobs or sustained SLO burn. Flips back on recovery.
 //	/debug/obs/slo  — the full Snapshot JSON: job counters, per-stage
 //	                  throughput and latency, objective attainment and
 //	                  burn rates, budget ledgers, active alerts. This is

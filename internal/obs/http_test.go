@@ -54,7 +54,7 @@ func TestReadyzFlipsWithCriticalAlert(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true, true)
+		e.ObserveJob(0, int64(time.Second), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	rec, body = get(t, h, "/readyz")
@@ -67,7 +67,7 @@ func TestReadyzFlipsWithCriticalAlert(t *testing.T) {
 
 	clk.advance(15 * time.Second)
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false, false)
+		e.ObserveJob(0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	if rec, _ := get(t, h, "/readyz"); rec.Code != http.StatusOK {
@@ -88,7 +88,7 @@ func TestSLOEndpoint(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
 	e := testEngine(clk, nil)
 	Enable(e)
-	e.ObserveJob(0, int64(time.Millisecond), false, false)
+	e.ObserveJob(0, int64(time.Millisecond), false)
 	e.ObserveStage("commit", int64(time.Millisecond))
 
 	rec, body := get(t, h, "/debug/obs/slo")

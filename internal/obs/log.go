@@ -10,12 +10,11 @@ import (
 
 // Structured event log.
 //
-// Every operationally significant event in the system — a retry, a
-// quarantine, a launch fault, an alert — is
-// emitted as one JSON object on a stable schema, built on stdlib
+// Every operationally significant event in the system — a failed job,
+// an alert, a gateway drain — is emitted as one JSON object on a stable schema, built on stdlib
 // log/slog. The schema contract (kept stable by CI's obs-smoke jq
 // check) is: every record has "time", "level", "msg" (the event name,
-// dot-namespaced like "job.quarantined"), and "component" (the layer
+// dot-namespaced like "job.failed"), and "component" (the layer
 // that emitted it: core, gpusim, vml, obs). Everything else is
 // typed attributes; the helpers below fix the attribute names the rest
 // of the codebase uses, so "trace_id" is always "trace_id".
@@ -34,9 +33,6 @@ func Stage(name string) slog.Attr { return slog.String("stage", name) }
 
 // Shard names the prover shard (-1 = unsharded).
 func Shard(i int) slog.Attr { return slog.Int("shard", i) }
-
-// Attempt records which try of a retried operation this was (1-based).
-func Attempt(n int) slog.Attr { return slog.Int("attempt", n) }
 
 // Err records an error chain as a string attribute ("error"); a nil
 // error renders as the empty string.

@@ -48,8 +48,8 @@ type Config struct {
 	// BurnThreshold pages when both windows burn at or above it
 	// (default 2: spending budget at twice the sustainable rate).
 	BurnThreshold float64
-	// QuarantineStormFrac flips readiness when the quarantined fraction
-	// of jobs in the fast window reaches it (default 0.25).
+	// QuarantineStormFrac flips readiness when the failed fraction of
+	// jobs in the fast window reaches it (default 0.25).
 	QuarantineStormFrac float64
 	// MinJudgeSamples is the fewest fast-window samples before storm,
 	// burn, or shard judgments fire (default 8) — one bad job in an
@@ -125,11 +125,9 @@ type Engine struct {
 	stages     map[string]*stageTrack
 	stageOrder []string
 	shards     map[int]*sampleWindow
-	fleet      *sampleWindow // all jobs, bad = failed (shard comparison base)
-	quar       *sampleWindow // all jobs, bad = quarantined (storm detection)
+	fleet      *sampleWindow // all jobs, bad = failed (storm and shard comparison base)
 	jobs       int64
 	failed     int64
-	quarN      int64
 
 	sentinel *Sentinel
 }
@@ -147,7 +145,6 @@ func New(cfg Config) *Engine {
 		stages:   map[string]*stageTrack{},
 		shards:   map[int]*sampleWindow{},
 		fleet:    newSampleWindow(cfg.FastWindow),
-		quar:     newSampleWindow(cfg.FastWindow),
 		sentinel: NewSentinel(cfg.Sentinel),
 	}
 	for _, o := range cfg.Objectives {
@@ -229,10 +226,10 @@ func (e *Engine) ObserveQueueDepth(depth int64) {
 }
 
 // ObserveJob folds one finished job into every end-to-end objective, the
-// fleet and quarantine windows, and the per-shard failure tracking, then
-// re-judges the storm, burn, and shard conditions. shard is -1 for an
-// unsharded prover.
-func (e *Engine) ObserveJob(shard int, e2eNs int64, failed, quarantined bool) {
+// fleet window, and the per-shard failure tracking, then re-judges the
+// storm, burn, and shard conditions. shard is -1 for an unsharded
+// prover.
+func (e *Engine) ObserveJob(shard int, e2eNs int64, failed bool) {
 	if e == nil {
 		return
 	}
@@ -242,16 +239,12 @@ func (e *Engine) ObserveJob(shard int, e2eNs int64, failed, quarantined bool) {
 	if failed {
 		e.failed++
 	}
-	if quarantined {
-		e.quarN++
-	}
 	for _, st := range e.objectives {
 		if st.obj.Kind == KindErrorRate || (st.obj.Kind == KindLatency && st.obj.Stage == "") {
 			st.observe(now, e2eNs, failed)
 		}
 	}
 	e.fleet.Add(now, 1, failed)
-	e.quar.Add(now, 1, quarantined)
 	sw := e.shards[shard]
 	if sw == nil {
 		sw = newSampleWindow(e.cfg.FastWindow)
@@ -304,8 +297,8 @@ func (e *Engine) ObserveKernel(kernel string, nsPerElement float64) {
 func (e *Engine) judgeLocked(now int64, shard int) {
 	minN := int64(e.cfg.MinJudgeSamples)
 
-	// Quarantine storm: the fast window's quarantined fraction.
-	total, bad := e.quar.Counts(now)
+	// Failure storm: the fast window's failed fraction.
+	total, bad := e.fleet.Counts(now)
 	frac := 0.0
 	if total > 0 {
 		frac = float64(bad) / float64(total)
@@ -313,7 +306,7 @@ func (e *Engine) judgeLocked(now int64, shard int) {
 	e.sentinel.Judge(AlertQuarantineStorm, "pipeline", SeverityCritical,
 		total >= minN && frac >= e.cfg.QuarantineStormFrac,
 		frac, e.cfg.QuarantineStormFrac,
-		"quarantined job fraction over the fast window at or above the storm threshold", now)
+		"failed job fraction over the fast window at or above the storm threshold", now)
 
 	// Multi-window SLO burn per objective.
 	for _, st := range e.objectives {
@@ -420,10 +413,9 @@ type StageStatus struct {
 
 // JobCounters is the lifetime job accounting of a Snapshot.
 type JobCounters struct {
-	Total       int64 `json:"total"`
-	Failed      int64 `json:"failed"`
-	Quarantined int64 `json:"quarantined"`
-	QueueDepth  int64 `json:"queue_depth"`
+	Total      int64 `json:"total"`
+	Failed     int64 `json:"failed"`
+	QueueDepth int64 `json:"queue_depth"`
 }
 
 // Snapshot is the operator view served on /debug/obs/slo and rendered
@@ -471,7 +463,7 @@ func (e *Engine) Snapshot() Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s.Jobs = JobCounters{
-		Total: e.jobs, Failed: e.failed, Quarantined: e.quarN,
+		Total: e.jobs, Failed: e.failed,
 		QueueDepth: e.queueDepth.Load(),
 	}
 	s.Stages = make([]StageStatus, 0, len(e.stageOrder))

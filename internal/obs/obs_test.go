@@ -29,7 +29,7 @@ func testEngine(clk *fakeClock, out *bytes.Buffer) *Engine {
 
 func TestEngineNilSafe(t *testing.T) {
 	var e *Engine
-	e.ObserveJob(0, 100, false, false)
+	e.ObserveJob(0, 100, false)
 	e.ObserveStage("commit", 100)
 	e.ObserveKernel("ntt", 1)
 	e.ObserveQueueDepth(3)
@@ -56,21 +56,21 @@ func TestQuarantineStormFlipsReadiness(t *testing.T) {
 
 	// Healthy traffic.
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false, false)
+		e.ObserveJob(0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	if ready, _ := e.Ready(); !ready {
 		t.Fatal("healthy traffic left the engine not-ready")
 	}
 
-	// Storm: every job quarantined.
+	// Storm: every job fails.
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true, true)
+		e.ObserveJob(0, int64(time.Second), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	ready, reason := e.Ready()
 	if ready {
-		t.Fatal("quarantine storm did not flip readiness")
+		t.Fatal("failed-job storm did not flip readiness")
 	}
 	if !strings.Contains(reason, AlertQuarantineStorm) {
 		t.Fatalf("not-ready reason %q does not name the storm", reason)
@@ -88,7 +88,7 @@ func TestQuarantineStormFlipsReadiness(t *testing.T) {
 	// Recovery: clean jobs slide the storm out of the fast window.
 	clk.advance(15 * time.Second) // fast window (10s) fully slides
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false, false)
+		e.ObserveJob(0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	if ready, reason := e.Ready(); !ready {
@@ -113,7 +113,7 @@ func TestSLOBurnAlert(t *testing.T) {
 	e := testEngine(clk, nil)
 	// Fail half of all jobs against the default 2% error budget: burn 25×.
 	for i := 0; i < 40; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), i%2 == 0, false)
+		e.ObserveJob(0, int64(time.Millisecond), i%2 == 0)
 		clk.advance(50 * time.Millisecond)
 	}
 	var burnAlert bool
@@ -139,10 +139,10 @@ func TestShardFailureDivergence(t *testing.T) {
 	// Three healthy shards, one failing: fleet rate 25%, shard 1 at 100%,
 	// past the fleet×2 + 0.1 divergence limit.
 	for i := 0; i < 30; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false, false)
-		e.ObserveJob(2, int64(time.Millisecond), false, false)
-		e.ObserveJob(3, int64(time.Millisecond), false, false)
-		e.ObserveJob(1, int64(time.Millisecond), true, false)
+		e.ObserveJob(0, int64(time.Millisecond), false)
+		e.ObserveJob(2, int64(time.Millisecond), false)
+		e.ObserveJob(3, int64(time.Millisecond), false)
+		e.ObserveJob(1, int64(time.Millisecond), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	var shardAlert *Alert
@@ -170,7 +170,7 @@ func TestCleanRunRaisesNoAlerts(t *testing.T) {
 	e := testEngine(clk, nil)
 	for i := 0; i < 500; i++ {
 		shard := i % 4
-		e.ObserveJob(shard, int64(time.Millisecond)+int64(i%7)*int64(100*time.Microsecond), false, false)
+		e.ObserveJob(shard, int64(time.Millisecond)+int64(i%7)*int64(100*time.Microsecond), false)
 		for _, st := range []string{"commit", "gate-sumcheck", "linear-sumcheck", "opening"} {
 			e.ObserveStage(st, int64(200*time.Microsecond)+int64(i%5)*int64(10*time.Microsecond))
 		}
@@ -191,8 +191,8 @@ func TestLogEventSchema(t *testing.T) {
 	var buf bytes.Buffer
 	clk := &fakeClock{ns: int64(time.Hour)}
 	e := testEngine(clk, &buf)
-	e.Event(slog.LevelWarn, "core", "job.quarantined",
-		Job(7), Trace(42), Stage("opening"), Shard(2), Attempt(3), Err(nil))
+	e.Event(slog.LevelWarn, "core", "job.failed",
+		Job(7), Trace(42), Stage("opening"), Shard(2), Err(nil))
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	for _, line := range lines {
@@ -209,12 +209,12 @@ func TestLogEventSchema(t *testing.T) {
 	last := lines[len(lines)-1]
 	var rec map[string]any
 	_ = json.Unmarshal([]byte(last), &rec)
-	if rec["msg"] != "job.quarantined" || rec["component"] != "core" {
+	if rec["msg"] != "job.failed" || rec["component"] != "core" {
 		t.Fatalf("event record: %q", last)
 	}
 	if rec["job_id"] != float64(7) || rec["trace_id"] != float64(42) ||
 		rec["stage"] != "opening" || rec["shard"] != float64(2) ||
-		rec["attempt"] != float64(3) || rec["error"] != "" {
+		rec["error"] != "" {
 		t.Fatalf("attr names drifted: %q", last)
 	}
 }
@@ -226,12 +226,12 @@ func TestAlertEventsLogged(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
 	e := testEngine(clk, &buf)
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true, true)
+		e.ObserveJob(0, int64(time.Second), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	clk.advance(15 * time.Second)
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false, false)
+		e.ObserveJob(0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	logs := buf.String()
@@ -248,7 +248,7 @@ func TestSnapshot(t *testing.T) {
 	e := testEngine(clk, nil)
 	e.ObserveQueueDepth(5)
 	for i := 0; i < 10; i++ {
-		e.ObserveJob(0, int64(2*time.Millisecond), false, false)
+		e.ObserveJob(0, int64(2*time.Millisecond), false)
 		e.ObserveStage("commit", int64(time.Millisecond))
 		clk.advance(100 * time.Millisecond)
 	}

@@ -34,7 +34,9 @@ const (
 	AlertStageRegression  = "stage-regression"
 	AlertShardFailures    = "shard-failure-rate"
 	AlertSLOBurn          = "slo-burn"
-	AlertQuarantineStorm  = "quarantine-storm"
+	// AlertQuarantineStorm fires on a storm of failed jobs; the name
+	// dates from when every failure was dead-lettered.
+	AlertQuarantineStorm = "quarantine-storm"
 )
 
 // minStageExcessNs is how far above its baseline, in ns, a stage must
@@ -227,7 +229,7 @@ func (s *Sentinel) Observe(kind, subject string, value float64, nowNs int64) *Al
 // judged: breach says whether this observation violates the stream's
 // condition, baseline documents the reference. The engine uses it for
 // conditions the sentinel cannot derive itself (SLO burn thresholds,
-// fleet-relative shard failure rates, quarantine storms). Returns the
+// fleet-relative shard failure rates, failed-job storms). Returns the
 // alert raised by this observation, if any. Nil-safe.
 func (s *Sentinel) Judge(kind, subject, severity string, breach bool, value, baseline float64, reason string, nowNs int64) *Alert {
 	if s == nil {

@@ -195,7 +195,7 @@ func TestSentinelRooflineFloor(t *testing.T) {
 }
 
 // TestSentinelJudge drives the engine-computed-condition path (SLO burn,
-// quarantine storms) through the same hysteresis.
+// failed-job storms) through the same hysteresis.
 func TestSentinelJudge(t *testing.T) {
 	s := testSentinel()
 	var a *Alert

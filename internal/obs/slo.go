@@ -29,8 +29,7 @@ const (
 	// KindLatency targets a quantile of a latency stream: end-to-end when
 	// Stage is empty, one pipeline stage otherwise.
 	KindLatency = "latency"
-	// KindErrorRate bounds the fraction of jobs that fail (quarantines
-	// included — a dead-lettered job is a failed job to its client).
+	// KindErrorRate bounds the fraction of jobs that fail.
 	KindErrorRate = "error-rate"
 )
 

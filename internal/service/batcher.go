@@ -12,7 +12,7 @@
 //     the prover is busy; batches are whatever backlog built up
 //     meanwhile, never a timer's worth;
 //   - the Gateway (service.go): job lifecycle in front of a prover —
-//     admission, fan-out, quarantine-aware retry, terminal resolution;
+//     admission, fan-out, terminal resolution;
 //   - the HTTP API (http.go): submit / poll / stream endpoints with
 //     trace-id propagation into the flight recorder.
 package service

@@ -12,7 +12,6 @@ import (
 
 	"batchzk/internal/circuit"
 	"batchzk/internal/core"
-	"batchzk/internal/faults"
 	"batchzk/internal/field"
 	"batchzk/internal/protocol"
 	"batchzk/internal/telemetry"
@@ -73,9 +72,58 @@ func (p *stallProver) Run(jobs <-chan core.Job) <-chan core.Result {
 }
 
 func (p *stallProver) Stats() core.Stats                             { return core.Stats{} }
-func (p *stallProver) SetResilience(*core.Resilience)                {}
-func (p *stallProver) Quarantined() []core.QuarantinedJob            { return nil }
 func (p *stallProver) Verify([]field.Element, *protocol.Proof) error { return nil }
+
+// scriptedProver wraps a real prover and rewrites its result stream on
+// cue: the result of job hold waits until release is closed, and the
+// result of job timeout becomes a deadline error, as the prover's own
+// SetJobDeadline reports one. It records the internal ids it is handed.
+type scriptedProver struct {
+	Prover
+	hold, timeout int
+	release       chan struct{}
+
+	mu    sync.Mutex
+	taken []int
+}
+
+func newScriptedProver(inner Prover, hold, timeout int) *scriptedProver {
+	return &scriptedProver{Prover: inner, hold: hold, timeout: timeout, release: make(chan struct{})}
+}
+
+func (p *scriptedProver) takenIDs() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]int(nil), p.taken...)
+}
+
+func (p *scriptedProver) Run(jobs <-chan core.Job) <-chan core.Result {
+	in := make(chan core.Job)
+	go func() {
+		defer close(in)
+		for j := range jobs {
+			p.mu.Lock()
+			p.taken = append(p.taken, j.ID)
+			p.mu.Unlock()
+			in <- j
+		}
+	}()
+	inner := p.Prover.Run(in)
+	out := make(chan core.Result)
+	go func() {
+		defer close(out)
+		for r := range inner {
+			if r.ID == p.hold {
+				<-p.release
+			}
+			if r.ID == p.timeout {
+				r = core.Result{ID: r.ID, Trace: r.Trace, Err: fmt.Errorf("core: job %d failed at stage commit: %w", r.ID, core.ErrJobDeadline)}
+			}
+			out <- r
+		}
+	}()
+	return out
+}
 
 func submitN(t *testing.T, gw *Gateway, tenant string, n int) []string {
 	t.Helper()
@@ -153,120 +201,13 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
-// Quarantine-aware retry: a job whose every prover-level attempt is
-// killed by a transient injected fault gets re-submitted by the gateway
-// under a fresh internal id and succeeds, keeping one trace id.
-func TestGatewayQuarantineRetry(t *testing.T) {
-	sp, _ := newTestProver(t, 1)
-	inj := faults.NewInjector(7)
-	// Exhaust the prover's whole per-stage retry budget for job 1 only;
-	// the gateway's re-submission (internal id 2) runs clean.
-	for attempt := 1; attempt <= 4; attempt++ {
-		inj.Force(faults.KernelFault, "commit", 1, attempt)
-	}
-	res := core.DefaultResilience()
-	res.Injector = inj
-	gw, err := NewGateway(sp, Config{MaxBatch: 2, MaxWait: time.Millisecond, Resilience: res, RetryBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Drain()
-
-	info, err := gw.Submit("t0", 0, field.RandVector(2), field.RandVector(2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitAll(t, gw, []string{info.ID})[0]
-	if final.Status != StatusDone {
-		t.Fatalf("job ended %s (%s), want done after gateway retry", final.Status, final.Err)
-	}
-	if final.Retries != 1 {
-		t.Errorf("job recorded %d gateway retries, want 1", final.Retries)
-	}
-	if gw.Stats().Retries != 1 {
-		t.Errorf("gateway counted %d retries, want 1", gw.Stats().Retries)
-	}
-	if len(gw.Quarantined()) != 1 {
-		t.Errorf("prover quarantine ledger has %d entries, want 1 (the first attempt)", len(gw.Quarantined()))
-	}
-	if err := gw.VerifyJob(info.ID); err != nil {
-		t.Errorf("retried job's proof fails verification: %v", err)
-	}
-}
-
-// A job that keeps quarantining beyond the retry budget ends failed,
-// not lost.
-func TestGatewayRetryBudgetExhausted(t *testing.T) {
-	sp, _ := newTestProver(t, 1)
-	inj := faults.NewInjector(7)
-	for job := 1; job <= 2; job++ { // internal ids: original + one retry
-		for attempt := 1; attempt <= 4; attempt++ {
-			inj.Force(faults.KernelFault, "commit", job, attempt)
-		}
-	}
-	res := core.DefaultResilience()
-	res.Injector = inj
-	gw, err := NewGateway(sp, Config{MaxBatch: 2, MaxWait: time.Millisecond, Resilience: res, RetryBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Drain()
-
-	info, err := gw.Submit("t0", 0, field.RandVector(2), field.RandVector(2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitAll(t, gw, []string{info.ID})[0]
-	if final.Status != StatusFailed {
-		t.Fatalf("job ended %s, want failed after budget exhaustion", final.Status)
-	}
-	if final.Err == "" {
-		t.Error("terminal error message lost")
-	}
-	if final.Retries != 1 {
-		t.Errorf("recorded %d retries, want exactly the budget (1)", final.Retries)
-	}
-}
-
-// A permanent fault (memory corruption) is never retried by the
-// gateway: the first quarantine is terminal.
-func TestGatewayPermanentFaultNoRetry(t *testing.T) {
-	sp, _ := newTestProver(t, 1)
-	inj := faults.NewInjector(7)
-	inj.Force(faults.MemCorruption, "commit", 1, 1)
-	res := core.DefaultResilience()
-	res.Injector = inj
-	gw, err := NewGateway(sp, Config{MaxBatch: 2, MaxWait: time.Millisecond, Resilience: res, RetryBudget: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Drain()
-
-	info, err := gw.Submit("t0", 0, field.RandVector(2), field.RandVector(2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitAll(t, gw, []string{info.ID})[0]
-	if final.Status != StatusFailed || final.Retries != 0 {
-		t.Fatalf("permanent fault: status=%s retries=%d, want failed/0", final.Status, final.Retries)
-	}
-}
-
-// The deadline path: a SlowShard fault whose sustained delay exceeds
-// the gateway's JobDeadline must surface as StatusTimeout — and must
-// NOT be retried (the shard is still slow; the client needs the
-// verdict, not another lap).
+// The deadline path: a job the prover cuts off with ErrJobDeadline
+// surfaces as StatusTimeout, is not handed to the prover again, and a
+// healthy job behind it still completes.
 func TestGatewaySlowShardDeadline(t *testing.T) {
 	sp, _ := newTestProver(t, 1)
-	inj := faults.NewInjector(7)
-	inj.SetSlowShardDelay(60*time.Millisecond, 80*time.Millisecond)
-	inj.Force(faults.SlowShard, "commit", 1, 1)
-	res := core.DefaultResilience()
-	res.Injector = inj
-	gw, err := NewGateway(sp, Config{
-		MaxBatch: 2, MaxWait: time.Millisecond,
-		JobDeadline: 20 * time.Millisecond, Resilience: res, RetryBudget: 2,
-	})
+	prover := newScriptedProver(sp, -1, 1) // internal id of the first job
+	gw, err := NewGateway(prover, Config{MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,23 +218,21 @@ func TestGatewaySlowShardDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := waitAll(t, gw, []string{info.ID})[0]
-	if final.Status != StatusTimeout {
-		t.Fatalf("slow shard past deadline: status=%s (%s), want timeout", final.Status, final.Err)
+	if final.Status != StatusTimeout || final.Err == "" {
+		t.Fatalf("deadline kill: status=%s (%q), want timeout with its error", final.Status, final.Err)
 	}
-	if final.Retries != 0 {
-		t.Errorf("deadline kill was retried %d times; deadlines are terminal", final.Retries)
-	}
-	if gw.ProverStats().Timeouts != 1 {
-		t.Errorf("prover counted %d timeouts, want 1", gw.ProverStats().Timeouts)
-	}
-	// A healthy job behind the slow one still completes: the slowdown
-	// is contained to the deadline, not the gateway.
 	info2, err := gw.Submit("t0", 0, field.RandVector(2), field.RandVector(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := waitAll(t, gw, []string{info2.ID})[0]; got.Status != StatusDone {
 		t.Errorf("follow-up job: %s (%s), want done", got.Status, got.Err)
+	}
+	if gs := gw.Stats(); gs.Timeouts != 1 || gs.Completed != 1 || gs.Failed != 0 {
+		t.Errorf("gateway stats %+v, want 1 timeout and 1 completed", gs)
+	}
+	if got := prover.takenIDs(); !slices.Equal(got, []int{1, 2}) {
+		t.Errorf("prover was handed jobs %v, want [1 2]: a deadline kill is not retried", got)
 	}
 }
 

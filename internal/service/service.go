@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"batchzk/internal/core"
-	"batchzk/internal/faults"
 	"batchzk/internal/field"
 	"batchzk/internal/obs"
 	"batchzk/internal/protocol"
@@ -21,8 +20,6 @@ import (
 type Prover interface {
 	Run(jobs <-chan core.Job) <-chan core.Result
 	Stats() core.Stats
-	SetResilience(r *core.Resilience)
-	Quarantined() []core.QuarantinedJob
 	Verify(public []field.Element, proof *protocol.Proof) error
 }
 
@@ -43,8 +40,10 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusTimeout
 }
 
-// Config shapes the gateway. Zero values get the batcher defaults plus:
-// JobDeadline 0 (off), RetryBudget 1, MaxBody 1 MiB.
+// Config shapes the gateway. Zero values get the batcher defaults plus
+// MaxBody 1 MiB. A per-job deadline is the prover's own setting
+// (SetJobDeadline on core.BatchProver or core.ShardedProver); a job it
+// cuts off ends StatusTimeout.
 type Config struct {
 	// Hand-off size, queue bound, priorities, and quotas — see
 	// BatcherConfig.
@@ -58,36 +57,14 @@ type Config struct {
 	// only while the prover is busy (see Batcher.Take).
 	MaxWait time.Duration
 
-	// JobDeadline bounds a job's wall time inside the prover pipeline
-	// (installed into the prover's Resilience). Zero disables it.
-	JobDeadline time.Duration
-	// RetryBudget is how many times the gateway re-submits a job whose
-	// quarantine was caused by a transient injected fault (a slow or
-	// flaky shard), on top of the prover's own per-stage retries.
-	// Negative disables gateway retries; zero means the default (1).
-	RetryBudget int
 	// MaxBody caps the HTTP request body in bytes (default 1 MiB);
 	// larger submissions get 413.
 	MaxBody int64
-	// StreamingCommit is ignored. It used to route the prover's commit
-	// and opening stages through the out-of-core path; that is now the
-	// only path (see core.BatchProver.SetStreamingCommit).
-	StreamingCommit bool
-	// Resilience, when set, is the base failure-handling configuration
-	// installed on the prover (JobDeadline above is applied on top).
-	// Nil means core.DefaultResilience.
-	Resilience *core.Resilience
 	// Telemetry overrides the process-wide sink for trace minting.
 	Telemetry *telemetry.Sink
 }
 
 func (c Config) withDefaults() Config {
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 1
-	}
-	if c.RetryBudget < 0 {
-		c.RetryBudget = 0
-	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20
 	}
@@ -101,7 +78,6 @@ type JobInfo struct {
 	Priority  int               `json:"priority"`
 	Status    Status            `json:"status"`
 	TraceID   telemetry.TraceID `json:"trace_id"`
-	Retries   int               `json:"retries"`
 	Err       string            `json:"error,omitempty"`
 	LatencyNs int64             `json:"latency_ns,omitempty"`
 	// Proof is set only on StatusDone.
@@ -121,6 +97,7 @@ type Event struct {
 // job is the gateway-side record of one submission.
 type job struct {
 	extID    string
+	seq      int // internal id, the core.Job ID
 	tenant   string
 	priority int
 	trace    telemetry.TraceID
@@ -128,11 +105,9 @@ type job struct {
 	secret   []field.Element
 
 	mu        sync.Mutex
-	seq       int // internal id of the current prover attempt
 	status    Status
 	proof     *protocol.Proof
 	errMsg    string
-	retries   int
 	submitted time.Time
 	finished  time.Time
 	done      chan struct{}
@@ -143,7 +118,7 @@ func (j *job) info() JobInfo {
 	defer j.mu.Unlock()
 	info := JobInfo{
 		ID: j.extID, Tenant: j.tenant, Priority: j.priority,
-		Status: j.status, TraceID: j.trace, Retries: j.retries,
+		Status: j.status, TraceID: j.trace,
 		Err: j.errMsg, Proof: j.proof,
 	}
 	if j.status.Terminal() {
@@ -161,7 +136,6 @@ type GatewayStats struct {
 	Completed        int64   `json:"completed"`
 	Failed           int64   `json:"failed"`
 	Timeouts         int64   `json:"timeouts"`
-	Retries          int64   `json:"retries"`
 	Batches          int64   `json:"batches"`
 	BatchOccupancy   float64 `json:"batch_occupancy"`
 	QueueDepth       int     `json:"queue_depth"`
@@ -179,14 +153,6 @@ type Gateway struct {
 	byID map[int]*job    // in-flight internal seq → record
 	seq  int
 
-	// in feeds the prover's current Run; inMu guards the close against
-	// late retry re-submissions. It is unbuffered, so the only jobs
-	// outside the priority queue and the prover are the pump's current
-	// Take: priority inversion is bounded by MaxBatch jobs.
-	inMu     sync.RWMutex
-	in       chan core.Job
-	inClosed bool
-
 	batcher  *Batcher[*job]
 	draining atomic.Bool
 	pumps    sync.WaitGroup
@@ -194,7 +160,6 @@ type Gateway struct {
 	completed atomic.Int64
 	failed    atomic.Int64
 	timeouts  atomic.Int64
-	retries   atomic.Int64
 
 	subMu   sync.Mutex
 	subs    map[int]chan Event
@@ -207,8 +172,8 @@ type Gateway struct {
 }
 
 // NewGateway builds and starts a gateway over prover. The prover must
-// be idle (no Run in progress); the gateway installs its resilience
-// configuration and owns the prover's job stream from here on.
+// be idle (no Run in progress); the gateway owns the prover's job
+// stream from here on.
 func NewGateway(prover Prover, cfg Config) (*Gateway, error) {
 	if prover == nil {
 		return nil, fmt.Errorf("service: nil prover")
@@ -220,14 +185,6 @@ func NewGateway(prover Prover, cfg Config) (*Gateway, error) {
 		byID:   make(map[int]*job),
 		subs:   make(map[int]chan Event),
 	}
-	res := g.cfg.Resilience
-	if res == nil {
-		res = core.DefaultResilience()
-	}
-	if g.cfg.JobDeadline > 0 {
-		res.JobDeadline = g.cfg.JobDeadline
-	}
-	prover.SetResilience(res)
 	g.start()
 	return g, nil
 }
@@ -242,13 +199,13 @@ func (g *Gateway) start() {
 		MaxBatch: g.cfg.MaxBatch, QueueCap: g.cfg.QueueCap, Priorities: g.cfg.Priorities,
 		DefaultQuota: g.cfg.DefaultQuota, Quotas: g.cfg.Quotas,
 	})
-	g.inMu.Lock()
-	g.in = make(chan core.Job)
-	g.inClosed = false
-	g.inMu.Unlock()
-	out := g.prover.Run(g.in)
+	// Unbuffered: the only jobs outside the priority queue and the
+	// prover are the pump's current Take, so priority inversion is
+	// bounded by MaxBatch jobs.
+	in := make(chan core.Job)
+	out := g.prover.Run(in)
 	g.pumps.Add(2)
-	go g.batchPump()
+	go g.batchPump(in)
 	go g.resultPump(out)
 }
 
@@ -296,48 +253,26 @@ func (g *Gateway) Submit(tenant string, priority int, public, secret []field.Ele
 
 // batchPump hands queued jobs to the prover's job stream as fast as
 // the prover takes them, until a drain has emptied the queue.
-func (g *Gateway) batchPump() {
+func (g *Gateway) batchPump(in chan<- core.Job) {
 	defer g.pumps.Done()
+	defer close(in)
 	for {
 		batch, ok := g.batcher.Take()
 		if !ok {
-			break
+			return
 		}
 		for _, j := range batch {
 			j.mu.Lock()
 			j.status = StatusProving
-			seq := j.seq
 			j.mu.Unlock()
-			g.sendJob(core.Job{ID: seq, Public: j.public, Secret: j.secret, Trace: j.trace})
+			in <- core.Job{ID: j.seq, Public: j.public, Secret: j.secret, Trace: j.trace}
 		}
 	}
-	g.closeIn()
 }
 
-// sendJob delivers one job to the prover's current run. It returns
-// false if the stream is already closed (a retry that lost the race
-// with drain); the caller resolves the job instead of losing it.
-func (g *Gateway) sendJob(cj core.Job) bool {
-	g.inMu.RLock()
-	defer g.inMu.RUnlock()
-	if g.inClosed {
-		return false
-	}
-	g.in <- cj
-	return true
-}
-
-func (g *Gateway) closeIn() {
-	g.inMu.Lock()
-	defer g.inMu.Unlock()
-	if !g.inClosed {
-		g.inClosed = true
-		close(g.in)
-	}
-}
-
-// resultPump resolves prover results into terminal job states, retrying
-// transient quarantines within the budget.
+// resultPump resolves prover results into terminal job states: a job
+// the prover's deadline cut off ends StatusTimeout, any other error
+// StatusFailed.
 func (g *Gateway) resultPump(out <-chan core.Result) {
 	defer g.pumps.Done()
 	for r := range out {
@@ -355,65 +290,12 @@ func (g *Gateway) resultPump(out <-chan core.Result) {
 			g.resolve(j, StatusDone, r.Proof, "")
 			continue
 		}
-		if g.shouldRetry(j, r.Err) {
-			continue
-		}
 		if errors.Is(r.Err, core.ErrJobDeadline) {
 			g.resolve(j, StatusTimeout, nil, r.Err.Error())
 		} else {
 			g.resolve(j, StatusFailed, nil, r.Err.Error())
 		}
 	}
-}
-
-// shouldRetry re-submits a quarantined job when the failure was a
-// transient injected fault (flaky kernel, stalled transfer, worker
-// panic — a shard having a bad day) and the budget allows. Permanent
-// faults (memory corruption), blown deadlines, and real witness errors
-// are terminal: retrying them only delays the verdict the client gets.
-func (g *Gateway) shouldRetry(j *job, err error) bool {
-	if errors.Is(err, core.ErrJobDeadline) {
-		return false
-	}
-	var f *faults.Fault
-	if !errors.As(err, &f) || f.Permanent() {
-		return false
-	}
-	j.mu.Lock()
-	if j.retries >= g.cfg.RetryBudget {
-		j.mu.Unlock()
-		return false
-	}
-	j.retries++
-	j.mu.Unlock()
-
-	g.mu.Lock()
-	g.seq++
-	seq := g.seq
-	g.byID[seq] = j
-	g.mu.Unlock()
-	j.mu.Lock()
-	j.seq = seq
-	j.mu.Unlock()
-	g.retries.Add(1)
-	obs.Warn("service", "job.retry", obs.Job(seq), obs.Trace(j.trace), obs.Err(err))
-
-	// Re-submit from a fresh goroutine: the result pump must keep
-	// draining prover output, or a full pipeline would deadlock against
-	// this send. The job keeps its trace id — one timeline across the
-	// retry — and a send that loses the race with drain resolves the
-	// job instead of dropping it.
-	g.pumps.Add(1)
-	go func() {
-		defer g.pumps.Done()
-		if !g.sendJob(core.Job{ID: seq, Public: j.public, Secret: j.secret, Trace: j.trace}) {
-			g.mu.Lock()
-			delete(g.byID, seq)
-			g.mu.Unlock()
-			g.resolve(j, StatusFailed, nil, fmt.Sprintf("retry abandoned by drain: %v", err))
-		}
-	}()
-	return true
 }
 
 // resolve moves a job to a terminal state exactly once and notifies
@@ -547,7 +429,6 @@ func (g *Gateway) Stats() GatewayStats {
 		Completed:        g.completed.Load(),
 		Failed:           g.failed.Load(),
 		Timeouts:         g.timeouts.Load(),
-		Retries:          g.retries.Load(),
 		Batches:          bs.Batches,
 		BatchOccupancy:   bs.Occupancy(g.batcher.Config().MaxBatch),
 		QueueDepth:       bs.QueueDepth,
@@ -557,9 +438,6 @@ func (g *Gateway) Stats() GatewayStats {
 
 // ProverStats exposes the backend prover's counters.
 func (g *Gateway) ProverStats() core.Stats { return g.prover.Stats() }
-
-// Quarantined exposes the backend prover's dead-letter list.
-func (g *Gateway) Quarantined() []core.QuarantinedJob { return g.prover.Quarantined() }
 
 // Drain gracefully stops the gateway: admission closes (new submissions
 // get ErrDraining / 503), every accepted job is flushed, proven, and

@@ -12,31 +12,24 @@ import (
 	"testing"
 	"time"
 
-	"batchzk/internal/core"
-	"batchzk/internal/faults"
 	"batchzk/internal/protocol"
 )
 
 // TestStreamIncrementalDelivery: under the streaming prover, /v1/stream
 // is per-job — the first NDJSON event arrives while later jobs are
-// still proving, not after the batch drains. The last job is pinned in
-// a long injected commit-stage slowdown, so observing any event before
-// it turns terminal is deterministic, not a scheduling accident. The
-// handler is parked between its header flush and its first read while
-// the first event goes out, so a subscription taken after the flush
-// would lose that event every time.
+// still proving, not after the batch drains. The last job's result is
+// held back until the first event has been read, so observing an event
+// before it turns terminal is deterministic, not a scheduling accident.
+// The handler is parked between its header flush and its first read
+// while the first event goes out, so a subscription taken after the
+// flush would lose that event every time.
 func TestStreamIncrementalDelivery(t *testing.T) {
 	const n = 4
 	sp, _ := newTestProver(t, 1)
-	inj := faults.NewInjector(11)
-	inj.SetSlowShardDelay(500*time.Millisecond, 600*time.Millisecond)
-	inj.Force(faults.SlowShard, "commit", n, 1) // internal seq of the last job
-	res := core.DefaultResilience()
-	res.Injector = inj
-	gw, err := NewGateway(sp, Config{
-		MaxBatch: 2, MaxWait: time.Millisecond,
-		StreamingCommit: true, Resilience: res,
-	})
+	prover := newScriptedProver(sp, n, -1) // n: internal seq of the last job
+	var unhold sync.Once
+	releaseLast := func() { unhold.Do(func() { close(prover.release) }) }
+	gw, err := NewGateway(prover, Config{MaxBatch: 2, MaxWait: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +45,7 @@ func TestStreamIncrementalDelivery(t *testing.T) {
 	srv := httptest.NewServer(gw.Handler())
 	defer func() {
 		unpark.Do(func() { close(release) })
+		releaseLast()
 		srv.Close()
 		gw.Drain()
 	}()
@@ -89,6 +83,7 @@ func TestStreamIncrementalDelivery(t *testing.T) {
 	if last.Status.Terminal() {
 		t.Fatal("first stream event arrived only after the last job completed; emission is not incremental")
 	}
+	releaseLast()
 
 	// The remaining events still arrive, exactly one per job.
 	seen := map[string]int{first.JobID: 1}
@@ -110,9 +105,7 @@ func TestStreamIncrementalDelivery(t *testing.T) {
 // encoding with an exact Content-Length, and agrees byte for byte with
 // the poll endpoint's base64 detour.
 func TestHTTPBinaryProof(t *testing.T) {
-	srv, _ := newTestServer(t, Config{
-		MaxBatch: 2, MaxWait: time.Millisecond, StreamingCommit: true,
-	})
+	srv, _ := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond})
 	resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
 	var ack SubmitResponse
 	json.NewDecoder(resp.Body).Decode(&ack)

@@ -130,7 +130,7 @@ func (r *Registry) WriteSnapshot(w io.Writer) error {
 //	trace.json    — Chrome trace_event timeline (chrome://tracing, Perfetto)
 //	spans.jsonl   — raw spans, one JSON object per line
 //	timeline.json — per-job flight-recorder timelines (trace ids, stage
-//	                spans, retries, shard assignment, quarantine)
+//	                spans, shard assignment, failure errors)
 //
 // Nil-safe: a nil sink is an error (nothing to dump).
 func (s *Sink) Dump(dir string) error {

@@ -15,10 +15,9 @@ import (
 // The span tracer answers "where did wall time go, per stage, across all
 // jobs"; the flight recorder answers the orthogonal service question:
 // "what happened to *this* job". Every proof job is minted a TraceID at
-// submission and keeps it across stage hops, retries,
-// shard assignment, and dead-letter quarantine, accumulating one
-// JobTimeline: submit → queue wait → per-stage spans (with attempt
-// counts) → (retries/quarantine) → emit. Timelines export as JSON
+// submission and keeps it across stage hops and shard assignment,
+// accumulating one JobTimeline: submit → queue wait → per-stage spans →
+// emit (with the error, for a failed job). Timelines export as JSON
 // (WriteJSON, Sink.Dump's timeline.json, /debug/telemetry/timeline) and
 // the same TraceID is stamped on the tracer's spans, so a Chrome trace
 // and a timeline cross-reference by id.
@@ -51,15 +50,12 @@ func TraceIDFrom(ctx context.Context) TraceID {
 // DefaultTimelineCap bounds how many job timelines a recorder retains.
 const DefaultTimelineCap = 1 << 14
 
-// StageTimeline is one stage's slice of a job timeline. Attempts counts
-// every try including the successful (or terminally failed) one, so a
-// stage that succeeded first time reports Attempts == 1.
+// StageTimeline is one stage's slice of a job timeline.
 type StageTimeline struct {
 	Stage       string `json:"stage"`
 	StartNs     int64  `json:"start_ns"`
 	DurNs       int64  `json:"dur_ns"`
 	QueueWaitNs int64  `json:"queue_wait_ns"`
-	Attempts    int    `json:"attempts"`
 }
 
 // JobTimeline is the flight record of one job: every timestamp is in
@@ -76,12 +72,8 @@ type JobTimeline struct {
 	EmitNs      int64           `json:"emit_ns"`
 	QueueWaitNs int64           `json:"queue_wait_ns"`
 	Stages      []StageTimeline `json:"stages"`
-	// Retries counts retry waits taken across all stages (attempts − 1
-	// summed over stages that retried) — recorded exactly once per retry.
-	Retries         int    `json:"retries"`
-	Quarantined     bool   `json:"quarantined,omitempty"`
-	QuarantineStage string `json:"quarantine_stage,omitempty"`
-	Error           string `json:"error,omitempty"`
+	// Error is the failed job's error chain (empty on success).
+	Error string `json:"error,omitempty"`
 	// Done marks the timeline complete (the job's result was emitted).
 	Done bool `json:"done"`
 }
@@ -184,10 +176,10 @@ func (f *FlightRecorder) Submit(id TraceID, jobID, shard int) TraceID {
 }
 
 // Stage records one completed stage of a job: its start/duration (ns
-// since epoch), how long the job waited in the queue feeding the stage,
-// and how many attempts the stage took. The first stage also stamps the
-// job's StartNs and admission QueueWaitNs.
-func (f *FlightRecorder) Stage(id TraceID, stage string, startNs, durNs, queueWaitNs int64, attempts int) {
+// since epoch) and how long the job waited in the queue feeding the
+// stage. The first stage also stamps the job's StartNs and admission
+// QueueWaitNs.
+func (f *FlightRecorder) Stage(id TraceID, stage string, startNs, durNs, queueWaitNs int64) {
 	if f == nil || id == 0 {
 		return
 	}
@@ -203,34 +195,7 @@ func (f *FlightRecorder) Stage(id TraceID, stage string, startNs, durNs, queueWa
 		StartNs:     startNs,
 		DurNs:       durNs,
 		QueueWaitNs: queueWaitNs,
-		Attempts:    attempts,
 	})
-}
-
-// Retry records one retry wait of a job at a stage. Call it exactly once
-// per backoff taken — the per-stage attempt totals live in the Stage
-// records; this counter is the cross-stage sum the SLO view reads.
-func (f *FlightRecorder) Retry(id TraceID, stage string, attempt int) {
-	if f == nil || id == 0 {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.timeline(id).Retries++
-}
-
-// Quarantine marks a job dead-lettered at a stage with its terminal
-// error chain.
-func (f *FlightRecorder) Quarantine(id TraceID, stage, errMsg string) {
-	if f == nil || id == 0 {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	t := f.timeline(id)
-	t.Quarantined = true
-	t.QuarantineStage = stage
-	t.Error = errMsg
 }
 
 // Emit closes a job's timeline when its result leaves the prover. errMsg
@@ -245,9 +210,7 @@ func (f *FlightRecorder) Emit(id TraceID, errMsg string) {
 	t := f.timeline(id)
 	t.EmitNs = now
 	t.Done = true
-	if errMsg != "" && t.Error == "" {
-		t.Error = errMsg
-	}
+	t.Error = errMsg
 }
 
 // Timelines returns copies of the recorded timelines in submission order
@@ -332,14 +295,13 @@ func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 // end-to-end latency percentiles and where the pipeline's busy time went
 // (per-stage cost attribution shares).
 type SLOSummary struct {
-	Jobs        int     `json:"jobs"`
-	Completed   int     `json:"completed"`
-	Quarantined int     `json:"quarantined"`
-	Retries     int     `json:"retries"`
-	P50Ns       float64 `json:"p50_ns"`
-	P90Ns       float64 `json:"p90_ns"`
-	P99Ns       float64 `json:"p99_ns"`
-	MaxNs       int64   `json:"max_ns"`
+	Jobs      int     `json:"jobs"`
+	Completed int     `json:"completed"`
+	Failed    int     `json:"failed"`
+	P50Ns     float64 `json:"p50_ns"`
+	P90Ns     float64 `json:"p90_ns"`
+	P99Ns     float64 `json:"p99_ns"`
+	MaxNs     int64   `json:"max_ns"`
 	// QueueWaitP99Ns is the p99 admission wait (submit → first dequeue).
 	QueueWaitP99Ns float64 `json:"queue_wait_p99_ns"`
 	// StageShares maps stage name → its fraction of total stage busy
@@ -362,10 +324,6 @@ func (f *FlightRecorder) SLO() SLOSummary {
 	for i := range tls {
 		t := &tls[i]
 		s.Jobs++
-		if t.Quarantined {
-			s.Quarantined++
-		}
-		s.Retries += t.Retries
 		for _, st := range t.Stages {
 			stageNs[st.Stage] += st.DurNs
 			totalStageNs += st.DurNs
@@ -373,8 +331,10 @@ func (f *FlightRecorder) SLO() SLOSummary {
 		if !t.Done {
 			continue
 		}
-		if !t.Quarantined && t.Error == "" {
+		if t.Error == "" {
 			s.Completed++
+		} else {
+			s.Failed++
 		}
 		lat = append(lat, t.E2ENs())
 		waits = append(waits, t.QueueWaitNs)

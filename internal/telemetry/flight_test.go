@@ -45,21 +45,19 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 		t.Fatalf("re-submit corrupted the timeline: %+v", tl)
 	}
 
-	f.Stage(id, "commit", 100, 50, 10, 1)
-	f.Stage(id, "opening", 200, 80, 5, 3)
-	f.Retry(id, "opening", 1)
-	f.Retry(id, "opening", 2)
+	f.Stage(id, "commit", 100, 50, 10)
+	f.Stage(id, "opening", 200, 80, 5)
 	f.Emit(id, "")
 
 	tl, _ = f.Timeline(id)
-	if !tl.Done || tl.Retries != 2 || len(tl.Stages) != 2 {
+	if !tl.Done || tl.Error != "" || len(tl.Stages) != 2 {
 		t.Fatalf("timeline: %+v", tl)
 	}
 	// The first stage stamps the job's StartNs and admission queue wait.
 	if tl.StartNs != 100 || tl.QueueWaitNs != 100-tl.SubmitNs {
 		t.Fatalf("admission stamps: start %d wait %d submit %d", tl.StartNs, tl.QueueWaitNs, tl.SubmitNs)
 	}
-	if tl.Stages[1].Attempts != 3 || tl.Stages[1].Stage != "opening" {
+	if s := tl.Stages[1]; s.Stage != "opening" || s.StartNs != 200 || s.DurNs != 80 || s.QueueWaitNs != 5 {
 		t.Fatalf("stage record: %+v", tl.Stages[1])
 	}
 	if tl.E2ENs() <= 0 {
@@ -67,22 +65,20 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderQuarantine(t *testing.T) {
+func TestFlightRecorderFailedJob(t *testing.T) {
 	f := NewFlightRecorder(0)
 	id := f.Submit(0, 0, -1)
-	f.Stage(id, "commit", 1, 1, 0, 4)
-	f.Quarantine(id, "commit", "kernel fault")
-	f.Emit(id, "prove job 0: kernel fault")
+	f.Stage(id, "commit", 1, 1, 0)
+	f.Emit(id, "core: job 0 failed at stage commit: bad witness")
 	tl, _ := f.Timeline(id)
-	if !tl.Quarantined || tl.QuarantineStage != "commit" {
-		t.Fatalf("quarantine not recorded: %+v", tl)
+	if !tl.Done || len(tl.Stages) != 1 {
+		t.Fatalf("failed job's timeline not closed: %+v", tl)
 	}
-	// The quarantine's error chain wins over the emit error.
-	if tl.Error != "kernel fault" {
+	if tl.Error != "core: job 0 failed at stage commit: bad witness" {
 		t.Fatalf("error = %q", tl.Error)
 	}
-	if !tl.Done {
-		t.Fatal("quarantined job never emitted")
+	if s := f.SLO(); s.Jobs != 1 || s.Completed != 0 || s.Failed != 1 {
+		t.Fatalf("slo: %+v", s)
 	}
 }
 
@@ -107,7 +103,7 @@ func TestFlightRecorderEviction(t *testing.T) {
 func TestFlightWriteJSONSchema(t *testing.T) {
 	f := NewFlightRecorder(0)
 	id := f.Submit(0, 3, 1)
-	f.Stage(id, "commit", 10, 5, 2, 1)
+	f.Stage(id, "commit", 10, 5, 2)
 	f.Emit(id, "")
 
 	var buf bytes.Buffer
@@ -144,16 +140,16 @@ func TestFlightSLO(t *testing.T) {
 	f := NewFlightRecorder(0)
 	for i := 0; i < 10; i++ {
 		id := f.Submit(0, i, -1)
-		f.Stage(id, "commit", 10, 30, 0, 1)
-		f.Stage(id, "opening", 40, 10, 0, 1)
+		f.Stage(id, "commit", 10, 30, 0)
+		f.Stage(id, "opening", 40, 10, 0)
+		errMsg := ""
 		if i == 9 {
-			f.Retry(id, "opening", 1)
-			f.Quarantine(id, "opening", "boom")
+			errMsg = "boom"
 		}
-		f.Emit(id, "")
+		f.Emit(id, errMsg)
 	}
 	s := f.SLO()
-	if s.Jobs != 10 || s.Completed != 9 || s.Quarantined != 1 || s.Retries != 1 {
+	if s.Jobs != 10 || s.Completed != 9 || s.Failed != 1 {
 		t.Fatalf("slo: %+v", s)
 	}
 	if s.P50Ns > s.P90Ns || s.P90Ns > s.P99Ns || int64(s.P99Ns) > s.MaxNs {
@@ -177,9 +173,7 @@ func TestNilFlightRecorderSafety(t *testing.T) {
 	if id := f.Submit(9, 0, 0); id != 9 {
 		t.Fatalf("nil Submit returned %d, want the input id", id)
 	}
-	f.Stage(1, "s", 0, 0, 0, 1)
-	f.Retry(1, "s", 1)
-	f.Quarantine(1, "s", "e")
+	f.Stage(1, "s", 0, 0, 0)
 	f.Emit(1, "")
 	if f.Mint() != 0 || f.Now() != 0 || f.Dropped() != 0 {
 		t.Fatal("nil recorder leaked state")
@@ -201,8 +195,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				id := f.Submit(0, g*50+i, g)
-				f.Stage(id, "commit", int64(i), 1, 0, 1)
-				f.Retry(id, "commit", 1)
+				f.Stage(id, "commit", int64(i), 1, 0)
 				f.Emit(id, "")
 			}
 		}(g)
@@ -212,7 +205,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	if len(tls) != 400 {
 		t.Fatalf("recorded %d timelines, want 400", len(tls))
 	}
-	if s := f.SLO(); s.Retries != 400 || s.Completed != 400 {
+	if s := f.SLO(); s.Jobs != 400 || s.Completed != 400 {
 		t.Fatalf("slo: %+v", s)
 	}
 }

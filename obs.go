@@ -11,7 +11,7 @@ import (
 // telemetry substrate. An ObsEngine runs the structured JSON event log,
 // the SLO engine (windowed objectives, multi-window burn rates, error
 // budgets), and the anomaly sentinel (roofline-floor and EWMA-baseline
-// regression alerts, shard-vs-fleet failure divergence, quarantine-storm
+// regression alerts, shard-vs-fleet failure divergence, failed-job storm
 // readiness gating). Enable one process-wide and the instrumented layers
 // — batch prover, scheduler, GPU simulator, vml service — feed it;
 // /healthz, /readyz, and /debug/obs/slo appear on the telemetry debug
@@ -37,7 +37,7 @@ type ObsObjectiveStatus = obs.ObjectiveStatus
 type ObsSnapshot = obs.Snapshot
 
 // ObsAlert is one structured sentinel finding (kernel/stage regression,
-// shard failure divergence, SLO burn, quarantine storm).
+// shard failure divergence, SLO burn, failed-job storm).
 type ObsAlert = obs.Alert
 
 // ObsSentinelConfig tunes the anomaly sentinel inside an ObsConfig

@@ -37,7 +37,7 @@ func ServeTelemetryDebug(addr string, s *TelemetrySink) (*http.Server, error) {
 
 // TraceID identifies one proof job end to end on the flight recorder's
 // timeline: minted at batch submit, carried through every pipeline
-// stage, retries and quarantine, and returned on the job's Result. The
+// stage and shard hand-off, and returned on the job's Result. The
 // zero TraceID means "untraced".
 type TraceID = telemetry.TraceID
 
@@ -52,7 +52,7 @@ func WithTraceID(ctx context.Context, id TraceID) context.Context {
 func TraceIDFrom(ctx context.Context) TraceID { return telemetry.TraceIDFrom(ctx) }
 
 // JobTimeline is one job's recorded flight: submit, queue wait, per-stage
-// spans with attempt counts, retries, quarantine, and emit.
+// spans, and emit (with the error of a failed job).
 type JobTimeline = telemetry.JobTimeline
 
 // SLOSummary aggregates the flight recorder's completed timelines into
