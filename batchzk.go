@@ -300,8 +300,3 @@ type RooflineReport = bench.RooflineReport
 func BuildRooflineReport(shift, reps int, seed int64) (*RooflineReport, error) {
 	return bench.BuildRooflineReport(shift, reps, seed)
 }
-
-// ReadRooflineReport parses and schema-checks a roofline report stream.
-func ReadRooflineReport(r io.Reader) (*RooflineReport, error) {
-	return bench.ReadRooflineReport(r)
-}

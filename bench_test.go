@@ -189,7 +189,7 @@ func BenchmarkBatchProverEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sink := NewTelemetrySink()
+	sink := NewTelemetrySink(TelemetryConfig{})
 	prover.SetTelemetry(sink)
 	jobs := make([]Job, 8)
 	for i := range jobs {

@@ -37,8 +37,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	telemetryDir := fs.String("telemetry", "", "directory to dump telemetry (metrics.json, trace.json, spans.jsonl)")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /debug/telemetry, /healthz, /readyz and /debug/obs/slo on this address")
-	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables the obs engine`)
-	floorsPath := fs.String("floors", "", "roofline report (batchzk-profile roofline -out) whose calibrated per-kernel floors seed the obs anomaly sentinel")
+	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables telemetry`)
 	hold := fs.Duration("hold", 0, "keep the process (and the debug server) alive this long after the run, for live probing")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,19 +58,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Enable telemetry before any experiment runs so the provers and
-	// simulators the harness constructs internally record into the sink.
+	// One sink records and judges the run whenever a dump, the debug
+	// server or the event log asks for it: /healthz, /readyz and
+	// /debug/obs/slo answer from the same sink as /metrics. Enable it
+	// before any experiment runs so the provers and simulators the
+	// harness constructs internally record into it.
 	var sink *batchzk.TelemetrySink
-	if *telemetryDir != "" || *debugAddr != "" {
-		sink = batchzk.NewTelemetrySink()
-		batchzk.EnableTelemetry(sink)
-	}
-
-	// The obs engine rides along whenever a log destination or the debug
-	// server is requested: the event log, SLO windows, and sentinel all
-	// feed from the instrumented layers, and /healthz, /readyz, and
-	// /debug/obs/slo on the debug server answer from it.
-	if *logDest != "" || *debugAddr != "" {
+	if *telemetryDir != "" || *debugAddr != "" || *logDest != "" {
 		logOut, closeLog, err := openLogOutput(*logDest, stderr)
 		if err != nil {
 			return err
@@ -79,23 +72,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if closeLog != nil {
 			defer closeLog()
 		}
-		eng := batchzk.NewObsEngine(batchzk.ObsConfig{LogOutput: logOut})
-		if *floorsPath != "" {
-			f, err := os.Open(*floorsPath)
-			if err != nil {
-				return fmt.Errorf("cannot open roofline floors: %w", err)
-			}
-			roof, rerr := batchzk.ReadRooflineReport(f)
-			_ = f.Close()
-			if rerr != nil {
-				return rerr
-			}
-			eng.SetFloors(roof.Floors())
-		}
-		batchzk.EnableObs(eng)
-		defer batchzk.EnableObs(nil)
-	} else if *floorsPath != "" {
-		return fmt.Errorf("-floors needs the obs engine; pass -log or -debug-addr as well")
+		sink = batchzk.NewTelemetrySink(batchzk.TelemetryConfig{LogOutput: logOut})
+		batchzk.EnableTelemetry(sink)
+		defer batchzk.EnableTelemetry(nil)
 	}
 	if *debugAddr != "" {
 		srv, err := batchzk.ServeTelemetryDebug(*debugAddr, sink)

@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// simulators the harness constructs internally record into the sink.
 	var sink *batchzk.TelemetrySink
 	if *telemetryDir != "" || *debugAddr != "" {
-		sink = batchzk.NewTelemetrySink()
+		sink = batchzk.NewTelemetrySink(batchzk.TelemetryConfig{})
 		batchzk.EnableTelemetry(sink)
 	}
 	if *debugAddr != "" {

@@ -2,40 +2,58 @@ package main
 
 import (
 	"bytes"
-	"net/http/httptest"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"batchzk"
+	"batchzk/internal/telemetry"
 )
 
-// serveObs exposes the operator routes for a freshly enabled engine and
-// restores the previous engine on cleanup.
-func serveObs(t *testing.T, cfg batchzk.ObsConfig) (*httptest.Server, *batchzk.ObsEngine) {
+// serveObs serves the debug handler for a sink built from cfg (nil: no
+// sink, telemetry off) and returns its address and the sink.
+func serveObs(t *testing.T, cfg *batchzk.TelemetryConfig) (string, *batchzk.TelemetrySink) {
 	t.Helper()
-	prev := batchzk.ActiveObs()
-	e := batchzk.NewObsEngine(cfg)
-	batchzk.EnableObs(e)
-	srv := httptest.NewServer(batchzk.ObsHandler())
+	var sink *batchzk.TelemetrySink
+	if cfg != nil {
+		sink = batchzk.NewTelemetrySink(*cfg)
+	}
+	prev := batchzk.ActiveTelemetry()
+	batchzk.EnableTelemetry(sink)
+	srv, err := batchzk.ServeTelemetryDebug("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		srv.Close()
-		batchzk.EnableObs(prev)
+		batchzk.EnableTelemetry(prev)
 	})
-	return srv, e
+	return srv.Addr, sink
+}
+
+// finishJob records one whole job on the sink.
+func finishJob(s *batchzk.TelemetrySink, e2e time.Duration, failed bool) {
+	var err error
+	if failed {
+		err = errors.New("job failed")
+	}
+	s.JobStarted()
+	s.JobDone(telemetry.JobEnd{E2ENs: int64(e2e), Err: err})
 }
 
 func TestTopRendersLiveSnapshot(t *testing.T) {
-	srv, e := serveObs(t, batchzk.ObsConfig{})
-	e.ObserveQueueDepth(3)
+	addr, e := serveObs(t, &batchzk.TelemetryConfig{})
+	for i := 0; i < 3; i++ {
+		e.JobStarted() // still in flight: the queue depth
+	}
 	for i := 0; i < 10; i++ {
-		e.ObserveJob(0, int64(2*time.Millisecond), false)
-		e.ObserveStage("commit", int64(time.Millisecond))
-		e.ObserveStage("opening", int64(3*time.Millisecond))
+		finishJob(e, 2*time.Millisecond, false)
+		e.StageDone(0, "commit", int64(time.Millisecond))
+		e.StageDone(0, "opening", int64(3*time.Millisecond))
 	}
 
 	var out, errOut bytes.Buffer
-	addr := strings.TrimPrefix(srv.URL, "http://")
 	if err := run([]string{"-addr", addr, "-once"}, &out, &errOut); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errOut.String())
 	}
@@ -55,17 +73,16 @@ func TestTopRendersLiveSnapshot(t *testing.T) {
 
 func TestTopRendersAlertsAndNotReady(t *testing.T) {
 	clockNs := int64(time.Hour)
-	srv, e := serveObs(t, batchzk.ObsConfig{
+	addr, e := serveObs(t, &batchzk.TelemetryConfig{
 		MinJudgeSamples: 4,
 		Now:             func() time.Time { return time.Unix(0, clockNs) },
 	})
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true)
+		finishJob(e, time.Second, true)
 		clockNs += int64(10 * time.Millisecond)
 	}
 
 	var out bytes.Buffer
-	addr := strings.TrimPrefix(srv.URL, "http://")
 	if err := run([]string{"-addr", addr, "-once"}, &out, &bytes.Buffer{}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -79,16 +96,9 @@ func TestTopRendersAlertsAndNotReady(t *testing.T) {
 }
 
 func TestTopObsDisabled(t *testing.T) {
-	prev := batchzk.ActiveObs()
-	batchzk.EnableObs(nil)
-	srv := httptest.NewServer(batchzk.ObsHandler())
-	defer func() {
-		srv.Close()
-		batchzk.EnableObs(prev)
-	}()
+	addr, _ := serveObs(t, nil)
 
 	var out bytes.Buffer
-	addr := strings.TrimPrefix(srv.URL, "http://")
 	if err := run([]string{"-addr", addr, "-once"}, &out, &bytes.Buffer{}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -106,11 +116,10 @@ func TestTopUnreachableOneShotFails(t *testing.T) {
 }
 
 func TestTopMultiFrame(t *testing.T) {
-	srv, e := serveObs(t, batchzk.ObsConfig{})
-	e.ObserveJob(0, int64(time.Millisecond), false)
+	addr, e := serveObs(t, &batchzk.TelemetryConfig{})
+	finishJob(e, time.Millisecond, false)
 
 	var out bytes.Buffer
-	addr := strings.TrimPrefix(srv.URL, "http://")
 	if err := run([]string{"-addr", addr, "-frames", "3", "-plain", "-interval", "1ms"}, &out, &bytes.Buffer{}); err != nil {
 		t.Fatalf("run: %v", err)
 	}

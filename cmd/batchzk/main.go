@@ -63,24 +63,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	shards := fs.Int("shards", 1, "independent prover shards the batch is split across")
 	telemetryDir := fs.String("telemetry", "", "directory to dump telemetry (metrics.json, trace.json, spans.jsonl)")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /debug/telemetry, /healthz, /readyz and /debug/obs/slo on this address")
-	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables the obs engine`)
+	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables telemetry`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *logDest != "" || *debugAddr != "" {
-		logOut, closeLog, err := openLogOutput(*logDest, stderr)
-		if err != nil {
-			return err
-		}
-		if closeLog != nil {
-			defer closeLog()
-		}
-		batchzk.EnableObs(batchzk.NewObsEngine(batchzk.ObsConfig{LogOutput: logOut}))
-		defer batchzk.EnableObs(nil)
-	}
-
-	var sink *batchzk.TelemetrySink
 	if *telemetryDir != "" {
 		// Create the dump directory up front so a bad path fails before
 		// the run, not after it.
@@ -88,9 +75,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("cannot create telemetry directory %s: %w", *telemetryDir, err)
 		}
 	}
-	if *telemetryDir != "" || *debugAddr != "" {
-		sink = batchzk.NewTelemetrySink()
+	// One sink records and judges the run whenever a dump, the debug
+	// server or the event log asks for it.
+	var sink *batchzk.TelemetrySink
+	if *telemetryDir != "" || *debugAddr != "" || *logDest != "" {
+		logOut, closeLog, err := openLogOutput(*logDest, stderr)
+		if err != nil {
+			return err
+		}
+		if closeLog != nil {
+			defer closeLog()
+		}
+		sink = batchzk.NewTelemetrySink(batchzk.TelemetryConfig{LogOutput: logOut})
 		batchzk.EnableTelemetry(sink)
+		defer batchzk.EnableTelemetry(nil)
 	}
 	if *debugAddr != "" {
 		srv, err := batchzk.ServeTelemetryDebug(*debugAddr, sink)

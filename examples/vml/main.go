@@ -1,6 +1,7 @@
 // vml: the verifiable machine-learning application of the paper's §5 —
 // Machine-Learning-as-a-Service where every prediction ships with a
-// zero-knowledge proof that it was computed by the committed model.
+// proof that it was computed by the committed model (unmasked, so not
+// zero-knowledge: see DESIGN.md §10).
 //
 // The demo uses a small CNN so the whole flow (commit → predict → prove →
 // verify) runs end to end in seconds; it then reports the modelled

@@ -10,7 +10,6 @@ import (
 	"batchzk/internal/core"
 	"batchzk/internal/encoder"
 	"batchzk/internal/gpusim"
-	"batchzk/internal/obs"
 	"batchzk/internal/perfmodel"
 	"batchzk/internal/pipeline"
 	"batchzk/internal/telemetry"
@@ -46,7 +45,7 @@ type Scenario struct {
 // SLOErrorBudget is the allowed task failure fraction every scenario
 // reports against. Report runs abort on the first task error, so a
 // written report is always clean here; the objective documents the
-// budget the live obs engine enforces on the same workload.
+// budget the live health engine (internal/telemetry) enforces on the same workload.
 const SLOErrorBudget = 0.01
 
 // Scenarios returns the scenario registry in presentation order. "tiny"
@@ -198,12 +197,12 @@ type Report struct {
 }
 
 // SLOObjectiveSummary is one objective's attainment in a report: the
-// same objective vocabulary the live obs engine serves on
+// same objective vocabulary the live health engine serves on
 // /debug/obs/slo, evaluated over the batch sweep instead of a rolling
 // window.
 type SLOObjectiveSummary struct {
 	Name string `json:"name"`
-	// Kind is obs.KindLatency or obs.KindErrorRate.
+	// Kind is telemetry.KindLatency or telemetry.KindErrorRate.
 	Kind            string  `json:"kind"`
 	TargetNs        int64   `json:"target_ns,omitempty"`
 	TargetRate      float64 `json:"target_rate,omitempty"`
@@ -236,7 +235,7 @@ func buildSLO(sc Scenario, lat telemetry.HistogramSnapshot) *SLOSummary {
 	p99 := lat.Quantile(quantile)
 	latency := SLOObjectiveSummary{
 		Name:            "task-p99",
-		Kind:            obs.KindLatency,
+		Kind:            telemetry.KindLatency,
 		TargetNs:        sc.SLOTargetP99Ns,
 		Value:           p99,
 		Met:             lat.Count == 0 || p99 <= float64(sc.SLOTargetP99Ns),
@@ -244,7 +243,7 @@ func buildSLO(sc Scenario, lat telemetry.HistogramSnapshot) *SLOSummary {
 	}
 	errors := SLOObjectiveSummary{
 		Name:            "task-errors",
-		Kind:            obs.KindErrorRate,
+		Kind:            telemetry.KindErrorRate,
 		TargetRate:      SLOErrorBudget,
 		Value:           0,
 		Met:             true,
@@ -298,7 +297,7 @@ func BuildReport(sc Scenario, spec gpusim.DeviceSpec, costs perfmodel.OpCosts) (
 	}
 
 	runScheme := func(scheme pipeline.Scheme) (*gpusim.Report, LatencySummary, telemetry.HistogramSnapshot, error) {
-		sink := telemetry.NewSink(0)
+		sink := telemetry.NewSink(telemetry.Config{})
 		opts := gpusim.Options{Overlap: true, TaskBytes: taskBytes, Telemetry: sink}
 		var last *gpusim.Report
 		for _, batch := range sweepBatches(sc.Batch) {

@@ -411,22 +411,6 @@ func ReadRooflineReport(rd io.Reader) (*RooflineReport, error) {
 	return &r, nil
 }
 
-// Floors returns kernel name → calibrated ALU floor in ns/element — the
-// map the obs anomaly sentinel judges live per-kernel measurements
-// against (obs.Engine.SetFloors).
-func (r *RooflineReport) Floors() map[string]float64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(r.Kernels))
-	for _, k := range r.Kernels {
-		if k.FloorNsPerElement > 0 {
-			out[k.Name] = k.FloorNsPerElement
-		}
-	}
-	return out
-}
-
 // RenderTable writes the human-readable roofline table.
 func (r *RooflineReport) RenderTable(w io.Writer) {
 	fmt.Fprintf(w, "host-kernel roofline (serial, %d cores, shift %d)\n", r.Cores, r.Shift)

@@ -19,13 +19,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"batchzk/internal/circuit"
 	"batchzk/internal/field"
-	"batchzk/internal/obs"
 	"batchzk/internal/par"
 	"batchzk/internal/protocol"
 	"batchzk/internal/sched"
@@ -146,70 +146,6 @@ func (bp *BatchProver) Stats() Stats {
 // the global-sink behavior.
 func (bp *BatchProver) SetTelemetry(s *telemetry.Sink) { bp.tel = s }
 
-// instruments is the per-Run bundle of resolved telemetry handles. Every
-// field may be nil (telemetry disabled) — all recording methods tolerate
-// that — so the hot path costs one nil check per record.
-type instruments struct {
-	tracer    *telemetry.Tracer
-	stageHist [4]*telemetry.Histogram
-	e2e       *telemetry.Histogram
-	queueWait *telemetry.Histogram
-	inFlight  *telemetry.Gauge
-	completed *telemetry.Counter
-	failed    *telemetry.Counter
-	timeouts  *telemetry.Counter
-	panics    *telemetry.Counter
-	// flight is the per-job timeline recorder (nil when telemetry is off).
-	flight *telemetry.FlightRecorder
-}
-
-func (bp *BatchProver) instruments() instruments {
-	sink := telemetry.Resolve(bp.tel) // nil-safe: nil sink → nil handles
-	var ins instruments
-	ins.tracer = sink.Trace()
-	for i, name := range StageNames {
-		ins.stageHist[i] = sink.Histogram("core/stage/" + name + "/ns")
-	}
-	ins.e2e = sink.Histogram("core/job/e2e_ns")
-	ins.queueWait = sink.Histogram("core/job/queue_wait_ns")
-	ins.inFlight = sink.Gauge("core/jobs/in_flight")
-	ins.completed = sink.Counter("core/jobs/completed")
-	ins.failed = sink.Counter("core/jobs/failed")
-	ins.timeouts = sink.Counter("core/jobs/timeouts")
-	ins.panics = sink.Counter("core/jobs/panics_recovered")
-	ins.flight = sink.FlightRecorder()
-	return ins
-}
-
-// timeStage accumulates wall time into a stage counter, the stage's
-// latency histogram, and a "core" layer span parented to the job's span,
-// also when f panics.
-func (bp *BatchProver) timeStage(i int, ins instruments, parent telemetry.SpanID, task int, f func()) {
-	sp := ins.tracer.Begin("core", "stage/"+StageNames[i], parent, i, task)
-	start := time.Now()
-	defer func() {
-		ns := time.Since(start).Nanoseconds()
-		bp.stageNs[i].Add(ns)
-		ins.stageHist[i].Observe(ns)
-		obs.Active().ObserveStage(StageNames[i], ns)
-		sp.End()
-	}()
-	f()
-}
-
-// observeWait records how long a message sat in an inter-stage queue —
-// the live signal (together with per-stage histograms) for choosing the
-// pipeline depth from data rather than the static StageShare ratio —
-// and returns the wait in ns for the job's flight timeline.
-func (ins instruments) observeWait(enq time.Time) int64 {
-	if enq.IsZero() {
-		return 0
-	}
-	ns := time.Since(enq).Nanoseconds()
-	ins.queueWait.Observe(ns)
-	return ns
-}
-
 // NewBatchProver builds a batch prover for one circuit. depth is the
 // number of proofs in flight (≥ 1); it bounds memory exactly the way the
 // paper's dynamic loading does — one proof's data per pipeline stage.
@@ -237,17 +173,16 @@ type stageMsg struct {
 	f     *protocol.InFlight
 	proof *protocol.Proof
 	err   error
-	// started stamps stage-1 dequeue for the end-to-end latency metric;
-	// enq stamps the end of the previous stage for the queue-wait metric.
+	// failedAt names the stage that failed the job (empty while it has
+	// not failed).
+	failedAt string
+	// started stamps stage-1 dequeue for the per-job deadline.
 	started time.Time
-	enq     time.Time
 	// job is the per-job telemetry span, open from dequeue to result.
 	job *telemetry.ActiveSpan
 	// trace is the job's flight-recorder id, stamped at submission and
-	// carried across every stage hop; waitNs is the queue wait ahead of
-	// the stage currently running, for its timeline.
-	trace  telemetry.TraceID
-	waitNs int64
+	// carried across every stage hop.
+	trace telemetry.TraceID
 }
 
 // processStage runs one prover stage on one message, on that stage's
@@ -259,22 +194,21 @@ type stageMsg struct {
 // its first stage and gives it back when its result is handed out, the
 // same point that frees its in-flight slot, so depth arenas serve every
 // proof after the first depth.
-func (bp *BatchProver) processStage(stage int, ins instruments, arenas chan *protocol.Arena, m *stageMsg) {
+func (bp *BatchProver) processStage(stage int, sink *telemetry.Sink, arenas chan *protocol.Arena, m *stageMsg) {
 	switch stage {
 	case 0:
 		m.started = bp.now()
-		obs.Active().ObserveQueueDepth(bp.inFlight.Add(1))
-		ins.inFlight.Add(1)
-		m.job = ins.tracer.Begin("core", "job", 0, len(StageNames), m.id)
+		bp.inFlight.Add(1)
+		sink.JobStarted()
+		m.job = sink.Trace().Begin("core", "job", 0, len(StageNames), m.id)
 		m.job.SetTrace(m.trace)
-		m.waitNs = 0 // admission wait is stamped by the flight recorder
 		job := m.src
 		select {
 		case m.arena = <-arenas:
 		default:
 			m.arena = new(protocol.Arena)
 		}
-		bp.runStage(0, ins, m, func() error {
+		bp.runStage(0, sink, m, func() error {
 			var err error
 			if job.Witness == nil {
 				m.f, err = m.arena.StartProofFromInputs(bp.c, bp.p, job.Public, job.Secret)
@@ -285,14 +219,11 @@ func (bp *BatchProver) processStage(stage int, ins instruments, arenas chan *pro
 		})
 		m.src = Job{} // drop the witness; the in-flight proof carries on
 	case 1:
-		m.waitNs = ins.observeWait(m.enq)
-		bp.runStage(1, ins, m, func() error { return m.f.RunHadamard() })
+		bp.runStage(1, sink, m, func() error { return m.f.RunHadamard() })
 	case 2:
-		m.waitNs = ins.observeWait(m.enq)
-		bp.runStage(2, ins, m, func() error { return m.f.RunLinear() })
+		bp.runStage(2, sink, m, func() error { return m.f.RunLinear() })
 	case 3:
-		m.waitNs = ins.observeWait(m.enq)
-		bp.runStage(3, ins, m, func() error {
+		bp.runStage(3, sink, m, func() error {
 			var err error
 			m.proof, err = m.f.Finish()
 			return err
@@ -302,7 +233,6 @@ func (bp *BatchProver) processStage(stage int, ins instruments, arenas chan *pro
 		// for emission so only finished proofs occupy that window.
 		m.f = nil
 	}
-	m.enq = time.Now()
 }
 
 // Run consumes jobs until the channel closes and emits one Result per job
@@ -311,17 +241,19 @@ func (bp *BatchProver) processStage(stage int, ins instruments, arenas chan *pro
 // the software realization of the full-workload state of §4 — and at
 // most depth proofs are in flight (the dynamic-loading memory bound).
 func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
-	ins := bp.instruments()
+	// The resolved sink is nil with telemetry off, and every recording
+	// method tolerates that, so a record costs one nil check.
+	sink := telemetry.Resolve(bp.tel)
 	arenas := make(chan *protocol.Arena, bp.depth)
 	g, err := sched.NewGraph(StageNames[:], func(stage int, m *stageMsg) {
-		bp.processStage(stage, ins, arenas, m)
+		bp.processStage(stage, sink, arenas, m)
 	}, sched.Options{Name: "core", InFlight: bp.depth, Telemetry: bp.tel})
 	if err != nil {
 		// Unreachable: the stages are fixed and depth is validated at
 		// construction. Surface loudly rather than wedging the stream.
 		panic(fmt.Sprintf("core: scheduler rejected prover stage graph: %v", err))
 	}
-	g.SetRecover(func(stage int, m *stageMsg, r any) { bp.recoverStage(ins, stage, m, r) })
+	g.SetRecover(func(stage int, m *stageMsg, r any) { bp.recoverStage(stage, m, r) })
 
 	gin := make(chan stageMsg, bp.depth)
 	go func() {
@@ -330,7 +262,7 @@ func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 			// Submit mints a trace id for untagged jobs and re-submits
 			// tagged ones unchanged, so a sharded hand-off keeps one
 			// timeline while recording which shard the job landed on.
-			trace := ins.flight.Submit(job.Trace, job.ID, bp.shard)
+			trace := sink.FlightRecorder().Submit(job.Trace, job.ID, bp.shard)
 			gin <- stageMsg{id: job.ID, src: job, trace: trace}
 		}
 	}()
@@ -341,12 +273,13 @@ func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 	go func() {
 		defer close(results)
 		g.Run(gin, func(m stageMsg) {
-			m.job.End()
-			e2eNs := bp.now().Sub(m.started).Nanoseconds()
-			ins.e2e.Observe(e2eNs)
-			obs.Active().ObserveQueueDepth(bp.inFlight.Add(-1))
-			ins.inFlight.Add(-1)
-			obs.Active().ObserveJob(bp.shard, e2eNs, m.err != nil)
+			bp.inFlight.Add(-1)
+			// The job span's duration (sink clock) is the job's
+			// end-to-end latency for every telemetry recorder.
+			sink.JobDone(telemetry.JobEnd{
+				Trace: m.trace, ID: m.id, Shard: bp.shard, E2ENs: m.job.End(),
+				Err: m.err, Stage: m.failedAt, TimedOut: errors.Is(m.err, ErrJobDeadline),
+			})
 			if m.arena != nil {
 				select {
 				case arenas <- m.arena:
@@ -355,15 +288,10 @@ func (bp *BatchProver) Run(jobs <-chan Job) <-chan Result {
 			}
 			if m.err != nil {
 				bp.failed.Add(1)
-				ins.failed.Inc()
-				ins.flight.Emit(m.trace, m.err.Error())
 				results <- Result{ID: m.id, Err: m.err, Trace: m.trace}
 				return
 			}
 			bp.completed.Add(1)
-			ins.completed.Inc()
-			ins.flight.Emit(m.trace, "")
-			obs.Debug("core", "job.completed", obs.Job(m.id), obs.Trace(m.trace), obs.Shard(bp.shard))
 			results <- Result{ID: m.id, Proof: m.proof, Trace: m.trace}
 		})
 		// The arenas die with the run; the kernels' free lists are

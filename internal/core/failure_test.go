@@ -271,7 +271,7 @@ func TestResilienceTelemetryCounters(t *testing.T) {
 		panicAt(1, 0)(stage, job)
 		stall(stage, job)
 	}
-	sink := telemetry.NewSink(0)
+	sink := telemetry.NewSink(telemetry.Config{})
 	bp.SetTelemetry(sink)
 	bp.ProveBatch(testJobs(3))
 	st := bp.Stats()
@@ -279,10 +279,10 @@ func TestResilienceTelemetryCounters(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	for name, want := range map[string]int64{
-		"core/jobs/failed":           st.Failed,
-		"core/jobs/timeouts":         st.Timeouts,
-		"core/jobs/panics_recovered": st.PanicsRecovered,
-		"core/jobs/completed":        st.Completed,
+		"core/jobs/failed":            st.Failed,
+		"core/jobs/timeouts":          st.Timeouts,
+		"sched/core/panics_recovered": st.PanicsRecovered,
+		"core/jobs/completed":         st.Completed,
 	} {
 		if got := sink.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, Stats says %d", name, got, want)
@@ -301,7 +301,7 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := telemetry.NewSink(0)
+	sink := telemetry.NewSink(telemetry.Config{})
 	bp.SetTelemetry(sink)
 	jobs := testJobs(24)
 	wantFailed := map[int]bool{}
@@ -346,7 +346,7 @@ func TestChaosSoak(t *testing.T) {
 	if st.Failed != int64(len(wantFailed)) || st.Completed != int64(len(jobs)-len(wantFailed)) || st.PanicsRecovered != int64(len(panics)) {
 		t.Fatalf("stats: %+v", st)
 	}
-	if got := sink.Counter("core/jobs/panics_recovered").Value(); got != st.PanicsRecovered {
+	if got := sink.Counter("sched/core/panics_recovered").Value(); got != st.PanicsRecovered {
 		t.Fatalf("panics counter %d != stats %d", got, st.PanicsRecovered)
 	}
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 
-	"batchzk/internal/obs"
+	"batchzk/internal/telemetry"
 )
 
 // ShardReport summarizes a sharded run: one batch split across several
@@ -59,8 +59,8 @@ func RunSharded(spec DeviceSpec, stages []Stage, tasks, shards int, opts Options
 		o.Shard = i + 1
 		rep, err := RunPipelined(spec, stages, n, o)
 		if err != nil {
-			obs.Error("gpusim", "shard.failed",
-				obs.Shard(i), slog.Int("tasks", n), obs.Err(err))
+			telemetry.Error("gpusim", "shard.failed",
+				telemetry.Shard(i), slog.Int("tasks", n), telemetry.Err(err))
 			return nil, fmt.Errorf("gpusim: shard %d: %w", i, err)
 		}
 		out.PerShard[i] = rep

@@ -93,11 +93,11 @@ func TestPipelinedSpansOverlapNaiveDoNot(t *testing.T) {
 	spec := testSpec()
 	stages := merkleStages(1024, 100)
 
-	pipeSink := telemetry.NewSink(4096)
+	pipeSink := telemetry.NewSink(telemetry.Config{})
 	if _, err := RunPipelined(spec, stages, 16, Options{Telemetry: pipeSink}); err != nil {
 		t.Fatal(err)
 	}
-	naiveSink := telemetry.NewSink(4096)
+	naiveSink := telemetry.NewSink(telemetry.Config{})
 	if _, err := RunNaive(spec, stages, 16, 512, Options{Telemetry: naiveSink}); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestRunTelemetryMetrics(t *testing.T) {
 	stages := merkleStages(1024, 100)
 	stages[0].HostBytesIn = 4096 // dynamic loading of the leaf blocks
 	stages[len(stages)-1].HostBytesOut = 32
-	sink := telemetry.NewSink(1024)
+	sink := telemetry.NewSink(telemetry.Config{})
 	rep, err := RunPipelined(spec, stages, 32, Options{Telemetry: sink, TaskBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestRunTelemetryMetrics(t *testing.T) {
 	}
 
 	// The global sink is picked up when no explicit sink is given.
-	gs := telemetry.NewSink(1024)
+	gs := telemetry.NewSink(telemetry.Config{})
 	telemetry.Enable(gs)
 	defer telemetry.Enable(nil)
 	if _, err := RunNaive(spec, stages, 4, 512, Options{}); err != nil {

@@ -1,8 +1,15 @@
-// Package protocol implements the single-proof zero-knowledge argument
+// Package protocol implements the single-proof argument of knowledge
 // whose batch generation BatchZK accelerates: an Orion/Brakedown-family
 // protocol built from exactly the three modules of the paper's Table 1 —
 // linear-time encoder + Merkle tree (the polynomial commitment) and the
 // sum-check protocol (the circuit-satisfaction argument). No NTT, no MSM.
+//
+// The proofs are not zero-knowledge. Nothing is masked: the commitment
+// is not hiding, the opened columns of its systematic code carry witness
+// entries verbatim (TestOpenedColumnsLeakWitness pins this), and the
+// sum-check messages and the claims L(ρ), R(ρ), W(σ) are evaluations of
+// the witness. The paper's protocol family reaches zero-knowledge by
+// masking; this reproduction measures the unmasked prover.
 //
 // For a circuit C with public inputs x, secret inputs w and outputs y, the
 // prover shows knowledge of a full wire assignment W satisfying every gate

@@ -28,9 +28,10 @@ type Graph[T any] struct {
 	process func(stage int, item *T)
 	recover func(stage int, item *T, r any)
 
-	// Telemetry handles (nil-safe when disabled).
+	// Telemetry handles (nil-safe when disabled). The in-flight count is
+	// the owner's to record: core's batch prover keeps it as
+	// core/jobs/in_flight.
 	queueWait []*telemetry.Histogram
-	inFlight  *telemetry.Gauge
 	panics    *telemetry.Counter
 
 	started atomic.Bool
@@ -62,7 +63,6 @@ func NewGraph[T any](stages []string, process func(stage int, item *T), opts Opt
 		depth:     opts.InFlight,
 		process:   process,
 		queueWait: make([]*telemetry.Histogram, len(stages)),
-		inFlight:  sink.Gauge("sched/" + opts.Name + "/in_flight"),
 		panics:    sink.Counter("sched/" + opts.Name + "/panics_recovered"),
 	}
 	for i, name := range stages {
@@ -107,7 +107,6 @@ func (g *Graph[T]) Run(in <-chan T, emit func(T)) {
 		defer close(queues[0])
 		for item := range in {
 			sem <- struct{}{}
-			g.inFlight.Add(1)
 			queues[0] <- &envelope[T]{item: item, enq: time.Now()}
 		}
 	}()
@@ -119,7 +118,6 @@ func (g *Graph[T]) Run(in <-chan T, emit func(T)) {
 	// consumer hold memory just as items in a stage do.
 	for env := range queues[len(g.stages)] {
 		emit(env.item)
-		g.inFlight.Add(-1)
 		<-sem
 	}
 }

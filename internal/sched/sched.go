@@ -22,7 +22,7 @@
 //
 // Both executors recover a panicking stage instead of letting it wedge
 // the run, and record nil-safe telemetry: per-stage queue-wait
-// histograms (sched/<graph>/stage/<name>/queue_wait_ns), an in-flight
-// gauge and a panics_recovered counter for Graph; cycle, slot and error
-// series for RunCycles.
+// histograms (sched/<graph>/stage/<name>/queue_wait_ns) and a
+// panics_recovered counter for Graph; cycle, slot and error series for
+// RunCycles.
 package sched

@@ -160,7 +160,7 @@ func waitAll(t *testing.T, gw *Gateway, ids []string) []JobInfo {
 // completes, every proof verifies, batching and trace ids are live.
 func TestGatewayEndToEnd(t *testing.T) {
 	sp, _ := newTestProver(t, 2)
-	sink := telemetry.NewSink(0)
+	sink := telemetry.NewSink(telemetry.Config{})
 	sp.SetTelemetry(sink)
 	gw, err := NewGateway(sp, Config{MaxBatch: 4, MaxWait: time.Millisecond, Telemetry: sink})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"batchzk/internal/field"
-	"batchzk/internal/obs"
 	"batchzk/internal/telemetry"
 )
 
@@ -229,7 +228,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	if info.Status == StatusDone && info.Proof != nil {
 		blob, err := info.Proof.MarshalBinary()
 		if err != nil {
-			obs.Error("service", "proof.serialize_failed", obs.Trace(info.TraceID), obs.Err(err))
+			telemetry.Error("service", "proof.serialize_failed", telemetry.Trace(info.TraceID), telemetry.Err(err))
 			writeError(w, http.StatusInternalServerError, "proof serialization failed")
 			return
 		}
@@ -260,7 +259,7 @@ func (g *Gateway) handleProof(w http.ResponseWriter, r *http.Request) {
 	}
 	size, err := info.Proof.Size()
 	if err != nil {
-		obs.Error("service", "proof.serialize_failed", obs.Trace(info.TraceID), obs.Err(err))
+		telemetry.Error("service", "proof.serialize_failed", telemetry.Trace(info.TraceID), telemetry.Err(err))
 		writeError(w, http.StatusInternalServerError, "proof serialization failed")
 		return
 	}
@@ -272,7 +271,7 @@ func (g *Gateway) handleProof(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	if _, err := info.Proof.WriteTo(w); err != nil {
 		// Headers are gone; all we can do is log the broken download.
-		obs.Warn("service", "proof.stream_aborted", obs.Trace(info.TraceID), obs.Err(err))
+		telemetry.Warn("service", "proof.stream_aborted", telemetry.Trace(info.TraceID), telemetry.Err(err))
 	}
 }
 

@@ -138,7 +138,7 @@ func TestHTTPSubmitPollRoundTrip(t *testing.T) {
 // A caller-supplied X-Trace-Id is adopted and echoed — the job keeps
 // one flight-recorder timeline across the API boundary.
 func TestHTTPTraceIDPropagation(t *testing.T) {
-	sink := telemetry.NewSink(0)
+	sink := telemetry.NewSink(telemetry.Config{})
 	sp, _ := newTestProver(t, 1)
 	sp.SetTelemetry(sink)
 	gw, err := NewGateway(sp, Config{MaxBatch: 2, MaxWait: time.Millisecond, Telemetry: sink})
@@ -270,6 +270,41 @@ func TestHTTPDrainReadyz(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit after resume: %s, want 202", resp.Status)
+	}
+}
+
+// A storm of failed jobs on the gateway's own sink (Config.Telemetry,
+// with no process-wide sink) raises a critical alert, which flips
+// /readyz to 503 with the alert as its reason.
+func TestHTTPReadyzFollowsGatewaySink(t *testing.T) {
+	prev := telemetry.Active()
+	telemetry.Enable(nil)
+	defer telemetry.Enable(prev)
+	sink := telemetry.NewSink(telemetry.Config{})
+	srv, _ := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond, Telemetry: sink})
+	readyz := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct{ Reason string }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body.Reason
+	}
+	if code, _ := readyz(); code != http.StatusOK {
+		t.Fatalf("/readyz before the storm: %d, want 200", code)
+	}
+	for range 12 {
+		sink.JobStarted()
+		sink.JobDone(telemetry.JobEnd{Shard: -1, Err: fmt.Errorf("bad job")})
+	}
+	code, reason := readyz()
+	if code != http.StatusServiceUnavailable || reason == "" {
+		t.Fatalf("/readyz after the storm: %d %q, want 503 with a reason", code, reason)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"batchzk/internal/core"
 	"batchzk/internal/field"
-	"batchzk/internal/obs"
 	"batchzk/internal/protocol"
 	"batchzk/internal/telemetry"
 )
@@ -60,7 +59,8 @@ type Config struct {
 	// MaxBody caps the HTTP request body in bytes (default 1 MiB);
 	// larger submissions get 413.
 	MaxBody int64
-	// Telemetry overrides the process-wide sink for trace minting.
+	// Telemetry overrides the process-wide sink for trace minting and
+	// readiness.
 	Telemetry *telemetry.Sink
 }
 
@@ -247,7 +247,7 @@ func (g *Gateway) Submit(tenant string, priority int, public, secret []field.Ele
 		g.mu.Unlock()
 		return JobInfo{}, err
 	}
-	obs.Debug("service", "job.accepted", obs.Job(seq), obs.Trace(trace))
+	telemetry.Debug("service", "job.accepted", telemetry.Job(seq), telemetry.Trace(trace))
 	return ack, nil
 }
 
@@ -283,7 +283,7 @@ func (g *Gateway) resultPump(out <-chan core.Result) {
 		if j == nil {
 			// A result for a job the gateway never issued — only
 			// possible if the prover is shared, which NewGateway forbids.
-			obs.Warn("service", "result.orphaned", obs.Job(r.ID))
+			telemetry.Warn("service", "result.orphaned", telemetry.Job(r.ID))
 			continue
 		}
 		if r.Err == nil {
@@ -410,12 +410,13 @@ func (g *Gateway) DroppedEvents() int64 { return g.dropped.Load() }
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // Ready reports whether the gateway should receive traffic: not
-// draining, and the process-wide health engine (when enabled) agrees.
+// draining, and the health engine of its sink (Config.Telemetry, else
+// the process-wide one; none means ready) agrees.
 func (g *Gateway) Ready() (bool, string) {
 	if g.draining.Load() {
 		return false, "draining"
 	}
-	return obs.Active().Ready()
+	return telemetry.Resolve(g.cfg.Telemetry).Ready()
 }
 
 // Stats snapshots the gateway counters.
@@ -447,10 +448,10 @@ func (g *Gateway) Drain() {
 	if g.draining.Swap(true) {
 		return
 	}
-	obs.Info("service", "gateway.draining")
+	telemetry.Info("service", "gateway.draining")
 	g.batcher.Drain() // batch pump takes the rest, then closes in
 	g.pumps.Wait()    // prover drains, result pump resolves everything
-	obs.Info("service", "gateway.drained")
+	telemetry.Info("service", "gateway.drained")
 }
 
 // Resume restarts a drained gateway with a fresh admission queue and a
@@ -461,5 +462,5 @@ func (g *Gateway) Resume() {
 	}
 	g.start()
 	g.draining.Store(false)
-	obs.Info("service", "gateway.resumed")
+	telemetry.Info("service", "gateway.resumed")
 }

@@ -1,50 +1,12 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"sync"
 )
-
-// Debug-route extension registry: higher layers (internal/obs) mount
-// their operator surfaces — /healthz, /readyz, /debug/obs/slo — onto the
-// same debug server without telemetry importing them. Handlers are
-// registered once per pattern (later registrations overwrite) and are
-// mounted into every DebugHandler built afterwards, so register at
-// package init or before the server starts.
-var (
-	debugRouteMu sync.Mutex
-	debugRoutes  = map[string]http.Handler{}
-)
-
-// RegisterDebugRoute mounts h at pattern on every subsequently built
-// debug handler. Registering the same pattern again replaces the
-// handler. Handlers should resolve their state at request time, so one
-// registration serves every sink and engine lifecycle.
-func RegisterDebugRoute(pattern string, h http.Handler) {
-	if pattern == "" || h == nil {
-		return
-	}
-	debugRouteMu.Lock()
-	debugRoutes[pattern] = h
-	debugRouteMu.Unlock()
-}
-
-// DebugRoutePatterns returns the registered extension patterns, sorted —
-// introspection for tests and the CLI startup banner.
-func DebugRoutePatterns() []string {
-	debugRouteMu.Lock()
-	defer debugRouteMu.Unlock()
-	out := make([]string, 0, len(debugRoutes))
-	for p := range debugRoutes {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // DebugHandler returns an http.Handler exposing the live introspection
 // surfaces for sink s (falling back to the global sink when s is nil):
@@ -56,9 +18,17 @@ func DebugRoutePatterns() []string {
 //	/debug/telemetry/trace    — Chrome trace_event JSON of spans so far
 //	/debug/telemetry/spans    — raw spans as JSONL
 //	/debug/telemetry/timeline — per-job flight-recorder timelines JSON
-//
-// plus any routes registered with RegisterDebugRoute (internal/obs
-// mounts /healthz, /readyz, and /debug/obs/slo).
+//	/healthz                  — liveness: 200 whenever the process serves
+//	                            requests, with uptime and whether the
+//	                            health engine is enabled
+//	/readyz                   — readiness: 200 while no critical alert is
+//	                            active; 503 with the blocking reason during
+//	                            a storm of failed jobs or sustained SLO
+//	                            burn. Flips back on recovery.
+//	/debug/obs/slo            — the HealthSnapshot JSON: job counters,
+//	                            per-stage throughput and latency, objective
+//	                            attainment and burn rates, budget ledgers,
+//	                            active alerts (the feed batchzk-top renders)
 func DebugHandler(s *Sink) http.Handler {
 	PublishExpvar()
 	resolve := func() *Sink { return Resolve(s) }
@@ -99,12 +69,48 @@ func DebugHandler(s *Sink) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = resolve().FlightRecorder().WriteJSON(w)
 	})
-	debugRouteMu.Lock()
-	for pattern, h := range debugRoutes {
-		mux.Handle(pattern, h)
-	}
-	debugRouteMu.Unlock()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		sink := resolve()
+		writeJSON(w, http.StatusOK, healthzResponse{
+			Status: "ok", Obs: sink != nil, UptimeNs: sink.Uptime().Nanoseconds(),
+		})
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		ready, reason := resolve().Ready()
+		status := http.StatusOK
+		if !ready {
+			status = http.StatusServiceUnavailable
+		}
+		writeJSON(w, status, readyzResponse{Ready: ready, Reason: reason})
+	})
+	mux.HandleFunc("/debug/obs/slo", func(w http.ResponseWriter, _ *http.Request) {
+		sink := resolve()
+		if sink == nil {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "obs disabled"})
+			return
+		}
+		writeJSON(w, http.StatusOK, sink.Health())
+	})
 	return mux
+}
+
+// healthzResponse is the /healthz body.
+type healthzResponse struct {
+	Status   string `json:"status"`
+	Obs      bool   `json:"obs_enabled"`
+	UptimeNs int64  `json:"uptime_ns,omitempty"`
+}
+
+// readyzResponse is the /readyz body.
+type readyzResponse struct {
+	Ready  bool   `json:"ready"`
+	Reason string `json:"reason"`
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // ServeDebug starts the debug server on addr (e.g. "localhost:6060") and

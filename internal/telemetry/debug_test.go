@@ -1,4 +1,4 @@
-package obs
+package telemetry
 
 import (
 	"encoding/json"
@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"batchzk/internal/telemetry"
 )
 
 func get(t *testing.T, h http.Handler, path string) (*httptest.ResponseRecorder, map[string]any) {
@@ -24,7 +22,7 @@ func get(t *testing.T, h http.Handler, path string) (*httptest.ResponseRecorder,
 func TestHealthzAlwaysOK(t *testing.T) {
 	prev := Active()
 	defer Enable(prev)
-	h := Handler()
+	h := DebugHandler(nil)
 
 	Enable(nil)
 	rec, body := get(t, h, "/healthz")
@@ -32,7 +30,7 @@ func TestHealthzAlwaysOK(t *testing.T) {
 		t.Fatalf("healthz with obs off: %d %v", rec.Code, body)
 	}
 
-	Enable(New(Config{}))
+	Enable(NewSink(Config{}))
 	rec, body = get(t, h, "/healthz")
 	if rec.Code != http.StatusOK || body["obs_enabled"] != true {
 		t.Fatalf("healthz with obs on: %d %v", rec.Code, body)
@@ -40,13 +38,9 @@ func TestHealthzAlwaysOK(t *testing.T) {
 }
 
 func TestReadyzFlipsWithCriticalAlert(t *testing.T) {
-	prev := Active()
-	defer Enable(prev)
-	h := Handler()
-
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, nil)
-	Enable(e)
+	e := testSink(clk, nil)
+	h := DebugHandler(e)
 
 	rec, body := get(t, h, "/readyz")
 	if rec.Code != http.StatusOK || body["ready"] != true {
@@ -54,7 +48,7 @@ func TestReadyzFlipsWithCriticalAlert(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true)
+		finishJob(e, 0, int64(time.Second), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	rec, body = get(t, h, "/readyz")
@@ -67,7 +61,7 @@ func TestReadyzFlipsWithCriticalAlert(t *testing.T) {
 
 	clk.advance(15 * time.Second)
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false)
+		finishJob(e, 0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	if rec, _ := get(t, h, "/readyz"); rec.Code != http.StatusOK {
@@ -78,7 +72,7 @@ func TestReadyzFlipsWithCriticalAlert(t *testing.T) {
 func TestSLOEndpoint(t *testing.T) {
 	prev := Active()
 	defer Enable(prev)
-	h := Handler()
+	h := DebugHandler(nil)
 
 	Enable(nil)
 	if rec, _ := get(t, h, "/debug/obs/slo"); rec.Code != http.StatusServiceUnavailable {
@@ -86,10 +80,10 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, nil)
+	e := testSink(clk, nil)
 	Enable(e)
-	e.ObserveJob(0, int64(time.Millisecond), false)
-	e.ObserveStage("commit", int64(time.Millisecond))
+	finishJob(e, 0, int64(time.Millisecond), false)
+	e.StageDone(0, "commit", int64(time.Millisecond))
 
 	rec, body := get(t, h, "/debug/obs/slo")
 	if rec.Code != http.StatusOK {
@@ -107,29 +101,44 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 }
 
-// TestRoutesRegisteredOnDebugServer: linking obs mounts the operator
-// routes onto telemetry's debug handler via the extension registry.
-func TestRoutesRegisteredOnDebugServer(t *testing.T) {
-	patterns := telemetry.DebugRoutePatterns()
-	want := map[string]bool{"/healthz": false, "/readyz": false, "/debug/obs/slo": false}
-	for _, p := range patterns {
-		if _, ok := want[p]; ok {
-			want[p] = true
-		}
-	}
-	for p, seen := range want {
-		if !seen {
-			t.Fatalf("route %s not registered on the debug server (got %v)", p, patterns)
-		}
-	}
-
+// TestDebugHandlerServesOperatorRoutes: the one debug handler serves
+// the operator routes next to the metrics and trace routes, resolving
+// the sink at request time.
+func TestDebugHandlerServesOperatorRoutes(t *testing.T) {
 	prev := Active()
 	defer Enable(prev)
-	Enable(New(Config{}))
-	h := telemetry.DebugHandler(nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("debug server /healthz: %d", rec.Code)
+	Enable(NewSink(Config{}))
+	h := DebugHandler(nil)
+	for _, path := range []string{"/healthz", "/readyz", "/debug/obs/slo", "/debug/telemetry/timeline"} {
+		if rec, _ := get(t, h, path); rec.Code != http.StatusOK {
+			t.Fatalf("debug handler %s: %d", path, rec.Code)
+		}
+	}
+}
+
+// TestDebugServerReenable is the double-registration guard: enabling
+// telemetry, serving debug handlers, disabling, and enabling again must
+// not panic on expvar re-registration (expvar.Publish panics on reuse).
+func TestDebugServerReenable(t *testing.T) {
+	defer Enable(nil)
+	for round := 0; round < 3; round++ {
+		s := NewSink(Config{})
+		Enable(s)
+		srv, err := ServeDebug("127.0.0.1:0", s)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		resp, err := http.Get("http://" + srv.Addr + "/debug/telemetry/timeline")
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: timeline endpoint returned %s", round, resp.Status)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		Enable(nil)
 	}
 }

@@ -17,7 +17,9 @@ import (
 // "what happened to *this* job". Every proof job is minted a TraceID at
 // submission and keeps it across stage hops and shard assignment,
 // accumulating one JobTimeline: submit → queue wait → per-stage spans →
-// emit (with the error, for a failed job). Timelines export as JSON
+// emit (with the error, for a failed job). A stage's queue wait is the
+// gap since the previous stage of the same job ended, so the timeline
+// derives it instead of measuring it again. Timelines export as JSON
 // (WriteJSON, Sink.Dump's timeline.json, /debug/telemetry/timeline) and
 // the same TraceID is stamped on the tracer's spans, so a Chrome trace
 // and a timeline cross-reference by id.
@@ -59,7 +61,7 @@ type StageTimeline struct {
 }
 
 // JobTimeline is the flight record of one job: every timestamp is in
-// nanoseconds since the recorder's epoch (wall clock, monotonic-backed).
+// nanoseconds since the recorder's epoch, on the sink's clock.
 type JobTimeline struct {
 	TraceID TraceID `json:"trace_id"`
 	JobID   int     `json:"job_id"`
@@ -91,6 +93,7 @@ func (t *JobTimeline) E2ENs() int64 {
 // a fixed number of jobs (oldest-submitted evicted first, counted in
 // Dropped). All methods are nil-safe.
 type FlightRecorder struct {
+	now    func() time.Time
 	epoch  time.Time
 	nextID atomic.Uint64
 
@@ -108,6 +111,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 		capacity = DefaultTimelineCap
 	}
 	return &FlightRecorder{
+		now:   time.Now,
 		epoch: time.Now(),
 		jobs:  map[TraceID]*JobTimeline{},
 		cap:   capacity,
@@ -127,7 +131,7 @@ func (f *FlightRecorder) Now() int64 {
 	if f == nil {
 		return 0
 	}
-	return time.Since(f.epoch).Nanoseconds()
+	return f.now().Sub(f.epoch).Nanoseconds()
 }
 
 // timeline returns the timeline for id, creating it if needed; the
@@ -175,26 +179,30 @@ func (f *FlightRecorder) Submit(id TraceID, jobID, shard int) TraceID {
 	return id
 }
 
-// Stage records one completed stage of a job: its start/duration (ns
-// since epoch) and how long the job waited in the queue feeding the
-// stage. The first stage also stamps the job's StartNs and admission
-// QueueWaitNs.
-func (f *FlightRecorder) Stage(id TraceID, stage string, startNs, durNs, queueWaitNs int64) {
+// Stage records one completed stage of a job: its start and duration
+// in ns since the epoch. The first stage stamps the job's StartNs and
+// admission QueueWaitNs; each later stage's QueueWaitNs is the gap since
+// the previous stage ended.
+func (f *FlightRecorder) Stage(id TraceID, stage string, startNs, durNs int64) {
 	if f == nil || id == 0 {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	t := f.timeline(id)
-	if len(t.Stages) == 0 {
+	var waitNs int64
+	if n := len(t.Stages); n == 0 {
 		t.StartNs = startNs
 		t.QueueWaitNs = startNs - t.SubmitNs
+	} else {
+		prev := t.Stages[n-1]
+		waitNs = max(0, startNs-prev.StartNs-prev.DurNs)
 	}
 	t.Stages = append(t.Stages, StageTimeline{
 		Stage:       stage,
 		StartNs:     startNs,
 		DurNs:       durNs,
-		QueueWaitNs: queueWaitNs,
+		QueueWaitNs: waitNs,
 	})
 }
 
@@ -289,73 +297,4 @@ func (f *FlightRecorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(exp)
-}
-
-// SLOSummary is the service-level view of a set of finished timelines:
-// end-to-end latency percentiles and where the pipeline's busy time went
-// (per-stage cost attribution shares).
-type SLOSummary struct {
-	Jobs      int     `json:"jobs"`
-	Completed int     `json:"completed"`
-	Failed    int     `json:"failed"`
-	P50Ns     float64 `json:"p50_ns"`
-	P90Ns     float64 `json:"p90_ns"`
-	P99Ns     float64 `json:"p99_ns"`
-	MaxNs     int64   `json:"max_ns"`
-	// QueueWaitP99Ns is the p99 admission wait (submit → first dequeue).
-	QueueWaitP99Ns float64 `json:"queue_wait_p99_ns"`
-	// StageShares maps stage name → its fraction of total stage busy
-	// time, summing to 1 over the recorded stages.
-	StageShares map[string]float64 `json:"stage_shares"`
-}
-
-// SLO condenses the recorder's finished timelines into an SLOSummary.
-// Latency percentiles are exact (computed from the sorted per-job
-// latencies, nearest-rank), not histogram estimates. Nil-safe.
-func (f *FlightRecorder) SLO() SLOSummary {
-	s := SLOSummary{StageShares: map[string]float64{}}
-	tls := f.Timelines()
-	if len(tls) == 0 {
-		return s
-	}
-	var lat, waits []int64
-	stageNs := map[string]int64{}
-	var totalStageNs int64
-	for i := range tls {
-		t := &tls[i]
-		s.Jobs++
-		for _, st := range t.Stages {
-			stageNs[st.Stage] += st.DurNs
-			totalStageNs += st.DurNs
-		}
-		if !t.Done {
-			continue
-		}
-		if t.Error == "" {
-			s.Completed++
-		} else {
-			s.Failed++
-		}
-		lat = append(lat, t.E2ENs())
-		waits = append(waits, t.QueueWaitNs)
-	}
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-		rank := func(sorted []int64, q float64) float64 {
-			i := int(q * float64(len(sorted)-1))
-			return float64(sorted[i])
-		}
-		s.P50Ns = rank(lat, 0.50)
-		s.P90Ns = rank(lat, 0.90)
-		s.P99Ns = rank(lat, 0.99)
-		s.MaxNs = lat[len(lat)-1]
-		s.QueueWaitP99Ns = rank(waits, 0.99)
-	}
-	if totalStageNs > 0 {
-		for name, ns := range stageNs {
-			s.StageShares[name] = float64(ns) / float64(totalStageNs)
-		}
-	}
-	return s
 }

@@ -1,21 +1,22 @@
-package obs
+package telemetry
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"strings"
 	"testing"
 	"time"
 )
 
-// fakeClock is an injectable engine clock.
+// fakeClock is an injectable sink clock.
 type fakeClock struct{ ns int64 }
 
 func (c *fakeClock) now() time.Time          { return time.Unix(0, c.ns) }
 func (c *fakeClock) advance(d time.Duration) { c.ns += int64(d) }
 
-func testEngine(clk *fakeClock, out *bytes.Buffer) *Engine {
+func testSink(clk *fakeClock, out *bytes.Buffer) *Sink {
 	cfg := Config{
 		Now:             clk.now,
 		MinJudgeSamples: 4,
@@ -24,26 +25,34 @@ func testEngine(clk *fakeClock, out *bytes.Buffer) *Engine {
 	if out != nil {
 		cfg.LogOutput = out
 	}
-	return New(cfg)
+	return NewSink(cfg)
+}
+
+// finishJob records one whole job on s: started, then done after e2eNs.
+func finishJob(s *Sink, shard int, e2eNs int64, failed bool) {
+	var err error
+	if failed {
+		err = errors.New("job failed")
+	}
+	s.JobStarted()
+	s.JobDone(JobEnd{Shard: shard, E2ENs: e2eNs, Err: err})
 }
 
 func TestEngineNilSafe(t *testing.T) {
-	var e *Engine
-	e.ObserveJob(0, 100, false)
-	e.ObserveStage("commit", 100)
-	e.ObserveKernel("ntt", 1)
-	e.ObserveQueueDepth(3)
-	e.SetFloors(map[string]float64{"x": 1})
-	e.Event(slog.LevelInfo, "test", "noop")
-	if ready, reason := e.Ready(); !ready || reason != "obs disabled" {
-		t.Fatalf("nil engine Ready = %v, %q", ready, reason)
+	var s *Sink
+	s.JobStarted()
+	s.StageDone(1, "commit", 100)
+	s.JobDone(JobEnd{Trace: 1, E2ENs: 100})
+	s.Event(slog.LevelInfo, "test", "noop")
+	if ready, reason := s.Ready(); !ready || reason != "obs disabled" {
+		t.Fatalf("nil sink Ready = %v, %q", ready, reason)
 	}
-	s := e.Snapshot()
-	if !s.Ready || s.SchemaVersion != SnapshotSchemaVersion {
-		t.Fatalf("nil engine snapshot: %+v", s)
+	h := s.Health()
+	if !h.Ready || h.SchemaVersion != SnapshotSchemaVersion {
+		t.Fatalf("nil sink snapshot: %+v", h)
 	}
-	if e.Uptime() != 0 {
-		t.Fatal("nil engine uptime nonzero")
+	if s.Uptime() != 0 {
+		t.Fatal("nil sink uptime nonzero")
 	}
 }
 
@@ -52,11 +61,11 @@ func TestEngineNilSafe(t *testing.T) {
 // (readiness true again, alert cleared).
 func TestQuarantineStormFlipsReadiness(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, nil)
+	e := testSink(clk, nil)
 
 	// Healthy traffic.
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false)
+		finishJob(e, 0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	if ready, _ := e.Ready(); !ready {
@@ -65,7 +74,7 @@ func TestQuarantineStormFlipsReadiness(t *testing.T) {
 
 	// Storm: every job fails.
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true)
+		finishJob(e, 0, int64(time.Second), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	ready, reason := e.Ready()
@@ -88,7 +97,7 @@ func TestQuarantineStormFlipsReadiness(t *testing.T) {
 	// Recovery: clean jobs slide the storm out of the fast window.
 	clk.advance(15 * time.Second) // fast window (10s) fully slides
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false)
+		finishJob(e, 0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	if ready, reason := e.Ready(); !ready {
@@ -110,10 +119,10 @@ func TestQuarantineStormFlipsReadiness(t *testing.T) {
 // slo-burn alert via the multi-window rule.
 func TestSLOBurnAlert(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, nil)
+	e := testSink(clk, nil)
 	// Fail half of all jobs against the default 2% error budget: burn 25×.
 	for i := 0; i < 40; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), i%2 == 0)
+		finishJob(e, 0, int64(time.Millisecond), i%2 == 0)
 		clk.advance(50 * time.Millisecond)
 	}
 	var burnAlert bool
@@ -135,14 +144,14 @@ func TestSLOBurnAlert(t *testing.T) {
 // readiness.
 func TestShardFailureDivergence(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, nil)
+	e := testSink(clk, nil)
 	// Three healthy shards, one failing: fleet rate 25%, shard 1 at 100%,
 	// past the fleet×2 + 0.1 divergence limit.
 	for i := 0; i < 30; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false)
-		e.ObserveJob(2, int64(time.Millisecond), false)
-		e.ObserveJob(3, int64(time.Millisecond), false)
-		e.ObserveJob(1, int64(time.Millisecond), true)
+		finishJob(e, 0, int64(time.Millisecond), false)
+		finishJob(e, 2, int64(time.Millisecond), false)
+		finishJob(e, 3, int64(time.Millisecond), false)
+		finishJob(e, 1, int64(time.Millisecond), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	var shardAlert *Alert
@@ -167,14 +176,13 @@ func TestShardFailureDivergence(t *testing.T) {
 // space: steady healthy traffic must never alert.
 func TestCleanRunRaisesNoAlerts(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, nil)
+	e := testSink(clk, nil)
 	for i := 0; i < 500; i++ {
 		shard := i % 4
-		e.ObserveJob(shard, int64(time.Millisecond)+int64(i%7)*int64(100*time.Microsecond), false)
+		finishJob(e, shard, int64(time.Millisecond)+int64(i%7)*int64(100*time.Microsecond), false)
 		for _, st := range []string{"commit", "gate-sumcheck", "linear-sumcheck", "opening"} {
-			e.ObserveStage(st, int64(200*time.Microsecond)+int64(i%5)*int64(10*time.Microsecond))
+			e.StageDone(0, st, int64(200*time.Microsecond)+int64(i%5)*int64(10*time.Microsecond))
 		}
-		e.ObserveKernel("ntt", 2.0+float64(i%3)*0.1)
 		clk.advance(5 * time.Millisecond)
 	}
 	if alerts := e.Alerts(); len(alerts) != 0 {
@@ -190,7 +198,7 @@ func TestCleanRunRaisesNoAlerts(t *testing.T) {
 func TestLogEventSchema(t *testing.T) {
 	var buf bytes.Buffer
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, &buf)
+	e := testSink(clk, &buf)
 	e.Event(slog.LevelWarn, "core", "job.failed",
 		Job(7), Trace(42), Stage("opening"), Shard(2), Err(nil))
 
@@ -224,14 +232,14 @@ func TestLogEventSchema(t *testing.T) {
 func TestAlertEventsLogged(t *testing.T) {
 	var buf bytes.Buffer
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, &buf)
+	e := testSink(clk, &buf)
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Second), true)
+		finishJob(e, 0, int64(time.Second), true)
 		clk.advance(10 * time.Millisecond)
 	}
 	clk.advance(15 * time.Second)
 	for i := 0; i < 20; i++ {
-		e.ObserveJob(0, int64(time.Millisecond), false)
+		finishJob(e, 0, int64(time.Millisecond), false)
 		clk.advance(10 * time.Millisecond)
 	}
 	logs := buf.String()
@@ -245,21 +253,24 @@ func TestAlertEventsLogged(t *testing.T) {
 
 func TestSnapshot(t *testing.T) {
 	clk := &fakeClock{ns: int64(time.Hour)}
-	e := testEngine(clk, nil)
-	e.ObserveQueueDepth(5)
+	e := testSink(clk, nil)
+	for i := 0; i < 5; i++ {
+		e.JobStarted() // still in flight at the snapshot
+	}
 	for i := 0; i < 10; i++ {
-		e.ObserveJob(0, int64(2*time.Millisecond), false)
-		e.ObserveStage("commit", int64(time.Millisecond))
+		finishJob(e, 0, int64(2*time.Millisecond), false)
+		e.StageDone(0, "commit", int64(time.Millisecond))
 		clk.advance(100 * time.Millisecond)
 	}
-	s := e.Snapshot()
+	s := e.Health()
 	if s.SchemaVersion != SnapshotSchemaVersion {
 		t.Fatalf("schema version = %d", s.SchemaVersion)
 	}
 	if s.Jobs.Total != 10 || s.Jobs.Failed != 0 || s.Jobs.QueueDepth != 5 {
 		t.Fatalf("job counters: %+v", s.Jobs)
 	}
-	if len(s.Stages) != 1 || s.Stages[0].Name != "commit" || s.Stages[0].Count != 10 {
+	if len(s.Stages) != 1 || s.Stages[0].Name != "commit" || s.Stages[0].Count != 10 ||
+		s.Stages[0].TotalNs != int64(10*time.Millisecond) {
 		t.Fatalf("stages: %+v", s.Stages)
 	}
 	if s.Stages[0].RatePerSec <= 0 || s.Stages[0].P99Ns != float64(time.Millisecond) {
@@ -280,9 +291,33 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
+// TestJobSeriesOnFirstJob: a sink that has seen no job exports no job
+// series and reads zero jobs; the first job registers them, and JobDone
+// counts a timed-out failure into core/jobs/timeouts.
+func TestJobSeriesOnFirstJob(t *testing.T) {
+	s := testSink(&fakeClock{ns: int64(time.Hour)}, nil)
+	s.Tracer.Begin("gpusim", "kernel", 0, 0, 0).End()
+	for name := range s.Metrics.Snapshot().Counters {
+		if strings.HasPrefix(name, "core/") {
+			t.Fatalf("sink with no job exports %s", name)
+		}
+	}
+	if h := s.Health(); h.Jobs != (JobCounters{}) {
+		t.Fatalf("sink with no job: %+v", h.Jobs)
+	}
+	s.JobStarted()
+	s.JobDone(JobEnd{Stage: "commit", Err: errors.New("deadline"), TimedOut: true})
+	s.JobStarted()
+	s.JobDone(JobEnd{Stage: "opening", Err: errors.New("bad opening")})
+	got := s.Metrics.Snapshot().Counters
+	if got["core/jobs/failed"] != 2 || got["core/jobs/timeouts"] != 1 || got["core/jobs/completed"] != 0 {
+		t.Fatalf("job counters after two failures, one timed out: %v", got)
+	}
+}
+
 func TestInvalidObjectiveDropped(t *testing.T) {
 	var buf bytes.Buffer
-	e := New(Config{
+	e := NewSink(Config{
 		LogOutput: &buf,
 		Objectives: []Objective{
 			{Name: "good", Kind: KindErrorRate, TargetRate: 0.1},
@@ -303,17 +338,17 @@ func TestInvalidObjectiveDropped(t *testing.T) {
 func TestEnableResolve(t *testing.T) {
 	prev := Active()
 	defer Enable(prev)
-	e := New(Config{})
+	e := NewSink(Config{})
 	Enable(e)
 	if Active() != e {
-		t.Fatal("Enable did not install the engine")
+		t.Fatal("Enable did not install the sink")
 	}
 	if Resolve(nil) != e {
-		t.Fatal("Resolve(nil) did not fall back to the global engine")
+		t.Fatal("Resolve(nil) did not fall back to the global sink")
 	}
-	other := New(Config{})
+	other := NewSink(Config{})
 	if Resolve(other) != other {
-		t.Fatal("Resolve ignored the explicit engine")
+		t.Fatal("Resolve ignored the explicit sink")
 	}
 	Enable(nil)
 	if Active() != nil {

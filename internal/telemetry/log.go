@@ -1,11 +1,9 @@
-package obs
+package telemetry
 
 import (
 	"context"
 	"io"
 	"log/slog"
-
-	"batchzk/internal/telemetry"
 )
 
 // Structured event log.
@@ -15,7 +13,8 @@ import (
 // log/slog. The schema contract (kept stable by CI's obs-smoke jq
 // check) is: every record has "time", "level", "msg" (the event name,
 // dot-namespaced like "job.failed"), and "component" (the layer
-// that emitted it: core, gpusim, vml, obs). Everything else is
+// that emitted it: core, service, gpusim, vml, or obs for the health
+// engine). Everything else is
 // typed attributes; the helpers below fix the attribute names the rest
 // of the codebase uses, so "trace_id" is always "trace_id".
 
@@ -23,7 +22,7 @@ import (
 
 // Trace stamps a job's flight-recorder trace id on an event, keying the
 // log line to /debug/telemetry/timeline and the Chrome trace.
-func Trace(id telemetry.TraceID) slog.Attr { return slog.Uint64("trace_id", uint64(id)) }
+func Trace(id TraceID) slog.Attr { return slog.Uint64("trace_id", uint64(id)) }
 
 // Job stamps the caller-assigned job id.
 func Job(id int) slog.Attr { return slog.Int("job_id", id) }
@@ -43,8 +42,8 @@ func Err(err error) slog.Attr {
 	return slog.String("error", err.Error())
 }
 
-// newLogger builds the engine's slog JSON logger. A nil output keeps
-// events off entirely (the engine's metrics/SLO machinery still runs).
+// newLogger builds the sink's slog JSON logger. A nil output keeps
+// events off entirely (the metrics and health machinery still run).
 func newLogger(out io.Writer, level slog.Leveler) *slog.Logger {
 	if out == nil {
 		return nil
@@ -57,14 +56,14 @@ func newLogger(out io.Writer, level slog.Leveler) *slog.Logger {
 
 // Event emits one structured event: level, the emitting component, the
 // dot-namespaced event name (the record's msg), and attributes. Nil-safe
-// on a nil engine and on an engine with logging disabled, so call sites
+// on a nil sink and on a sink with logging disabled, so call sites
 // never guard.
-func (e *Engine) Event(level slog.Level, component, event string, attrs ...slog.Attr) {
-	if e == nil || e.log == nil {
+func (s *Sink) Event(level slog.Level, component, event string, attrs ...slog.Attr) {
+	if s == nil || s.log == nil {
 		return
 	}
 	ctx := context.Background()
-	if !e.log.Enabled(ctx, level) {
+	if !s.log.Enabled(ctx, level) {
 		return
 	}
 	args := make([]any, 0, len(attrs)+1)
@@ -72,28 +71,28 @@ func (e *Engine) Event(level slog.Level, component, event string, attrs ...slog.
 	for _, a := range attrs {
 		args = append(args, a)
 	}
-	e.log.Log(ctx, level, event, args...)
+	s.log.Log(ctx, level, event, args...)
 }
 
-// Package-level event helpers on the process-wide engine, for
-// instrumentation points that do not hold an explicit engine.
+// Package-level event helpers on the process-wide sink, for
+// instrumentation points that do not hold an explicit sink.
 
-// Info logs an info-level event on the active engine.
+// Info logs an info-level event on the active sink.
 func Info(component, event string, attrs ...slog.Attr) {
 	Active().Event(slog.LevelInfo, component, event, attrs...)
 }
 
-// Warn logs a warning-level event on the active engine.
+// Warn logs a warning-level event on the active sink.
 func Warn(component, event string, attrs ...slog.Attr) {
 	Active().Event(slog.LevelWarn, component, event, attrs...)
 }
 
-// Error logs an error-level event on the active engine.
+// Error logs an error-level event on the active sink.
 func Error(component, event string, attrs ...slog.Attr) {
 	Active().Event(slog.LevelError, component, event, attrs...)
 }
 
-// Debug logs a debug-level event on the active engine.
+// Debug logs a debug-level event on the active sink.
 func Debug(component, event string, attrs ...slog.Attr) {
 	Active().Event(slog.LevelDebug, component, event, attrs...)
 }

@@ -358,12 +358,12 @@ func TestGlobalSink(t *testing.T) {
 	if Active() != nil {
 		t.Fatal("telemetry must start disabled")
 	}
-	s := NewSink(16)
+	s := NewSink(Config{})
 	Enable(s)
 	if Active() != s || Resolve(nil) != s {
 		t.Fatal("global sink not resolvable")
 	}
-	other := NewSink(16)
+	other := NewSink(Config{})
 	if Resolve(other) != other {
 		t.Fatal("explicit sink must win")
 	}

@@ -214,7 +214,7 @@ func TestPrometheusNilAndEmpty(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	defer Enable(nil)
-	s := NewSink(64)
+	s := NewSink(Config{})
 	s.Metrics.Counter("http/test").Inc()
 	srv := httptest.NewServer(DebugHandler(s))
 	defer srv.Close()

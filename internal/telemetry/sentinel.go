@@ -1,4 +1,4 @@
-package obs
+package telemetry
 
 import (
 	"fmt"
@@ -7,19 +7,12 @@ import (
 
 // Anomaly sentinel.
 //
-// The sentinel watches live measurement streams — per-kernel ns/element,
-// per-stage latency, per-shard failure rates, SLO burn — and raises
-// structured Alerts when a stream departs from where it should be. Two
-// reference points anchor "should":
-//
-//   - the calibrated roofline floors (batchzk-profile roofline): a
-//     kernel's measured ns/element can never legitimately sit far above
-//     the arithmetic it cannot avoid, so measured > FloorFactor × floor
-//     is a regression regardless of history;
-//   - the recent baseline: an exponentially weighted moving average of
-//     the stream's own past, so drift is caught even for streams with no
-//     analytic floor (ZKProphet's observation that ZKP bottlenecks move
-//     as inputs scale is exactly this failure mode).
+// The sentinel watches live measurement streams — per-stage latency,
+// per-shard failure rates, SLO burn — and raises structured Alerts when
+// a stream departs from where it should be. For a latency stream,
+// "should" is its recent baseline: an exponentially weighted moving
+// average of the stream's own past (ZKProphet's observation that ZKP
+// bottlenecks move as inputs scale is exactly the drift it catches).
 //
 // Alerts are hysteretic: a stream must breach for RaiseAfter consecutive
 // observations to raise and recover for ClearAfter consecutive
@@ -30,10 +23,9 @@ import (
 
 // Alert kinds.
 const (
-	AlertKernelRegression = "kernel-regression"
-	AlertStageRegression  = "stage-regression"
-	AlertShardFailures    = "shard-failure-rate"
-	AlertSLOBurn          = "slo-burn"
+	AlertStageRegression = "stage-regression"
+	AlertShardFailures   = "shard-failure-rate"
+	AlertSLOBurn         = "slo-burn"
 	// AlertQuarantineStorm fires on a storm of failed jobs; the name
 	// dates from when every failure was dead-lettered.
 	AlertQuarantineStorm = "quarantine-storm"
@@ -45,6 +37,16 @@ const (
 // noise, and a slowdown that small costs a job little. A millisecond or
 // more per job is worth an alert.
 const minStageExcessNs = 1e6
+
+// minStageBreachNs is how long, in ns of the sink clock, a stage must
+// stay in breach before its alert raises. Host contention stretches a
+// fast stage in bursts: on 2 vCPUs under the race detector a 1 ms stage
+// runs 3–9× its baseline for a few consecutive jobs, bursts of 5–20 ms,
+// so RaiseAfter observations of it span only milliseconds of noise. A
+// regression worth an operator's attention outlasts a second; for a
+// stage of half a second or more, the default RaiseAfter of 3
+// observations already spans that long.
+const minStageBreachNs = 1e9
 
 // Alert severities. Critical alerts flip /readyz to not-ready.
 const (
@@ -58,11 +60,11 @@ type Alert struct {
 	ID       int64  `json:"id"`
 	Kind     string `json:"kind"`
 	Severity string `json:"severity"`
-	// Subject names the degraded thing: a kernel, a stage, "shard/3", an
-	// objective name.
+	// Subject names the degraded thing: a stage, "shard/3", an objective
+	// name.
 	Subject string `json:"subject"`
 	// Value is the observation that breached; Baseline is the reference
-	// it was judged against (EWMA, floor, fleet rate, or burn threshold).
+	// it was judged against (EWMA, fleet rate, or burn threshold).
 	Value    float64 `json:"value"`
 	Baseline float64 `json:"baseline"`
 	// Reason is the human-readable one-liner.
@@ -83,10 +85,6 @@ type SentinelConfig struct {
 	// DegradeFactor raises when value > DegradeFactor × EWMA baseline
 	// (default 2.5).
 	DegradeFactor float64
-	// FloorFactor raises when value > FloorFactor × the subject's
-	// calibrated roofline floor (default 8; floors describe serial
-	// arithmetic lower bounds, so honest measurements sit a few × above).
-	FloorFactor float64
 	// MinSamples is the EWMA warm-up: no baseline judgment before this
 	// many observations of a stream (default 8).
 	MinSamples int
@@ -106,9 +104,6 @@ func (c SentinelConfig) withDefaults() SentinelConfig {
 	if c.DegradeFactor <= 1 {
 		c.DegradeFactor = 2.5
 	}
-	if c.FloorFactor <= 1 {
-		c.FloorFactor = 8
-	}
 	if c.MinSamples < 1 {
 		c.MinSamples = 8
 	}
@@ -126,10 +121,11 @@ func (c SentinelConfig) withDefaults() SentinelConfig {
 
 // track is one watched stream's state.
 type track struct {
-	ewma    float64
-	n       int
-	breach  int // consecutive breaching observations
-	healthy int // consecutive healthy observations
+	ewma        float64
+	n           int
+	breach      int   // consecutive breaching observations
+	breachSince int64 // nowNs of the streak's first breach
+	healthy     int   // consecutive healthy observations
 }
 
 // Sentinel holds the tracked baselines and the alert ledger. Safe for
@@ -138,7 +134,6 @@ type Sentinel struct {
 	cfg SentinelConfig
 
 	mu     sync.Mutex
-	floors map[string]float64
 	tracks map[string]*track
 	active map[string]*Alert // key → the live alert
 	log    []Alert           // raised alerts, oldest first, capped
@@ -154,35 +149,15 @@ type Sentinel struct {
 func NewSentinel(cfg SentinelConfig) *Sentinel {
 	return &Sentinel{
 		cfg:    cfg.withDefaults(),
-		floors: map[string]float64{},
 		tracks: map[string]*track{},
 		active: map[string]*Alert{},
 	}
 }
 
-// SetFloor installs (or updates) subject's calibrated roofline floor in
-// ns/element. Nil-safe.
-func (s *Sentinel) SetFloor(subject string, floorNsPerElement float64) {
-	if s == nil || floorNsPerElement <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.floors[subject] = floorNsPerElement
-	s.mu.Unlock()
-}
-
-// SetFloors installs a batch of roofline floors. Nil-safe.
-func (s *Sentinel) SetFloors(floors map[string]float64) {
-	for k, v := range floors {
-		s.SetFloor(k, v)
-	}
-}
-
 // Observe feeds one measurement of a stream identified by (kind,
-// subject): per-kernel or per-stage ns values. The sentinel judges it
-// against the subject's roofline floor (when one is installed) and its
-// EWMA baseline, applies hysteresis, and returns the alert raised by
-// this observation (nil otherwise). Nil-safe.
+// subject), such as a stage's latency in ns. The sentinel judges it
+// against the stream's EWMA baseline, applies hysteresis, and returns
+// the alert raised by this observation (nil otherwise). Nil-safe.
 func (s *Sentinel) Observe(kind, subject string, value float64, nowNs int64) *Alert {
 	if s == nil || value < 0 {
 		return nil
@@ -196,23 +171,17 @@ func (s *Sentinel) Observe(kind, subject string, value float64, nowNs int64) *Al
 		s.tracks[key] = t
 	}
 
-	breach := false
-	baseline := 0.0
-	reason := ""
-	if floor, ok := s.floors[subject]; ok && value > s.cfg.FloorFactor*floor {
-		breach = true
-		baseline = floor
-		reason = fmt.Sprintf("%s at %.1f ns/elem exceeds %gx its calibrated roofline floor (%.1f ns/elem)",
-			subject, value, s.cfg.FloorFactor, floor)
+	breach := t.n >= s.cfg.MinSamples && value > s.cfg.DegradeFactor*t.ewma &&
+		(kind != AlertStageRegression || value-t.ewma >= minStageExcessNs)
+	baseline, reason, minSpan := 0.0, "", int64(0)
+	if kind == AlertStageRegression {
+		minSpan = minStageBreachNs
 	}
-	if !breach && t.n >= s.cfg.MinSamples && value > s.cfg.DegradeFactor*t.ewma &&
-		(kind != AlertStageRegression || value-t.ewma >= minStageExcessNs) {
-		breach = true
+	if breach {
 		baseline = t.ewma
 		reason = fmt.Sprintf("%s at %.1f exceeds %gx its recent baseline (%.1f)",
 			subject, value, s.cfg.DegradeFactor, t.ewma)
-	}
-	if !breach {
+	} else {
 		// Fold healthy samples into the baseline; breaching samples are
 		// excluded so the anomaly cannot become the new normal.
 		if t.n == 0 {
@@ -222,7 +191,7 @@ func (s *Sentinel) Observe(kind, subject string, value float64, nowNs int64) *Al
 		}
 		t.n++
 	}
-	return s.judgeLocked(key, kind, subject, SeverityWarning, t, breach, value, baseline, reason, nowNs)
+	return s.judgeLocked(key, kind, subject, SeverityWarning, t, breach, value, baseline, reason, nowNs, minSpan)
 }
 
 // Judge applies pure hysteresis to a stream the caller has already
@@ -243,16 +212,20 @@ func (s *Sentinel) Judge(kind, subject, severity string, breach bool, value, bas
 		t = &track{}
 		s.tracks[key] = t
 	}
-	return s.judgeLocked(key, kind, subject, severity, t, breach, value, baseline, reason, nowNs)
+	return s.judgeLocked(key, kind, subject, severity, t, breach, value, baseline, reason, nowNs, 0)
 }
 
-// judgeLocked runs the raise/clear hysteresis for one observation; the
-// caller holds s.mu.
-func (s *Sentinel) judgeLocked(key, kind, subject, severity string, t *track, breach bool, value, baseline float64, reason string, nowNs int64) *Alert {
+// judgeLocked runs the raise/clear hysteresis for one observation: a
+// streak raises once it is RaiseAfter observations long and spans at
+// least minSpanNs. The caller holds s.mu.
+func (s *Sentinel) judgeLocked(key, kind, subject, severity string, t *track, breach bool, value, baseline float64, reason string, nowNs, minSpanNs int64) *Alert {
 	if breach {
+		if t.breach == 0 {
+			t.breachSince = nowNs
+		}
 		t.breach++
 		t.healthy = 0
-		if t.breach >= s.cfg.RaiseAfter && s.active[key] == nil {
+		if t.breach >= s.cfg.RaiseAfter && nowNs-t.breachSince >= minSpanNs && s.active[key] == nil {
 			s.nextID++
 			a := Alert{
 				ID: s.nextID, Kind: kind, Severity: severity, Subject: subject,

@@ -1,20 +1,26 @@
-package obs
+package telemetry
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func testSentinel() *Sentinel {
 	return NewSentinel(SentinelConfig{
-		Alpha: 0.2, DegradeFactor: 2, FloorFactor: 4,
+		Alpha: 0.2, DegradeFactor: 2,
 		MinSamples: 4, RaiseAfter: 3, ClearAfter: 3,
 	})
 }
 
+// driftKind is a stream kind with no stage-excess floor, so small values
+// exercise the EWMA judgment directly.
+const driftKind = "drift"
+
 // stageNs and slowStageNs are a healthy stage latency and a 10× slowdown
 // of it, in ns: large enough that the excess clears minStageExcessNs.
-const stageNs, slowStageNs = 10e6, 100e6
+// stageStepNs spaces a stage stream's observations so that RaiseAfter
+// (3) consecutive breaches span minStageBreachNs.
+const (
+	stageNs, slowStageNs = 10e6, 100e6
+	stageStepNs          = minStageBreachNs / 2
+)
 
 // feedHealthy warms a stream's EWMA baseline past MinSamples.
 func feedHealthy(s *Sentinel, kind, subject string, v float64, n int) {
@@ -25,19 +31,19 @@ func feedHealthy(s *Sentinel, kind, subject string, v float64, n int) {
 
 func TestSentinelRaisesAfterConsecutiveBreaches(t *testing.T) {
 	s := testSentinel()
-	feedHealthy(s, AlertKernelRegression, "ntt", 100, 8)
+	feedHealthy(s, driftKind, "ntt", 100, 8)
 	// Two breaches: below RaiseAfter, no alert yet.
-	if a := s.Observe(AlertKernelRegression, "ntt", 1000, 100); a != nil {
+	if a := s.Observe(driftKind, "ntt", 1000, 100); a != nil {
 		t.Fatalf("alert after 1 breach: %+v", a)
 	}
-	if a := s.Observe(AlertKernelRegression, "ntt", 1000, 101); a != nil {
+	if a := s.Observe(driftKind, "ntt", 1000, 101); a != nil {
 		t.Fatalf("alert after 2 breaches: %+v", a)
 	}
-	a := s.Observe(AlertKernelRegression, "ntt", 1000, 102)
+	a := s.Observe(driftKind, "ntt", 1000, 102)
 	if a == nil {
 		t.Fatal("no alert after RaiseAfter consecutive breaches")
 	}
-	if a.Kind != AlertKernelRegression || a.Subject != "ntt" || !a.Active() {
+	if a.Kind != driftKind || a.Subject != "ntt" || !a.Active() {
 		t.Fatalf("bad alert: %+v", a)
 	}
 	if a.Baseline != 100 {
@@ -47,7 +53,7 @@ func TestSentinelRaisesAfterConsecutiveBreaches(t *testing.T) {
 		t.Fatalf("active alerts = %d, want 1", len(s.ActiveAlerts()))
 	}
 	// Continued breaching must not raise duplicates.
-	if a := s.Observe(AlertKernelRegression, "ntt", 1000, 103); a != nil {
+	if a := s.Observe(driftKind, "ntt", 1000, 103); a != nil {
 		t.Fatalf("duplicate alert while active: %+v", a)
 	}
 	if len(s.ActiveAlerts()) != 1 {
@@ -81,23 +87,24 @@ func TestSentinelClearsAfterRecovery(t *testing.T) {
 	s := testSentinel()
 	feedHealthy(s, AlertStageRegression, "opening", stageNs, 8)
 	for i := 0; i < 3; i++ {
-		s.Observe(AlertStageRegression, "opening", slowStageNs, int64(100+i))
+		s.Observe(AlertStageRegression, "opening", slowStageNs, int64(100+i*stageStepNs))
 	}
 	if len(s.ActiveAlerts()) != 1 {
 		t.Fatal("breach did not raise")
 	}
 	// Two healthy observations: not enough to clear.
-	s.Observe(AlertStageRegression, "opening", stageNs, 200)
-	s.Observe(AlertStageRegression, "opening", stageNs, 201)
+	const healthyNs = 100 + 3*stageStepNs
+	s.Observe(AlertStageRegression, "opening", stageNs, healthyNs)
+	s.Observe(AlertStageRegression, "opening", stageNs, healthyNs+1)
 	if len(s.ActiveAlerts()) != 1 {
 		t.Fatal("alert cleared before ClearAfter healthy observations")
 	}
-	s.Observe(AlertStageRegression, "opening", stageNs, 202)
+	s.Observe(AlertStageRegression, "opening", stageNs, healthyNs+2)
 	if len(s.ActiveAlerts()) != 0 {
 		t.Fatal("alert did not clear after ClearAfter healthy observations")
 	}
 	hist := s.Alerts()
-	if len(hist) != 1 || hist[0].Active() || hist[0].ClearedNs != 202 {
+	if len(hist) != 1 || hist[0].Active() || hist[0].ClearedNs != healthyNs+2 {
 		t.Fatalf("history after clear: %+v", hist)
 	}
 }
@@ -111,7 +118,7 @@ func TestSentinelStageExcessFloor(t *testing.T) {
 	s := NewSentinel(SentinelConfig{})
 	now := int64(0)
 	observe := func(subject string, v float64) *Alert {
-		now++
+		now += stageStepNs
 		return s.Observe(AlertStageRegression, subject, v, now)
 	}
 	for i := range 20 {
@@ -140,17 +147,53 @@ func TestSentinelStageExcessFloor(t *testing.T) {
 	}
 }
 
+// TestSentinelStageBreachSpan drives a 1 ms stage finishing every 2 ms:
+// a contention burst of five jobs at 5× — what two vCPUs under the race
+// detector do to the commit stage — never raises, because the streak
+// spans less than minStageBreachNs; the same slowdown held raises at the
+// first observation a full minStageBreachNs into its streak.
+func TestSentinelStageBreachSpan(t *testing.T) {
+	s := NewSentinel(SentinelConfig{})
+	now := int64(0)
+	observe := func(v float64) *Alert {
+		now += 2e6
+		return s.Observe(AlertStageRegression, "commit", v, now)
+	}
+	for range 20 {
+		observe(1.1e6)
+	}
+	for i := range 5 {
+		if a := observe(5e6); a != nil {
+			t.Fatalf("burst raised at observation %d: %+v", i, a)
+		}
+	}
+	for range 3 {
+		observe(1.1e6)
+	}
+	streak := now + 2e6
+	var a *Alert
+	for a == nil && now < streak+2*minStageBreachNs {
+		a = observe(5e6)
+	}
+	if a == nil {
+		t.Fatal("sustained slowdown never raised")
+	}
+	if span := a.RaisedNs - streak; span != minStageBreachNs {
+		t.Fatalf("raised %d ns into the streak, want %d", span, int64(minStageBreachNs))
+	}
+}
+
 // TestSentinelEWMAFrozenDuringBreach: the baseline must not absorb
 // breaching samples, or the anomaly would become the new normal and the
 // alert would self-clear while the regression persists.
 func TestSentinelEWMAFrozenDuringBreach(t *testing.T) {
 	s := testSentinel()
-	feedHealthy(s, AlertKernelRegression, "msm", 100, 8)
+	feedHealthy(s, driftKind, "msm", 100, 8)
 	// A long sustained regression: if the EWMA chased it, later samples at
 	// the same degraded level would stop counting as breaches.
 	raised := false
 	for i := 0; i < 50; i++ {
-		if a := s.Observe(AlertKernelRegression, "msm", 1000, int64(100+i)); a != nil {
+		if a := s.Observe(driftKind, "msm", 1000, int64(100+i)); a != nil {
 			raised = true
 		}
 	}
@@ -162,35 +205,10 @@ func TestSentinelEWMAFrozenDuringBreach(t *testing.T) {
 	}
 	// Recovery to the original level must clear against the original baseline.
 	for i := 0; i < 3; i++ {
-		s.Observe(AlertKernelRegression, "msm", 100, int64(200+i))
+		s.Observe(driftKind, "msm", 100, int64(200+i))
 	}
 	if len(s.ActiveAlerts()) != 0 {
 		t.Fatal("alert did not clear after recovery to the original level")
-	}
-}
-
-// TestSentinelRooflineFloor: a value far above the calibrated floor
-// breaches immediately, before any EWMA history exists.
-func TestSentinelRooflineFloor(t *testing.T) {
-	s := testSentinel()
-	s.SetFloor("ntt-butterfly", 10) // floor 10 ns/elem, FloorFactor 4
-	var a *Alert
-	for i := 0; i < 3; i++ {
-		a = s.Observe(AlertKernelRegression, "ntt-butterfly", 100, int64(i))
-	}
-	if a == nil {
-		t.Fatal("floor breach with no EWMA history did not raise")
-	}
-	if a.Baseline != 10 || !strings.Contains(a.Reason, "roofline floor") {
-		t.Fatalf("floor alert: baseline=%v reason=%q", a.Baseline, a.Reason)
-	}
-	// Within FloorFactor × floor is healthy regardless of magnitude.
-	s2 := testSentinel()
-	s2.SetFloor("ntt-butterfly", 10)
-	for i := 0; i < 20; i++ {
-		if a := s2.Observe(AlertKernelRegression, "ntt-butterfly", 39, int64(i)); a != nil {
-			t.Fatalf("value under FloorFactor×floor raised: %+v", a)
-		}
 	}
 }
 
@@ -220,8 +238,8 @@ func TestSentinelIndependentStreams(t *testing.T) {
 	feedHealthy(s, AlertStageRegression, "commit", stageNs, 8)
 	feedHealthy(s, AlertStageRegression, "opening", stageNs, 8)
 	for i := 0; i < 3; i++ {
-		s.Observe(AlertStageRegression, "commit", slowStageNs, int64(100+i))
-		s.Observe(AlertStageRegression, "opening", stageNs, int64(100+i))
+		s.Observe(AlertStageRegression, "commit", slowStageNs, int64(100+i*stageStepNs))
+		s.Observe(AlertStageRegression, "opening", stageNs, int64(100+i*stageStepNs))
 	}
 	active := s.ActiveAlerts()
 	if len(active) != 1 || active[0].Subject != "commit" {
@@ -231,8 +249,6 @@ func TestSentinelIndependentStreams(t *testing.T) {
 
 func TestSentinelNilSafe(t *testing.T) {
 	var s *Sentinel
-	s.SetFloor("x", 1)
-	s.SetFloors(map[string]float64{"y": 2})
 	if a := s.Observe("k", "s", 1, 0); a != nil {
 		t.Fatal("nil sentinel observed")
 	}
@@ -248,8 +264,8 @@ func TestSentinelAlertCap(t *testing.T) {
 	s := NewSentinel(SentinelConfig{MinSamples: 1, RaiseAfter: 1, ClearAfter: 1, AlertCap: 4, DegradeFactor: 2})
 	for i := 0; i < 10; i++ {
 		subj := "s" + string(rune('a'+i))
-		feedHealthy(s, AlertKernelRegression, subj, 100, 2)
-		s.Observe(AlertKernelRegression, subj, 1000, int64(100+i))
+		feedHealthy(s, driftKind, subj, 100, 2)
+		s.Observe(driftKind, subj, 1000, int64(100+i))
 	}
 	if n := len(s.Alerts()); n != 4 {
 		t.Fatalf("alert history = %d entries, want capped at 4", n)

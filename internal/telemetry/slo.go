@@ -1,4 +1,4 @@
-package obs
+package telemetry
 
 import (
 	"fmt"
@@ -72,20 +72,20 @@ func (o Objective) validate() error {
 	switch o.Kind {
 	case KindLatency:
 		if o.Quantile <= 0 || o.Quantile >= 1 {
-			return fmt.Errorf("obs: objective %q: latency quantile %v outside (0,1)", o.Name, o.Quantile)
+			return fmt.Errorf("telemetry: objective %q: latency quantile %v outside (0,1)", o.Name, o.Quantile)
 		}
 		if o.TargetNs <= 0 {
-			return fmt.Errorf("obs: objective %q: latency target %d ≤ 0", o.Name, o.TargetNs)
+			return fmt.Errorf("telemetry: objective %q: latency target %d ≤ 0", o.Name, o.TargetNs)
 		}
 	case KindErrorRate:
 		if o.TargetRate <= 0 || o.TargetRate >= 1 {
-			return fmt.Errorf("obs: objective %q: error-rate target %v outside (0,1)", o.Name, o.TargetRate)
+			return fmt.Errorf("telemetry: objective %q: error-rate target %v outside (0,1)", o.Name, o.TargetRate)
 		}
 	default:
-		return fmt.Errorf("obs: objective %q: unknown kind %q", o.Name, o.Kind)
+		return fmt.Errorf("telemetry: objective %q: unknown kind %q", o.Name, o.Kind)
 	}
 	if o.Name == "" {
-		return fmt.Errorf("obs: objective with empty name")
+		return fmt.Errorf("telemetry: objective with empty name")
 	}
 	return nil
 }

@@ -14,8 +14,9 @@ type SpanID uint64
 
 // Span is one completed timed region. Two clock domains coexist:
 //
-//   - wall spans (Begin/End) measure real elapsed time with the
-//     monotonic clock, with StartNs relative to the tracer's epoch;
+//   - wall spans (Begin/End) measure elapsed time on the tracer's clock
+//     (the sink's clock; time.Now for a standalone tracer), with StartNs
+//     relative to the tracer's epoch;
 //   - simulated spans (Add) carry model-derived timestamps, e.g.
 //     gpusim's kernel occupancy windows.
 //
@@ -43,6 +44,7 @@ func (s Span) End() float64 { return s.Start + s.Dur }
 // always represented. All methods are safe for concurrent use and no-ops
 // on a nil receiver.
 type Tracer struct {
+	now    func() time.Time
 	epoch  time.Time
 	nextID atomic.Uint64
 
@@ -58,12 +60,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	return &Tracer{epoch: time.Now(), ring: make([]Span, 0, capacity)}
-}
-
-// sinceEpoch is the wall-clock offset in ns (monotonic-clock backed).
-func (t *Tracer) sinceEpoch() float64 {
-	return float64(time.Since(t.epoch).Nanoseconds())
+	return &Tracer{now: time.Now, epoch: time.Now(), ring: make([]Span, 0, capacity)}
 }
 
 func (t *Tracer) record(s Span) {
@@ -103,13 +100,17 @@ func (a *ActiveSpan) SetTrace(id TraceID) {
 	a.span.Trace = id
 }
 
-// End records the span with its measured wall duration.
-func (a *ActiveSpan) End() {
+// End records the span with its measured wall duration and returns that
+// duration in ns (0 on nil), so a caller can hand the same measurement
+// on to the sink's other recorders.
+func (a *ActiveSpan) End() int64 {
 	if a == nil {
-		return
+		return 0
 	}
-	a.span.Dur = float64(time.Since(a.start).Nanoseconds())
+	ns := a.t.now().Sub(a.start).Nanoseconds()
+	a.span.Dur = float64(ns)
 	a.t.record(a.span)
+	return ns
 }
 
 // Begin opens a wall-clock span. task is the job/task id (-1 = none).
@@ -118,7 +119,7 @@ func (t *Tracer) Begin(layer, name string, parent SpanID, tid, task int) *Active
 	if t == nil {
 		return nil
 	}
-	now := time.Now()
+	now := t.now()
 	return &ActiveSpan{
 		t:     t,
 		start: now,

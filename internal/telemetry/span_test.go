@@ -14,11 +14,14 @@ import (
 )
 
 func TestTracerWallSpans(t *testing.T) {
-	tr := NewTracer(64)
+	clk := &fakeClock{ns: int64(time.Hour)}
+	tr := NewSink(Config{Now: clk.now}).Tracer
 	root := tr.Begin("core", "job", 0, 0, 7)
+	clk.advance(time.Microsecond)
 	child := tr.Begin("core", "stage/commit", root.ID(), 1, 7)
-	time.Sleep(time.Millisecond)
+	clk.advance(time.Millisecond)
 	child.End()
+	clk.advance(time.Microsecond)
 	root.End()
 
 	spans := tr.Spans()
@@ -33,8 +36,11 @@ func TestTracerWallSpans(t *testing.T) {
 	if c.Parent != r.ID {
 		t.Fatal("parent link broken")
 	}
-	if c.Dur <= 0 || r.Dur < c.Dur {
+	if c.Dur != float64(time.Millisecond) || r.Dur != float64(time.Millisecond+2*time.Microsecond) {
 		t.Fatalf("durations: child %.0f root %.0f", c.Dur, r.Dur)
+	}
+	if r.Start != 0 || c.Start != float64(time.Microsecond) {
+		t.Fatalf("starts on the sink clock: child %.0f root %.0f", c.Start, r.Start)
 	}
 	if c.Start < r.Start || c.End() > r.End()+1 {
 		t.Fatal("child span escapes parent interval")
@@ -175,7 +181,7 @@ func TestJSONLExport(t *testing.T) {
 }
 
 func TestSinkDump(t *testing.T) {
-	s := NewSink(16)
+	s := NewSink(Config{})
 	s.Counter("c").Inc()
 	s.Tracer.Add("gpusim", "k", 0, 0, -1, 0, 1)
 	dir := t.TempDir() + "/out"
@@ -194,7 +200,7 @@ func TestSinkDump(t *testing.T) {
 }
 
 func TestDebugHandler(t *testing.T) {
-	s := NewSink(16)
+	s := NewSink(Config{})
 	s.Counter("core/jobs/completed").Add(2)
 	s.Tracer.Add("gpusim", "k", 0, 0, -1, 0, 1)
 	srv := httptest.NewServer(DebugHandler(s))

@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"batchzk/internal/nn"
-	"batchzk/internal/obs"
 	"batchzk/internal/protocol"
 	"batchzk/internal/telemetry"
 )
@@ -113,19 +112,19 @@ func (s *Service) Handler() http.Handler {
 		trace := telemetry.TraceIDFrom(ctx)
 		preds, err := s.HandleBatchContext(ctx, []*nn.Tensor{img})
 		if err != nil {
-			obs.Warn("vml", "predict.rejected", obs.Trace(trace), obs.Err(err))
+			telemetry.Warn("vml", "predict.rejected", telemetry.Trace(trace), telemetry.Err(err))
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
 		p := preds[0]
 		if p.Err != nil {
-			obs.Error("vml", "predict.failed", obs.Trace(trace), obs.Err(p.Err))
+			telemetry.Error("vml", "predict.failed", telemetry.Trace(trace), telemetry.Err(p.Err))
 			http.Error(w, "proving failed: "+p.Err.Error(), http.StatusInternalServerError)
 			return
 		}
 		blob, err := p.Proof.MarshalBinary()
 		if err != nil {
-			obs.Error("vml", "predict.serialize_failed", obs.Trace(trace), obs.Err(err))
+			telemetry.Error("vml", "predict.serialize_failed", telemetry.Trace(trace), telemetry.Err(err))
 			http.Error(w, "serialization failed: "+err.Error(), http.StatusInternalServerError)
 			return
 		}

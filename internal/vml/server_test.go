@@ -140,7 +140,7 @@ func TestHTTPTamperedProofDetected(t *testing.T) {
 // response echoes the id the job ran under, so a customer can correlate
 // their request with the provider's per-job timeline.
 func TestHTTPTraceIDRoundTrip(t *testing.T) {
-	sink := telemetry.NewSink(0)
+	sink := telemetry.NewSink(telemetry.Config{})
 	telemetry.Enable(sink)
 	defer telemetry.Enable(nil)
 

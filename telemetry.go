@@ -3,34 +3,74 @@ package batchzk
 import (
 	"context"
 	"net/http"
-	"time"
 
 	"batchzk/internal/telemetry"
 )
 
-// TelemetrySink bundles the metrics registry and span tracer that the
-// instrumented layers (batch prover, pipelined modules, GPU simulator)
-// record into. Dump(dir) writes metrics.json, trace.json (Chrome
-// trace_event format — load in chrome://tracing or ui.perfetto.dev) and
-// spans.jsonl.
+// TelemetrySink is the one observation layer the instrumented layers
+// (batch prover, gateway, pipelined modules, GPU simulator, vml service)
+// record into: the metrics registry, the span tracer, the per-job flight
+// recorder, and the health engine that judges them — the structured JSON
+// event log, the SLO engine (windowed objectives, multi-window burn
+// rates, error budgets) and the anomaly sentinel (EWMA stage-regression
+// alerts, shard-vs-fleet failure divergence, failed-job storm readiness
+// gating). Dump(dir) writes metrics.json, trace.json (Chrome
+// trace_event format — load in chrome://tracing or ui.perfetto.dev),
+// spans.jsonl and timeline.json; Health() is the snapshot
+// `batchzk-top` renders.
 type TelemetrySink = telemetry.Sink
 
-// NewTelemetrySink builds a sink with the default span-ring capacity.
-func NewTelemetrySink() *TelemetrySink { return telemetry.NewSink(0) }
+// TelemetryConfig assembles a sink; the zero value logs nothing and uses
+// the default objectives (e2e p99 ≤ 250ms, error rate ≤ 2%), windows,
+// thresholds and the wall clock.
+type TelemetryConfig = telemetry.Config
+
+// NewTelemetrySink builds a sink from cfg.
+func NewTelemetrySink(cfg TelemetryConfig) *TelemetrySink { return telemetry.NewSink(cfg) }
 
 // EnableTelemetry installs s as the process-wide sink: every prover run,
-// pipelined module schedule, and simulated device run records into it
-// until EnableTelemetry(nil) turns telemetry off again.
+// gateway, pipelined module schedule, and simulated device run records
+// into it until EnableTelemetry(nil) turns telemetry off again.
 func EnableTelemetry(s *TelemetrySink) { telemetry.Enable(s) }
 
 // ActiveTelemetry returns the process-wide sink, or nil when disabled.
 func ActiveTelemetry() *TelemetrySink { return telemetry.Active() }
 
+// ObsObjective is one configurable service-level objective (a latency
+// quantile bound or an error-rate bound).
+type ObsObjective = telemetry.Objective
+
+// ObsObjectiveStatus is one objective's point-in-time evaluation:
+// windowed value, attainment, fast/slow burn rates, budget remaining.
+type ObsObjectiveStatus = telemetry.ObjectiveStatus
+
+// ObsSnapshot is the operator view served on /debug/obs/slo.
+type ObsSnapshot = telemetry.HealthSnapshot
+
+// ObsAlert is one structured sentinel finding (stage regression, shard
+// failure divergence, SLO burn, failed-job storm).
+type ObsAlert = telemetry.Alert
+
+// ObsSentinelConfig tunes the anomaly sentinel inside a TelemetryConfig
+// (EWMA smoothing, regression factor, hysteresis depths).
+type ObsSentinelConfig = telemetry.SentinelConfig
+
+// Objective kinds and alert severities, re-exported for configuration.
+const (
+	ObsKindLatency      = telemetry.KindLatency
+	ObsKindErrorRate    = telemetry.KindErrorRate
+	ObsSeverityWarning  = telemetry.SeverityWarning
+	ObsSeverityCritical = telemetry.SeverityCritical
+)
+
+// DefaultObsObjectives returns the stock service objectives.
+func DefaultObsObjectives() []ObsObjective { return telemetry.DefaultObjectives() }
+
 // ServeTelemetryDebug starts an HTTP debug server on addr exposing
-// /debug/vars (expvar), /debug/pprof/..., /debug/telemetry (metrics
-// snapshot), /debug/telemetry/trace and /debug/telemetry/spans. A nil
-// sink follows the process-wide one. The server runs until the returned
-// *http.Server is closed.
+// /metrics, /debug/vars (expvar), /debug/pprof/..., /debug/telemetry
+// (metrics snapshot), /debug/telemetry/{trace,spans,timeline}, /healthz,
+// /readyz and /debug/obs/slo. A nil sink follows the process-wide one.
+// The server runs until the returned *http.Server is closed.
 func ServeTelemetryDebug(addr string, s *TelemetrySink) (*http.Server, error) {
 	return telemetry.ServeDebug(addr, s)
 }
@@ -55,22 +95,6 @@ func TraceIDFrom(ctx context.Context) TraceID { return telemetry.TraceIDFrom(ctx
 // spans, and emit (with the error of a failed job).
 type JobTimeline = telemetry.JobTimeline
 
-// SLOSummary aggregates the flight recorder's completed timelines into
-// per-job service-level numbers: e2e latency percentiles, queue-wait
-// p99, and per-stage cost attribution shares.
-type SLOSummary = telemetry.SLOSummary
-
 // FlightRecorder is the sink's per-job timeline store. Obtain one from
 // a TelemetrySink via FlightRecorder(); all methods are nil-safe.
 type FlightRecorder = telemetry.FlightRecorder
-
-// MemSampler is a background runtime.ReadMemStats sampler with named
-// phases and per-phase heap high-water marks, feeding mem/* gauges on
-// the sink's registry (peaks surface on /metrics and expvar).
-type MemSampler = telemetry.MemSampler
-
-// StartMemSampler starts a memory sampler ticking every interval
-// (0 = the 10ms default) into sink (nil = the process-wide sink).
-func StartMemSampler(sink *TelemetrySink, interval time.Duration) *MemSampler {
-	return telemetry.StartMemSampler(sink, interval)
-}

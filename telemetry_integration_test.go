@@ -19,7 +19,7 @@ import (
 // trace_event export holding correctly nested spans from the "core",
 // "pipeline", and "gpusim" layers.
 func TestTelemetryCrossLayer(t *testing.T) {
-	sink := NewTelemetrySink()
+	sink := NewTelemetrySink(TelemetryConfig{})
 	EnableTelemetry(sink)
 	defer EnableTelemetry(nil)
 
