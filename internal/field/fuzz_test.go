@@ -18,9 +18,9 @@ import (
 func FuzzElementDecoding(f *testing.F) {
 	f.Add(make([]byte, 32))
 	f.Add(bytes.Repeat([]byte{0xff}, 32))
-	f.Add(Modulus().Bytes())                              // exactly r: must be rejected
+	f.Add(Modulus().Bytes())                                  // exactly r: must be rejected
 	f.Add(new(big.Int).Sub(Modulus(), big.NewInt(1)).Bytes()) // r−1: canonical maximum
-	f.Add([]byte{1, 2, 3})                                // short input (wide path only)
+	f.Add([]byte{1, 2, 3})                                    // short input (wide path only)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= Bytes {
 			var enc [Bytes]byte
@@ -72,7 +72,8 @@ func FuzzElementDecoding(f *testing.F) {
 // FuzzFieldArith extends the decode corpus to the unrolled arithmetic:
 // arbitrary bytes are split into two wide-reduced elements and the
 // hot-path Mul/Square/Inverse are checked against the retained generic
-// references and the big.Int ground truth.
+// references and the big.Int ground truth, and the assembly kernels
+// (where the CPU has them) against the Go ones (checkPaths).
 func FuzzFieldArith(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
@@ -83,6 +84,7 @@ func FuzzFieldArith(f *testing.F) {
 		var x, y Element
 		x.SetBytesWide(data[:half])
 		y.SetBytesWide(data[half:])
+		checkPaths(t, x, y)
 
 		var mul, mulRef Element
 		mul.Mul(&x, &y)
