@@ -9,11 +9,9 @@ import (
 	"batchzk/internal/encoder"
 	"batchzk/internal/field"
 	"batchzk/internal/gpusim"
-	"batchzk/internal/pcs"
 	"batchzk/internal/perfmodel"
 	"batchzk/internal/pipeline"
 	"batchzk/internal/protocol"
-	"batchzk/internal/transcript"
 )
 
 // Alloc reproduces the resource-allocation worked example of §4: the
@@ -189,7 +187,8 @@ func AblationMultiGPU() (*Table, error) {
 
 // ProofSize measures real serialized proof sizes across circuit scales
 // (the paper, §2.1: proofs of this protocol family "reach several MB"),
-// including the shared-path saving of the compact openings.
+// including what the opening's shared Merkle siblings save against one
+// path per challenged column (t·depth digests).
 func ProofSize() (*Table, error) {
 	t := &Table{
 		ID:     "proofsize",
@@ -213,17 +212,7 @@ func ProofSize() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Compact-opening comparison on the same commitment layout.
-		st, err := pcs.Commit(make([]field.Element, p.NumWires), p.PCS)
-		if err != nil {
-			return nil, err
-		}
-		point := field.RandVector(log2i(p.NumWires))
-		compactProof, _, err := st.ProveEvalCompact(point, newTr())
-		if err != nil {
-			return nil, err
-		}
-		shared, indep := compactProof.PathDigests()
+		shared, indep := len(proof.PCSProof.Siblings), p.PCS.NumOpenings*proof.Commitment.TreeDepth()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", gates),
 			fmt.Sprintf("%d", p.NumWires),
@@ -235,8 +224,6 @@ func ProofSize() (*Table, error) {
 		"opened columns dominate; size grows ≈√S with the matrix rows, reaching MBs at the paper's 2^18+ scales")
 	return t, nil
 }
-
-func newTr() *transcript.Transcript { return transcript.New("bench/proofsize") }
 
 // AblationPipeline measures the *real executed* software pipeline: the
 // batch prover's wall-clock throughput against a strictly sequential

@@ -13,11 +13,13 @@ import (
 )
 
 // goldenProofDigest is the SHA-256 of the serialized proofs of three fixed
-// jobs over a fixed 2^8-gate circuit, as every build since the BZK1 wire
-// format has produced them. Proof bytes are the contract: a change to
-// hashing, the transcript, the commit paths or the sum-check provers that
-// moves this digest has changed what verifiers see, however fast it is.
-const goldenProofDigest = "1d4ec8f76f4b758ebf3875f8df6cdce89bf3393a11ee50cbf316d6052c4e974c"
+// jobs over a fixed 2^8-gate circuit, as every build since the BZK2 wire
+// format (one shared-path opening) has produced them. Proof bytes are the
+// contract: a change to hashing, the transcript, the commit paths or the
+// sum-check provers that moves this digest has changed what verifiers
+// see, however fast it is. A deliberate format change bumps the magic and
+// re-pins this digest.
+const goldenProofDigest = "fd42ab9d8d132d8df4dd54051c85b9693ad1573ae884a35668a802a6a4fd9806"
 
 // goldenBatch builds the fixed circuit, its parameters and the three
 // fixed jobs whose proofs hash to goldenProofDigest.

@@ -46,9 +46,11 @@ func seededInput(seed int64, n int) []field.Element {
 }
 
 // TestProofBytesGolden pins the bytes of a public-input and a committed-
-// input GKR proof on a seeded circuit (proof, final points, opening, and
-// the transcript state they leave) to digests taken before the layer
-// sum-checks moved onto the shared sum-check kernel.
+// input GKR proof on a seeded circuit (proof, final points, opening with
+// its shared siblings, and the transcript state they leave). The first
+// digest dates from before the layer sum-checks moved onto the shared
+// sum-check kernel; the second was re-pinned when the opening became one
+// set of distinct columns under one multiproof.
 func TestProofBytesGolden(t *testing.T) {
 	c := randomCircuit(4, 32, 16, 31)
 	in := seededInput(31, 16)
@@ -82,8 +84,11 @@ func TestProofBytesGolden(t *testing.T) {
 		putElements(h, field.NewElement(uint64(col.Index)))
 		putElements(h, col.Values...)
 	}
+	for _, s := range cp.Opening.Siblings {
+		h.Write(s[:])
+	}
 	putElements(h, tr.ChallengeElement("golden/after"))
-	if got, want := hex.EncodeToString(h.Sum(nil)), "9b372043678a33505becf08e2fd564c1793c038b98a4b326c81d27d2a1e83166"; got != want {
+	if got, want := hex.EncodeToString(h.Sum(nil)), "d03e2920005ab27819b789be5abad62d94decd568b4e4f0891465541715cceaf"; got != want {
 		t.Errorf("ProveCommitted digest %s, want %s", got, want)
 	}
 }

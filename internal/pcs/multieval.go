@@ -16,7 +16,7 @@ import (
 type MultiEvalProof struct {
 	TestRow      []field.Element
 	CombinedRows [][]field.Element // one eqHiᵀ·M row per point
-	Columns      []OpenedColumn
+	Opening
 }
 
 // ProveEvalMulti produces one batched proof for all points (each of
@@ -52,17 +52,11 @@ func (s *ProverState) ProveEvalMulti(points [][]field.Element, tr *transcript.Tr
 	}
 
 	idx := tr.ChallengeIndices("pcs/cols", ss.params.NumOpenings, ss.enc.CodewordLen())
-	cols, err := ss.openColumns(s.rowAt, idx)
+	o, err := ss.open(s.rowAt, idx)
 	if err != nil {
 		return nil, nil, err
 	}
-	for k, j := range idx {
-		mp, err := ss.tree.Prove(j)
-		if err != nil {
-			return nil, nil, err
-		}
-		proof.Columns = append(proof.Columns, OpenedColumn{Index: j, Values: cols[k], Proof: mp})
-	}
+	proof.Opening = o
 	return proof, values, nil
 }
 
@@ -120,24 +114,18 @@ func VerifyEvalMulti(comm Commitment, points [][]field.Element, values []field.E
 	}
 
 	idx := tr.ChallengeIndices("pcs/cols", params.NumOpenings, enc.CodewordLen())
-	if len(proof.Columns) != len(idx) {
-		return fmt.Errorf("%w: %d opened columns, want %d", ErrReject, len(proof.Columns), len(idx))
+	if err := proof.check(comm, idx); err != nil {
+		return err
 	}
-	for k, col := range proof.Columns {
-		if col.Index != idx[k] {
-			return fmt.Errorf("%w: column %d malformed", ErrReject, k)
-		}
-		if err := checkColumn(comm.Root, col.Proof, col.Index, col.Values, params.NumRows); err != nil {
-			return err
-		}
+	for _, col := range proof.Columns {
 		got := field.InnerProduct(col.Values, gamma)
 		if !got.Equal(&encRows[0][col.Index]) {
-			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, k)
+			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, col.Index)
 		}
 		for i := range points {
 			got := field.InnerProduct(col.Values, eqHis[i])
 			if !got.Equal(&encRows[i+1][col.Index]) {
-				return fmt.Errorf("%w: column %d fails evaluation check for point %d", ErrReject, k, i)
+				return fmt.Errorf("%w: column %d fails evaluation check for point %d", ErrReject, col.Index, i)
 			}
 		}
 	}

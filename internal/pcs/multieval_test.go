@@ -38,8 +38,8 @@ func TestMultiEvalRoundTrip(t *testing.T) {
 		}
 		// Column sharing: the Merkle part does not grow with the number
 		// of points.
-		if len(proof.Columns) != p.NumOpenings {
-			t.Fatalf("opened %d columns, want %d", len(proof.Columns), p.NumOpenings)
+		if n := len(proof.Columns); n == 0 || n > p.NumOpenings {
+			t.Fatalf("opened %d columns, want 1..%d", n, p.NumOpenings)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 
 	"batchzk/internal/encoder"
 	"batchzk/internal/field"
-	"batchzk/internal/merkle"
 	"batchzk/internal/par"
 	"batchzk/internal/poly"
 	"batchzk/internal/sha2"
@@ -135,49 +134,13 @@ func (s *ProverState) rowAt(r int) []field.Element {
 	return s.values[r*cols : (r+1)*cols]
 }
 
-// OpenedColumn is one spot-checked column of the encoded matrix. Values
-// is the column without its zero tail: it never ends in a zero entry, and
-// the entries missing up to the commitment's NumRows are zero. The rows
-// past a committed vector's last nonzero row are padding (a third or more
-// of the protocol's witness layouts), so a proof held in memory does not
-// carry them; the wire form and the Merkle leaf still cover all NumRows.
-type OpenedColumn struct {
-	Index  int
-	Values []field.Element
-	Proof  *merkle.Proof
-}
-
-// TrimZeros returns v without its trailing zero entries: the form
-// OpenedColumn.Values is held in.
-func TrimZeros(v []field.Element) []field.Element {
-	n := len(v)
-	for n > 0 && v[n-1].IsZero() {
-		n--
-	}
-	return v[:n]
-}
-
-// checkColumn checks an opened column of at most numRows values against
-// its Merkle path under root, with the missing tail as zeros.
-func checkColumn(root sha2.Digest, p *merkle.Proof, index int, values []field.Element, numRows int) error {
-	switch {
-	case len(values) > numRows:
-		return fmt.Errorf("%w: column %d has %d values, want at most %d", ErrReject, index, len(values), numRows)
-	case p == nil || p.Index != index:
-		return fmt.Errorf("%w: column %d proof index mismatch", ErrReject, index)
-	case merkle.HashElementsPadded(values, numRows) != p.Leaf || !merkle.Verify(root, p):
-		return fmt.Errorf("%w: column %d Merkle path invalid", ErrReject, index)
-	}
-	return nil
-}
-
 // EvalProof proves that the committed polynomial evaluates to a claimed
 // value at a point: a proximity-test row, the evaluation row, and the
 // opened columns supporting both.
 type EvalProof struct {
 	TestRow     []field.Element // γᵀ·M for the transcript-derived γ
 	CombinedRow []field.Element // eqHiᵀ·M for the query point
-	Columns     []OpenedColumn
+	Opening
 }
 
 // splitPoint separates an evaluation point into (column vars, row vars).
@@ -273,8 +236,8 @@ func VerifyEval(comm Commitment, point []field.Element, value field.Element, pro
 	tr.AppendElements("pcs/evalrow", proof.CombinedRow)
 	idx := tr.ChallengeIndices("pcs/cols", params.NumOpenings, enc.CodewordLen())
 
-	if len(proof.Columns) != len(idx) {
-		return fmt.Errorf("%w: %d opened columns, want %d", ErrReject, len(proof.Columns), len(idx))
+	if err := proof.check(comm, idx); err != nil {
+		return err
 	}
 
 	s := par.GetScratch()
@@ -290,23 +253,17 @@ func VerifyEval(comm Commitment, point []field.Element, value field.Element, pro
 	lo, hi := splitPoint(point, params.NumCols)
 	eqHi := eqTableOf(hi)
 
-	for k, col := range proof.Columns {
-		if col.Index != idx[k] {
-			return fmt.Errorf("%w: column %d opened at index %d, challenged %d", ErrReject, k, col.Index, idx[k])
-		}
-		if err := checkColumn(comm.Root, col.Proof, col.Index, col.Values, params.NumRows); err != nil {
-			return err
-		}
+	for _, col := range proof.Columns {
 		// γᵀ·col must equal encode(testRow)[j]; eqHiᵀ·col must equal
 		// encode(evalRow)[j] — linearity of the code makes both hold for
 		// an honest matrix. The zero tail adds nothing to either.
 		got := field.InnerProduct(col.Values, gamma)
 		if !got.Equal(&encTest[col.Index]) {
-			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, k)
+			return fmt.Errorf("%w: column %d fails proximity check", ErrReject, col.Index)
 		}
 		got = field.InnerProduct(col.Values, eqHi)
 		if !got.Equal(&encEval[col.Index]) {
-			return fmt.Errorf("%w: column %d fails evaluation check", ErrReject, k)
+			return fmt.Errorf("%w: column %d fails evaluation check", ErrReject, col.Index)
 		}
 	}
 

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"batchzk/internal/field"
-	"batchzk/internal/merkle"
 	"batchzk/internal/pcs"
 	"batchzk/internal/sha2"
 	"batchzk/internal/sumcheck"
@@ -15,15 +14,32 @@ import (
 
 // Binary proof encoding. The format is versioned and length-prefixed:
 //
-//	magic "BZK1" | commitment | outputs | o_tau | hadamard rounds |
-//	l_rho | r_rho | linear rounds | w_sigma | pcs proof
+//	magic "BZK2" | commitment | outputs | o_tau | hadamard rounds |
+//	l_rho | r_rho | linear rounds | w_sigma | test row | eval row |
+//	columns (index, NumRows values each) | siblings
 //
 // All integers are little-endian uint32 (lengths) and field elements are
 // 32-byte canonical big-endian. The dominant contribution is the opened
 // columns of the polynomial commitment — the proofs of this protocol
 // family "reach several MB" (paper §2.1), which TestProofSize verifies.
+// The columns are the distinct challenged ones in increasing order; one
+// list of Merkle siblings, shared across their paths, authenticates them
+// all (pcs.Opening).
+//
+// The magic names the format. A change to the bytes bumps it, and the
+// decoder reads only the current one: "BZK1" (one Merkle path per
+// challenged column) is refused with a request to re-prove.
 
-var proofMagic = [4]byte{'B', 'Z', 'K', '1'}
+var (
+	proofMagic  = [4]byte{'B', 'Z', 'K', '2'}
+	retiredBZK1 = [4]byte{'B', 'Z', 'K', '1'}
+)
+
+// maxColumns bounds the opened columns of a decoded proof: Setup's
+// layouts open pcs.DefaultNumOpenings challenged columns, and a proof
+// carries each distinct one once. A decoded proof also carries at most
+// TreeDepth siblings per column.
+const maxColumns = pcs.DefaultNumOpenings
 
 // maxLen bounds every length field; maxPrealloc caps how many entries
 // the decoder allocates for a length before reading them. Slices grow as
@@ -182,15 +198,10 @@ func (p *Proof) appendTo(b []byte) ([]byte, error) {
 		col := &p.PCSProof.Columns[i]
 		e.u32(col.Index)
 		e.padded(col.Values, p.Commitment.NumRows)
-		if col.Proof == nil {
-			return nil, fmt.Errorf("protocol: column %d missing Merkle proof", i)
-		}
-		e.u32(col.Proof.Index)
-		e.digest(col.Proof.Leaf)
-		e.u32(len(col.Proof.Siblings))
-		for _, s := range col.Proof.Siblings {
-			e.digest(s)
-		}
+	}
+	e.u32(len(p.PCSProof.Siblings))
+	for _, s := range p.PCSProof.Siblings {
+		e.digest(s)
 	}
 	return e.b, e.err
 }
@@ -203,7 +214,11 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	if _, err := io.ReadFull(cr, magic[:]); err != nil {
 		return cr.n, fmt.Errorf("protocol: truncated proof: %w", err)
 	}
-	if magic != proofMagic {
+	switch magic {
+	case proofMagic:
+	case retiredBZK1:
+		return cr.n, fmt.Errorf("protocol: proof format %q (one Merkle path per column) is no longer read; re-prove to get a %q proof", magic, proofMagic)
+	default:
 		return cr.n, fmt.Errorf("protocol: bad magic %q", magic)
 	}
 	p.Commitment = pcs.Commitment{
@@ -242,20 +257,23 @@ func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
 	if d.err != nil {
 		return cr.n, d.err
 	}
-	p.PCSProof.Columns = grow[pcs.OpenedColumn](numCols)
+	if numCols > maxColumns {
+		return cr.n, fmt.Errorf("protocol: %d opened columns, at most %d", numCols, maxColumns)
+	}
+	p.PCSProof.Columns = make([]pcs.OpenedColumn, 0, numCols)
 	for i := 0; i < numCols && d.err == nil; i++ {
-		col := pcs.OpenedColumn{Index: d.u32(), Values: d.elems()}
-		mp := &merkle.Proof{Index: d.u32(), Leaf: d.digest()}
-		nSib := d.u32()
-		if d.err != nil {
-			return cr.n, d.err
-		}
-		mp.Siblings = grow[sha2.Digest](nSib)
-		for s := 0; s < nSib && d.err == nil; s++ {
-			mp.Siblings = append(mp.Siblings, d.digest())
-		}
-		col.Proof = mp
-		p.PCSProof.Columns = append(p.PCSProof.Columns, col)
+		p.PCSProof.Columns = append(p.PCSProof.Columns, pcs.OpenedColumn{Index: d.u32(), Values: d.elems()})
+	}
+	nSib := d.u32()
+	if d.err != nil {
+		return cr.n, d.err
+	}
+	if bound := numCols * p.Commitment.TreeDepth(); nSib > bound {
+		return cr.n, fmt.Errorf("protocol: %d Merkle siblings for %d columns, at most %d", nSib, numCols, bound)
+	}
+	p.PCSProof.Siblings = make([]sha2.Digest, nSib)
+	for s := 0; s < nSib && d.err == nil; s++ {
+		p.PCSProof.Siblings[s] = d.digest()
 	}
 	if d.err != nil {
 		return cr.n, d.err
@@ -305,12 +323,10 @@ func (p *Proof) Size() (int, error) {
 		u32 + el*len(p.Outputs) + el +
 		u32 + 4*el*len(p.Hadamard.Rounds) + 2*el +
 		u32 + 3*el*len(p.Linear.Rounds) + el +
-		u32 + el*len(p.PCSProof.TestRow) + u32 + el*len(p.PCSProof.CombinedRow) + u32
-	for i, col := range p.PCSProof.Columns {
-		if col.Proof == nil {
-			return 0, fmt.Errorf("protocol: column %d missing Merkle proof", i)
-		}
-		n += 2*u32 + el*max(len(col.Values), p.Commitment.NumRows) + u32 + sha2.Size + u32 + sha2.Size*len(col.Proof.Siblings)
+		u32 + el*len(p.PCSProof.TestRow) + u32 + el*len(p.PCSProof.CombinedRow) +
+		u32 + u32 + sha2.Size*len(p.PCSProof.Siblings)
+	for _, col := range p.PCSProof.Columns {
+		n += 2*u32 + el*max(len(col.Values), p.Commitment.NumRows)
 	}
 	return n, nil
 }

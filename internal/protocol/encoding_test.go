@@ -100,46 +100,79 @@ func TestProofDeserializationRejections(t *testing.T) {
 
 // Every length field claims its entries before they are read. A short
 // input claiming maxLen entries in any one of them must fail as a
-// truncation without allocating for the claim.
+// truncation without allocating for the claim. The opening's two lists
+// are bounded tighter, by what the layout implies: more than maxColumns
+// columns, or more than TreeDepth siblings per column, fail before a
+// single entry is read.
 func TestProofDecodeBoundsAllocation(t *testing.T) {
 	zero := make([]byte, 32) // an all-zero digest, or the canonical zero element
 	u32 := func(v int) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(v)) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	// Well-formed prefixes, each ending just before one length field.
+	// Well-formed prefixes, each ending just before one length field. One
+	// row and one column: the column tree has RateInv = 4 leaves, depth 2.
 	head := cat(proofMagic[:], zero, u32(1), u32(1)) // magic, root, rows, cols
 	outputs := cat(head, u32(0), zero)               // + outputs, o_tau
 	hadamard := cat(outputs, u32(0), zero, zero)     // + rounds, l_rho, r_rho
 	linear := cat(hadamard, u32(0), zero)            // + rounds, w_sigma
 	rows := cat(linear, u32(0), u32(0))              // + test row, combined row
 	column := cat(rows, u32(1), u32(0))              // + one column, its index
+	columns := cat(column, u32(1), zero)             // + its one value
 
 	var empty Proof
-	if err := empty.UnmarshalBinary(cat(rows, u32(0))); err != nil {
+	if err := empty.UnmarshalBinary(cat(rows, u32(0), u32(0))); err != nil {
 		t.Fatalf("prefixes are malformed: a column-free proof fails with %v", err)
 	}
-	cases := map[string][]byte{
-		"outputs":         cat(head, u32(maxLen)),
-		"hadamard rounds": cat(outputs, u32(maxLen)),
-		"linear rounds":   cat(hadamard, u32(maxLen)),
-		"test row":        cat(linear, u32(maxLen)),
-		"combined row":    cat(linear, u32(0), u32(maxLen)),
-		"columns":         cat(rows, u32(maxLen)),
-		"column values":   cat(column, u32(maxLen)),
-		"siblings":        cat(column, u32(0), u32(0), zero, u32(maxLen)),
+	if err := empty.UnmarshalBinary(cat(columns, u32(2), zero, zero)); err != nil {
+		t.Fatalf("prefixes are malformed: a one-column proof fails with %v", err)
 	}
-	for name, data := range cases {
+	cases := map[string]struct {
+		data []byte
+		want string
+	}{
+		"outputs":               {cat(head, u32(maxLen)), "truncated"},
+		"hadamard rounds":       {cat(outputs, u32(maxLen)), "truncated"},
+		"linear rounds":         {cat(hadamard, u32(maxLen)), "truncated"},
+		"test row":              {cat(linear, u32(maxLen)), "truncated"},
+		"combined row":          {cat(linear, u32(0), u32(maxLen)), "truncated"},
+		"columns":               {cat(rows, u32(maxColumns)), "truncated"},
+		"column values":         {cat(column, u32(maxLen)), "truncated"},
+		"siblings":              {cat(columns, u32(2)), "truncated"},
+		"columns over t":        {cat(rows, u32(maxColumns+1)), "at most"},
+		"siblings over t·depth": {cat(columns, u32(3)), "at most"},
+		"siblings at maxLen":    {cat(columns, u32(maxLen)), "at most"},
+	}
+	for name, tc := range cases {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		var p Proof
-		err := p.UnmarshalBinary(data)
+		err := p.UnmarshalBinary(tc.data)
 		runtime.ReadMemStats(&ms)
-		if err == nil || !strings.Contains(err.Error(), "truncated") {
-			t.Errorf("%s: %d-byte input claiming %d entries: err %v, want a truncation", name, len(data), maxLen, err)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %d-byte input: err %v, want %q", name, len(tc.data), err, tc.want)
 		}
 		if d := ms.TotalAlloc - before; d >= 1<<20 {
-			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(data), d)
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(tc.data), d)
 		}
+	}
+}
+
+// TestRetiredFormatNamedInError: a proof in the BZK1 format (one Merkle
+// path per column) is refused by name, with a request to re-prove.
+func TestRetiredFormatNamedInError(t *testing.T) {
+	_, _, _, proof := proofForTest(t, 8)
+	data, err := proof.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("BZK2")) {
+		t.Fatalf("proof starts %q, want the BZK2 magic", data[:4])
+	}
+	copy(data, "BZK1")
+	var back Proof
+	err = back.UnmarshalBinary(data)
+	if err == nil || !strings.Contains(err.Error(), `"BZK1"`) || !strings.Contains(err.Error(), "re-prove") {
+		t.Fatalf("BZK1 proof: err %v, want one naming BZK1 and asking for a re-prove", err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"batchzk/internal/sha2"
 )
 
 // FuzzProofDecode feeds arbitrary bytes to the proof decoder. Decoding
@@ -11,6 +13,7 @@ import (
 // the bytes it read: the encoding is canonical, so decode∘encode is the
 // identity on every valid proof, the seed proofs included.
 func FuzzProofDecode(f *testing.F) {
+	var seed []byte
 	for _, gates := range []int{8, 32} {
 		_, _, _, proof := proofForTest(f, gates)
 		data, err := proof.MarshalBinary()
@@ -25,8 +28,11 @@ func FuzzProofDecode(f *testing.F) {
 			f.Fatalf("%d gates: decoded proof differs from the encoded one", gates)
 		}
 		f.Add(data)
+		seed = data
 	}
 	f.Add(append(proofMagic[:], 0xff, 0xff, 0xff, 0x0f))
+	f.Add(append([]byte("BZK1"), seed[4:]...)) // the retired format: refused
+	f.Add(seed[:len(seed)-sha2.Size])          // one sibling short: truncated
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Proof
 		if err := p.UnmarshalBinary(data); err != nil {
