@@ -7,16 +7,25 @@ REPORT_DIR ?= .
 # Per-target budget for the fuzz smoke (see `make fuzz`).
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet bench bench-report bench-check roofline fuzz check
+.PHONY: build fmt test purego race vet bench bench-report bench-check roofline fuzz check
 
 build:
 	$(GO) build ./...
+
+# Every Go file must be gofmt-clean: gofmt -l prints those that are not.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # benchmark/ is a module of its own (BENCHMARK.json's contract), so ./...
 # does not reach it; its test pins the names it prints to BENCHMARK.json.
 test:
 	$(GO) test ./...
 	$(GO) test -C benchmark
+
+# The purego build runs the Go field kernels (mulGo, squareGo, redcGo)
+# in place of the amd64 assembly; the proof goldens must hold on both.
+purego:
+	$(GO) test -tags purego ./internal/field/... ./internal/protocol/... ./internal/core/...
 
 # Exercise the concurrency-sensitive layers (stage executors, batch
 # prover stages, pipelined module schedules, the parallel sum-check kernel
@@ -68,6 +77,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzProofDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/protocol/
 
 # Aggregate gate: everything CI runs.
-check: build vet test race
+check: fmt build vet test purego race
 	$(GO) run ./cmd/batchzk-profile -scenario tiny -out $$(mktemp -d) >/dev/null
 	@echo "check: ok"
