@@ -35,18 +35,18 @@ func TestMultiProofDeduplication(t *testing.T) {
 	// A full subtree of 8 leaves needs siblings only above the subtree:
 	// depth 6, subtree covers 3 levels → 3 siblings.
 	mp, _ := tr.ProveMulti([]int{8, 9, 10, 11, 12, 13, 14, 15})
-	if mp.MultiProofSize() != 3 {
-		t.Fatalf("full-subtree multiproof has %d siblings, want 3", mp.MultiProofSize())
+	if len(mp.Siblings) != 3 {
+		t.Fatalf("full-subtree multiproof has %d siblings, want 3", len(mp.Siblings))
 	}
 	// Versus independent paths: 8 × 6 = 48 digests.
 	single := 8 * tr.Depth()
-	if mp.MultiProofSize() >= single {
+	if len(mp.Siblings) >= single {
 		t.Fatal("multiproof did not save anything")
 	}
 	// A sibling pair at layer 0 saves exactly one digest vs two paths.
 	pair, _ := tr.ProveMulti([]int{20, 21})
-	if pair.MultiProofSize() != tr.Depth()-1 {
-		t.Fatalf("pair multiproof has %d siblings, want %d", pair.MultiProofSize(), tr.Depth()-1)
+	if len(pair.Siblings) != tr.Depth()-1 {
+		t.Fatalf("pair multiproof has %d siblings, want %d", len(pair.Siblings), tr.Depth()-1)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestMultiProofMatchesSinglePaths(t *testing.T) {
 		if !VerifyMulti(tr.Root(), mp) {
 			return false
 		}
-		return mp.MultiProofSize() <= len(mp.Indices)*tr.Depth()
+		return len(mp.Siblings) <= len(mp.Indices)*tr.Depth()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rsrc}); err != nil {
 		t.Fatal(err)
