@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"batchzk"
 )
@@ -36,9 +35,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	format := fs.String("format", "text", "output format: text or csv")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	telemetryDir := fs.String("telemetry", "", "directory to dump telemetry (metrics.json, trace.json, spans.jsonl)")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /debug/telemetry, /healthz, /readyz and /debug/obs/slo on this address")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/telemetry and /healthz on this address")
 	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables telemetry`)
-	hold := fs.Duration("hold", 0, "keep the process (and the debug server) alive this long after the run, for live probing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -58,11 +56,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// One sink records and judges the run whenever a dump, the debug
-	// server or the event log asks for it: /healthz, /readyz and
-	// /debug/obs/slo answer from the same sink as /metrics. Enable it
-	// before any experiment runs so the provers and simulators the
-	// harness constructs internally record into it.
+	// One sink records the run whenever a dump, the debug server or the
+	// event log asks for it. Enable it before any experiment runs so the
+	// provers and simulators the harness constructs internally record
+	// into it.
 	var sink *batchzk.TelemetrySink
 	if *telemetryDir != "" || *debugAddr != "" || *logDest != "" {
 		logOut, closeLog, err := openLogOutput(*logDest, stderr)
@@ -81,15 +78,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "debug server on http://%s/debug/telemetry (health on /healthz, /readyz, SLO on /debug/obs/slo)\n", srv.Addr)
-	}
-	// holdOpen keeps the debug server reachable after the run so probes
-	// (curl, batchzk-top) can read the final state.
-	holdOpen := func() {
-		if *hold > 0 {
-			fmt.Fprintf(stderr, "holding for %v\n", *hold)
-			time.Sleep(*hold)
-		}
+		fmt.Fprintf(stderr, "debug server on http://%s/debug/telemetry (metrics on /metrics, liveness on /healthz)\n", srv.Addr)
 	}
 
 	// dump writes the telemetry files once the run is over.
@@ -141,16 +130,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if err := dump(); err != nil {
-		return err
-	}
-	holdOpen()
-	return nil
+	return dump()
 }
 
 // openLogOutput resolves the -log destination: "-"/"stderr" → the
 // process stderr, "stdout" → stdout, anything else → a created file
-// (with a closer), "" → nil (no event log, engine still runs).
+// (with a closer), "" → nil (no event log; the sink still records).
 func openLogOutput(dest string, stderr io.Writer) (io.Writer, func(), error) {
 	switch dest {
 	case "":

@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "circuit synthesis seed")
 	shards := fs.Int("shards", 1, "independent prover shards the batch is split across")
 	telemetryDir := fs.String("telemetry", "", "directory to dump telemetry (metrics.json, trace.json, spans.jsonl)")
-	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/pprof, /debug/telemetry, /healthz, /readyz and /debug/obs/slo on this address")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/telemetry and /healthz on this address")
 	logDest := fs.String("log", "", `structured JSON event log destination: "-" or "stderr" for stderr, "stdout", or a file path; also enables telemetry`)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,8 +75,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("cannot create telemetry directory %s: %w", *telemetryDir, err)
 		}
 	}
-	// One sink records and judges the run whenever a dump, the debug
-	// server or the event log asks for it.
+	// One sink records the run whenever a dump, the debug server or the
+	// event log asks for it.
 	var sink *batchzk.TelemetrySink
 	if *telemetryDir != "" || *debugAddr != "" || *logDest != "" {
 		logOut, closeLog, err := openLogOutput(*logDest, stderr)
@@ -159,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // openLogOutput resolves the -log destination: "-"/"stderr" → the
 // process stderr, "stdout" → stdout, anything else → a created file
-// (with a closer), "" → nil (no event log, engine still runs).
+// (with a closer), "" → nil (no event log; the sink still records).
 func openLogOutput(dest string, stderr io.Writer) (io.Writer, func(), error) {
 	switch dest {
 	case "":

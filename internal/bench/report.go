@@ -45,7 +45,7 @@ type Scenario struct {
 // SLOErrorBudget is the allowed task failure fraction every scenario
 // reports against. Report runs abort on the first task error, so a
 // written report is always clean here; the objective documents the
-// budget the live health engine (internal/telemetry) enforces on the same workload.
+// budget a scenario's workload is held to.
 const SLOErrorBudget = 0.01
 
 // Scenarios returns the scenario registry in presentation order. "tiny"
@@ -196,13 +196,12 @@ type Report struct {
 	SLO *SLOSummary `json:"slo,omitempty"`
 }
 
-// SLOObjectiveSummary is one objective's attainment in a report: the
-// same objective vocabulary the live health engine serves on
-// /debug/obs/slo, evaluated over the batch sweep instead of a rolling
-// window.
+// SLOObjectiveSummary is one objective's attainment in a report,
+// evaluated over the scenario's batch sweep: a latency quantile bound
+// or an error-rate bound.
 type SLOObjectiveSummary struct {
 	Name string `json:"name"`
-	// Kind is telemetry.KindLatency or telemetry.KindErrorRate.
+	// Kind is sloKindLatency or sloKindErrorRate.
 	Kind            string  `json:"kind"`
 	TargetNs        int64   `json:"target_ns,omitempty"`
 	TargetRate      float64 `json:"target_rate,omitempty"`
@@ -210,6 +209,12 @@ type SLOObjectiveSummary struct {
 	Met             bool    `json:"met"`
 	BudgetRemaining float64 `json:"budget_remaining"`
 }
+
+// Objective kinds as a report's JSON spells them.
+const (
+	sloKindLatency   = "latency"
+	sloKindErrorRate = "error-rate"
+)
 
 // SLOSummary is the report's error-budget block: per-objective
 // attainment plus the roll-ups Compare gates.
@@ -226,8 +231,8 @@ type SLOSummary struct {
 // scheme's latency histogram. Latency budget: with a p99 objective 1% of
 // tasks may exceed the target; the remaining budget is the unspent share
 // of that allowance. The error-rate objective is clean by construction
-// (BuildReport aborts on any task error) and records the budget the live
-// engine enforces.
+// (BuildReport aborts on any task error) and records the budget it is
+// held to.
 func buildSLO(sc Scenario, lat telemetry.HistogramSnapshot) *SLOSummary {
 	const quantile = 0.99
 	allowed := 1 - quantile
@@ -235,7 +240,7 @@ func buildSLO(sc Scenario, lat telemetry.HistogramSnapshot) *SLOSummary {
 	p99 := lat.Quantile(quantile)
 	latency := SLOObjectiveSummary{
 		Name:            "task-p99",
-		Kind:            telemetry.KindLatency,
+		Kind:            sloKindLatency,
 		TargetNs:        sc.SLOTargetP99Ns,
 		Value:           p99,
 		Met:             lat.Count == 0 || p99 <= float64(sc.SLOTargetP99Ns),
@@ -243,7 +248,7 @@ func buildSLO(sc Scenario, lat telemetry.HistogramSnapshot) *SLOSummary {
 	}
 	errors := SLOObjectiveSummary{
 		Name:            "task-errors",
-		Kind:            telemetry.KindErrorRate,
+		Kind:            sloKindErrorRate,
 		TargetRate:      SLOErrorBudget,
 		Value:           0,
 		Met:             true,

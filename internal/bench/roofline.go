@@ -204,6 +204,17 @@ func calibrateALU() ALUCalibration {
 	return cal
 }
 
+// fastest returns, per primitive, the lower cost of c and o.
+func (c ALUCalibration) fastest(o ALUCalibration) ALUCalibration {
+	return ALUCalibration{
+		MulNs:        math.Min(c.MulNs, o.MulNs),
+		AddNs:        math.Min(c.AddNs, o.AddNs),
+		CompressNs:   math.Min(c.CompressNs, o.CompressNs),
+		WideMacNs:    math.Min(c.WideMacNs, o.WideMacNs),
+		WideReduceNs: math.Min(c.WideReduceNs, o.WideReduceNs),
+	}
+}
+
 // Calibration sinks: stores the dead-code eliminator cannot remove, so
 // the dependency chains above are really executed.
 var (
@@ -325,6 +336,10 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 
 // BuildRooflineReport calibrates the host ALU and measures every kernel
 // serially (width 1, best of reps) against its analytic floor. The
+// calibration is repeated between kernel measurements and each
+// primitive keeps its fastest run, so a burst of contention during one
+// calibration cannot raise the floors above what the kernels achieved:
+// floors are computed only once every kernel has been measured. The
 // global runtime width is restored to the default on return.
 func BuildRooflineReport(shift, reps int, seed int64) (*RooflineReport, error) {
 	if reps < 1 {
@@ -360,7 +375,8 @@ func BuildRooflineReport(shift, reps int, seed int64) (*RooflineReport, error) {
 				stats = par.Stats().Delta(before)
 			}
 		}
-		res := RooflineKernel{
+		rep.Calibration = rep.Calibration.fastest(calibrateALU())
+		rep.Kernels = append(rep.Kernels, RooflineKernel{
 			Name:                  k.name,
 			Size:                  k.size,
 			MeasuredNs:            best,
@@ -375,15 +391,18 @@ func BuildRooflineReport(shift, reps int, seed int64) (*RooflineReport, error) {
 			ParItems:              stats.Items,
 			ParChunks:             stats.Chunks,
 			ParInline:             stats.Inline,
-		}
-		cal := rep.Calibration
-		res.FloorNsPerElement = k.muls*cal.MulNs + k.adds*cal.AddNs + k.compress*cal.CompressNs +
-			k.macs*cal.WideMacNs + k.reduces*cal.WideReduceNs
+		})
+	}
+	cal := rep.Calibration
+	for i := range rep.Kernels {
+		res := &rep.Kernels[i]
+		res.FloorNsPerElement = res.MulsPerElement*cal.MulNs + res.AddsPerElement*cal.AddNs +
+			res.CompressPerElement*cal.CompressNs + res.WideMacsPerElement*cal.WideMacNs +
+			res.WideReducesPerElement*cal.WideReduceNs
 		if res.NsPerElement > 0 {
 			res.PctOfCeiling = res.FloorNsPerElement / res.NsPerElement * 100
 		}
 		res.Verdict = rooflineVerdict(res.PctOfCeiling)
-		rep.Kernels = append(rep.Kernels, res)
 	}
 	return rep, nil
 }

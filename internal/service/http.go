@@ -23,7 +23,7 @@ import (
 //	GET  /v1/stream           NDJSON terminal events; ?tenant= filters
 //	GET  /v1/stats            gateway counters
 //	GET  /healthz             liveness
-//	GET  /readyz              admission readiness (503 while draining)
+//	GET  /readyz              admission readiness (503 while draining or the queue is full)
 //
 // Backpressure contract: over-quota and queue-full submissions get 429
 // with a Retry-After hint; a draining gateway answers 503 Retry-After;

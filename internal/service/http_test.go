@@ -3,11 +3,13 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -238,73 +240,117 @@ func TestHTTPQueueFullBackpressure(t *testing.T) {
 	}
 }
 
-// Draining: submissions 503, /readyz flips, and both recover on resume.
+// /readyz answers 200 while the gateway accepts work, and 503 with its
+// reason and a Retry-After hint while it cannot: draining (submissions
+// 503), or a full admission queue (submissions 429). Both recover.
 func TestHTTPDrainReadyz(t *testing.T) {
-	srv, gw := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond})
-	check := func(wantReady bool) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		wantCode := http.StatusOK
-		if !wantReady {
-			wantCode = http.StatusServiceUnavailable
-		}
-		if resp.StatusCode != wantCode {
-			t.Fatalf("/readyz: %s, want %d", resp.Status, wantCode)
-		}
-	}
-	check(true)
-	gw.Drain()
-	check(false)
-	resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit while draining: %s, want 503", resp.Status)
-	}
-	gw.Resume()
-	check(true)
-	resp = postJob(t, srv.URL, "acme", submitBody(2), nil)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit after resume: %s, want 202", resp.Status)
-	}
-}
-
-// A storm of failed jobs on the gateway's own sink (Config.Telemetry,
-// with no process-wide sink) raises a critical alert, which flips
-// /readyz to 503 with the alert as its reason.
-func TestHTTPReadyzFollowsGatewaySink(t *testing.T) {
-	prev := telemetry.Active()
-	telemetry.Enable(nil)
-	defer telemetry.Enable(prev)
-	sink := telemetry.NewSink(telemetry.Config{})
-	srv, _ := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond, Telemetry: sink})
-	readyz := func() (int, string) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + "/readyz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var body struct{ Reason string }
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body.Reason
-	}
-	if code, _ := readyz(); code != http.StatusOK {
-		t.Fatalf("/readyz before the storm: %d, want 200", code)
-	}
-	for range 12 {
-		sink.JobStarted()
-		sink.JobDone(telemetry.JobEnd{Shard: -1, Err: fmt.Errorf("bad job")})
-	}
-	code, reason := readyz()
-	if code != http.StatusServiceUnavailable || reason == "" {
-		t.Fatalf("/readyz after the storm: %d %q, want 503 with a reason", code, reason)
+	for _, tc := range []struct {
+		reason string
+		// serve builds the gateway under test; block makes it refuse
+		// work and returns what lets it accept work again.
+		serve func(t *testing.T) (*httptest.Server, *Gateway)
+		block func(t *testing.T, srv *httptest.Server, gw *Gateway) (unblock func())
+	}{
+		{
+			reason: "draining",
+			serve: func(t *testing.T) (*httptest.Server, *Gateway) {
+				return newTestServer(t, Config{MaxBatch: 2})
+			},
+			block: func(t *testing.T, srv *httptest.Server, gw *Gateway) func() {
+				gw.Drain()
+				resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("submit while draining: %s, want 503", resp.Status)
+				}
+				return gw.Resume
+			},
+		},
+		{
+			reason: "queue full",
+			serve: func(t *testing.T) (*httptest.Server, *Gateway) {
+				sp := newStallProver()
+				gw, err := NewGateway(sp, Config{MaxBatch: 1, QueueCap: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := httptest.NewServer(gw.Handler())
+				t.Cleanup(func() {
+					srv.Close()
+					sp.releaseJobs()
+					gw.Drain()
+				})
+				return srv, gw
+			},
+			block: func(t *testing.T, srv *httptest.Server, gw *Gateway) func() {
+				var ids []string
+				submit := func() {
+					t.Helper()
+					info, err := gw.Submit("acme", 0, nil, nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, info.ID)
+				}
+				// The prover takes no job until released: once the pump
+				// has taken the first job it blocks handing it over, so
+				// every later job stays queued.
+				submit()
+				for deadline := time.Now().Add(10 * time.Second); gw.Stats().Batches == 0; runtime.Gosched() {
+					if time.Now().After(deadline) {
+						t.Fatal("the pump never took from the queue")
+					}
+				}
+				for range gw.Config().QueueCap {
+					submit()
+				}
+				resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusTooManyRequests {
+					t.Fatalf("submit to a full queue: %s, want 429", resp.Status)
+				}
+				return func() {
+					gw.prover.(*stallProver).releaseJobs()
+					for _, id := range ids {
+						if info, ok := gw.WaitJob(context.Background(), id); !ok || !info.Status.Terminal() {
+							t.Fatalf("job %s did not finish: %+v", id, info)
+						}
+					}
+				}
+			},
+		},
+	} {
+		t.Run(tc.reason, func(t *testing.T) {
+			srv, gw := tc.serve(t)
+			readyz := func(wantCode int, wantReason string) {
+				t.Helper()
+				resp, err := http.Get(srv.URL + "/readyz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var body struct{ Reason string }
+				if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != wantCode || body.Reason != wantReason {
+					t.Fatalf("/readyz: %s %q, want %d %q", resp.Status, body.Reason, wantCode, wantReason)
+				}
+				if retry := resp.Header.Get("Retry-After"); (wantCode != http.StatusOK) != (retry != "") {
+					t.Fatalf("/readyz %s with Retry-After %q", resp.Status, retry)
+				}
+			}
+			readyz(http.StatusOK, "ok")
+			unblock := tc.block(t, srv, gw)
+			readyz(http.StatusServiceUnavailable, tc.reason)
+			unblock()
+			readyz(http.StatusOK, "ok")
+			resp := postJob(t, srv.URL, "acme", submitBody(2), nil)
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit after recovery: %s, want 202", resp.Status)
+			}
+		})
 	}
 }
 

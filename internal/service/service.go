@@ -59,8 +59,7 @@ type Config struct {
 	// MaxBody caps the HTTP request body in bytes (default 1 MiB);
 	// larger submissions get 413.
 	MaxBody int64
-	// Telemetry overrides the process-wide sink for trace minting and
-	// readiness.
+	// Telemetry overrides the process-wide sink for trace minting.
 	Telemetry *telemetry.Sink
 }
 
@@ -410,13 +409,16 @@ func (g *Gateway) DroppedEvents() int64 { return g.dropped.Load() }
 func (g *Gateway) Draining() bool { return g.draining.Load() }
 
 // Ready reports whether the gateway should receive traffic: not
-// draining, and the health engine of its sink (Config.Telemetry, else
-// the process-wide one; none means ready) agrees.
+// draining, and its admission queue below QueueCap, so a submission
+// now would not be refused with ErrQueueFull.
 func (g *Gateway) Ready() (bool, string) {
 	if g.draining.Load() {
 		return false, "draining"
 	}
-	return telemetry.Resolve(g.cfg.Telemetry).Ready()
+	if g.batcher.Stats().QueueDepth >= g.batcher.Config().QueueCap {
+		return false, "queue full"
+	}
+	return true, "ok"
 }
 
 // Stats snapshots the gateway counters.

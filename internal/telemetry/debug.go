@@ -19,16 +19,8 @@ import (
 //	/debug/telemetry/spans    — raw spans as JSONL
 //	/debug/telemetry/timeline — per-job flight-recorder timelines JSON
 //	/healthz                  — liveness: 200 whenever the process serves
-//	                            requests, with uptime and whether the
-//	                            health engine is enabled
-//	/readyz                   — readiness: 200 while no critical alert is
-//	                            active; 503 with the blocking reason during
-//	                            a storm of failed jobs or sustained SLO
-//	                            burn. Flips back on recovery.
-//	/debug/obs/slo            — the HealthSnapshot JSON: job counters,
-//	                            per-stage throughput and latency, objective
-//	                            attainment and burn rates, budget ledgers,
-//	                            active alerts (the feed batchzk-top renders)
+//	                            requests, with uptime and whether a sink
+//	                            is recording
 func DebugHandler(s *Sink) http.Handler {
 	PublishExpvar()
 	resolve := func() *Sink { return Resolve(s) }
@@ -75,22 +67,6 @@ func DebugHandler(s *Sink) http.Handler {
 			Status: "ok", Obs: sink != nil, UptimeNs: sink.Uptime().Nanoseconds(),
 		})
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		ready, reason := resolve().Ready()
-		status := http.StatusOK
-		if !ready {
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, readyzResponse{Ready: ready, Reason: reason})
-	})
-	mux.HandleFunc("/debug/obs/slo", func(w http.ResponseWriter, _ *http.Request) {
-		sink := resolve()
-		if sink == nil {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "obs disabled"})
-			return
-		}
-		writeJSON(w, http.StatusOK, sink.Health())
-	})
 	return mux
 }
 
@@ -99,12 +75,6 @@ type healthzResponse struct {
 	Status   string `json:"status"`
 	Obs      bool   `json:"obs_enabled"`
 	UptimeNs int64  `json:"uptime_ns,omitempty"`
-}
-
-// readyzResponse is the /readyz body.
-type readyzResponse struct {
-	Ready  bool   `json:"ready"`
-	Reason string `json:"reason"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

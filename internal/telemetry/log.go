@@ -9,13 +9,12 @@ import (
 // Structured event log.
 //
 // Every operationally significant event in the system — a failed job,
-// an alert, a gateway drain — is emitted as one JSON object on a stable schema, built on stdlib
-// log/slog. The schema contract (kept stable by CI's obs-smoke jq
-// check) is: every record has "time", "level", "msg" (the event name,
-// dot-namespaced like "job.failed"), and "component" (the layer
-// that emitted it: core, service, gpusim, vml, or obs for the health
-// engine). Everything else is
-// typed attributes; the helpers below fix the attribute names the rest
+// a gateway drain — is emitted as one JSON object on a stable schema,
+// built on stdlib log/slog. The schema contract (pinned by
+// TestLogEventSchema) is: every record has "time", "level", "msg" (the
+// event name, dot-namespaced like "job.failed"), and "component" (the
+// layer that emitted it: core, service, gpusim or vml). Everything else
+// is typed attributes; the helpers below fix the attribute names the rest
 // of the codebase uses, so "trace_id" is always "trace_id".
 
 // Log schema attribute helpers.
@@ -43,7 +42,7 @@ func Err(err error) slog.Attr {
 }
 
 // newLogger builds the sink's slog JSON logger. A nil output keeps
-// events off entirely (the metrics and health machinery still run).
+// events off entirely (the metrics, spans and timelines still record).
 func newLogger(out io.Writer, level slog.Leveler) *slog.Logger {
 	if out == nil {
 		return nil

@@ -10,19 +10,14 @@ import (
 // TelemetrySink is the one observation layer the instrumented layers
 // (batch prover, gateway, pipelined modules, GPU simulator, vml service)
 // record into: the metrics registry, the span tracer, the per-job flight
-// recorder, and the health engine that judges them — the structured JSON
-// event log, the SLO engine (windowed objectives, multi-window burn
-// rates, error budgets) and the anomaly sentinel (EWMA stage-regression
-// alerts, shard-vs-fleet failure divergence, failed-job storm readiness
-// gating). Dump(dir) writes metrics.json, trace.json (Chrome
-// trace_event format — load in chrome://tracing or ui.perfetto.dev),
-// spans.jsonl and timeline.json; Health() is the snapshot
-// `batchzk-top` renders.
+// recorder and the structured JSON event log. Dump(dir) writes
+// metrics.json, trace.json (Chrome trace_event format — load in
+// chrome://tracing or ui.perfetto.dev), spans.jsonl and timeline.json.
 type TelemetrySink = telemetry.Sink
 
-// TelemetryConfig assembles a sink; the zero value logs nothing and uses
-// the default objectives (e2e p99 ≤ 250ms, error rate ≤ 2%), windows,
-// thresholds and the wall clock.
+// TelemetryConfig assembles a sink: the event log's destination and
+// level, and the clock. The zero value logs nothing and uses the wall
+// clock.
 type TelemetryConfig = telemetry.Config
 
 // NewTelemetrySink builds a sink from cfg.
@@ -36,40 +31,10 @@ func EnableTelemetry(s *TelemetrySink) { telemetry.Enable(s) }
 // ActiveTelemetry returns the process-wide sink, or nil when disabled.
 func ActiveTelemetry() *TelemetrySink { return telemetry.Active() }
 
-// ObsObjective is one configurable service-level objective (a latency
-// quantile bound or an error-rate bound).
-type ObsObjective = telemetry.Objective
-
-// ObsObjectiveStatus is one objective's point-in-time evaluation:
-// windowed value, attainment, fast/slow burn rates, budget remaining.
-type ObsObjectiveStatus = telemetry.ObjectiveStatus
-
-// ObsSnapshot is the operator view served on /debug/obs/slo.
-type ObsSnapshot = telemetry.HealthSnapshot
-
-// ObsAlert is one structured sentinel finding (stage regression, shard
-// failure divergence, SLO burn, failed-job storm).
-type ObsAlert = telemetry.Alert
-
-// ObsSentinelConfig tunes the anomaly sentinel inside a TelemetryConfig
-// (EWMA smoothing, regression factor, hysteresis depths).
-type ObsSentinelConfig = telemetry.SentinelConfig
-
-// Objective kinds and alert severities, re-exported for configuration.
-const (
-	ObsKindLatency      = telemetry.KindLatency
-	ObsKindErrorRate    = telemetry.KindErrorRate
-	ObsSeverityWarning  = telemetry.SeverityWarning
-	ObsSeverityCritical = telemetry.SeverityCritical
-)
-
-// DefaultObsObjectives returns the stock service objectives.
-func DefaultObsObjectives() []ObsObjective { return telemetry.DefaultObjectives() }
-
 // ServeTelemetryDebug starts an HTTP debug server on addr exposing
 // /metrics, /debug/vars (expvar), /debug/pprof/..., /debug/telemetry
-// (metrics snapshot), /debug/telemetry/{trace,spans,timeline}, /healthz,
-// /readyz and /debug/obs/slo. A nil sink follows the process-wide one.
+// (metrics snapshot), /debug/telemetry/{trace,spans,timeline} and
+// /healthz. A nil sink follows the process-wide one.
 // The server runs until the returned *http.Server is closed.
 func ServeTelemetryDebug(addr string, s *TelemetrySink) (*http.Server, error) {
 	return telemetry.ServeDebug(addr, s)
