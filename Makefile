@@ -22,10 +22,12 @@ test:
 	$(GO) test ./...
 	$(GO) test -C benchmark
 
-# The purego build runs the Go field kernels (mulGo, squareGo, redcGo)
-# in place of the amd64 assembly; the proof goldens must hold on both.
+# The purego build runs the Go kernels (field's mulGo, squareGo, redcGo
+# and the encoder's rowIntoGo) in place of the amd64 assembly; the
+# commitment and proof goldens must hold on both.
 purego:
-	$(GO) test -tags purego ./internal/field/... ./internal/protocol/... ./internal/core/...
+	$(GO) test -tags purego ./internal/field/... ./internal/encoder/... ./internal/merkle/... ./internal/pcs/... \
+		./internal/protocol/... ./internal/core/...
 
 # Exercise the concurrency-sensitive layers (stage executors, batch
 # prover stages, pipelined module schedules, the parallel sum-check kernel
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzElementDecoding -fuzztime $(FUZZTIME) ./internal/field/
 	$(GO) test -run '^$$' -fuzz FuzzFieldArith -fuzztime $(FUZZTIME) ./internal/field/
 	$(GO) test -run '^$$' -fuzz FuzzWideAccumulate -fuzztime $(FUZZTIME) ./internal/field/
+	$(GO) test -run '^$$' -fuzz FuzzRowKernel -fuzztime $(FUZZTIME) ./internal/encoder/
 	$(GO) test -run '^$$' -fuzz FuzzChallengeDerivation -fuzztime $(FUZZTIME) ./internal/transcript/
 	$(GO) test -run '^$$' -fuzz FuzzOpeningProofVerify -fuzztime $(FUZZTIME) ./internal/merkle/
 	$(GO) test -run '^$$' -fuzz FuzzVerify -fuzztime $(FUZZTIME) ./internal/sumcheck/
@@ -79,5 +82,7 @@ fuzz:
 
 # Aggregate gate: everything CI runs.
 check: fmt build vet test purego race
-	$(GO) run ./cmd/batchzk-profile -scenario tiny -out $$(mktemp -d) >/dev/null
+	@tmp=$$(mktemp -d) && \
+	$(GO) run ./cmd/batchzk-profile -scenario tiny -out $$tmp >/dev/null; \
+	status=$$?; rm -rf $$tmp; exit $$status
 	@echo "check: ok"

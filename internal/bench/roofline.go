@@ -64,10 +64,13 @@ type ALUCalibration struct {
 	// streamed hashing of long inputs runs below it per block, since it
 	// pays the call into crypto/sha256 once per buffer.
 	CompressNs float64 `json:"compress_ns"`
-	// WideMacNs is one field.Wide.MulAccSmall: a 64-bit coefficient times
-	// a field element added into an unreduced accumulator (4 limb
-	// multiplies). WideReduceNs is one field.Element.ReduceWide, which
-	// reduces such an accumulator once per output.
+	// WideMacNs and WideReduceNs are the encoder's row kernel (the MULX
+	// assembly where the CPU has it, the Go loop otherwise), timed
+	// through SparseMatrix.MulVecInto, the entry point the encoder runs.
+	// WideMacNs is one term: a 64-bit coefficient times a field element
+	// added into the unreduced accumulator (4 limb multiplies).
+	// WideReduceNs is the rest of one row: its reduction, the call and
+	// the loop around it.
 	WideMacNs    float64 `json:"wide_mac_ns"`
 	WideReduceNs float64 `json:"wide_reduce_ns"`
 }
@@ -166,30 +169,38 @@ func calibrateALU() ALUCalibration {
 		calibrationSink = acc
 		return float64(time.Since(start).Nanoseconds()) / fieldOps
 	})
-	cal.WideMacNs = bestNs(func() float64 {
-		var acc field.Wide
-		x := b
-		start := time.Now()
-		for i := 0; i < fieldOps; i++ {
-			acc.MulAccSmall(acc[0]|1, &x) // chained through the accumulator
-			if i&127 == 127 {
-				acc = field.Wide{acc[0]} // stay within the 255-term bound
+	// The row kernel's costs come from a short and a long row of fixed
+	// columns, 64 copies of each: the per-term cost is the slope, the
+	// per-row cost the intercept. Rows run independently, as the
+	// encoder's do.
+	x := make([]field.Element, field.MaxWideTerms)
+	for i := range x {
+		x[i] = field.NewElement(0x9e3779b97f4a7c15 * uint64(i+1))
+	}
+	rowNs := func(w int) float64 {
+		row := make([]encoder.Entry, w)
+		for k := range row {
+			row[k] = encoder.Entry{Col: k * len(x) / w, Coeff: 0x9e3779b97f4a7c15 + uint64(k)}
+		}
+		m := &encoder.SparseMatrix{InDim: len(x), OutDim: 64, Rows: make([][]encoder.Entry, 64)}
+		for j := range m.Rows {
+			m.Rows[j] = row
+		}
+		out := make([]field.Element, m.OutDim)
+		calls := fieldOps/(m.OutDim*w) + 1
+		return bestNs(func() float64 {
+			start := time.Now()
+			for i := 0; i < calls; i++ {
+				_ = m.MulVecInto(out, x)
 			}
-		}
-		calibrationSink.ReduceWide(&acc)
-		return float64(time.Since(start).Nanoseconds()) / fieldOps
-	})
-	cal.WideReduceNs = bestNs(func() float64 {
-		acc := field.Wide{1, 2, 3, 4, 5, 6}
-		start := time.Now()
-		var e field.Element
-		for i := 0; i < fieldOps; i++ {
-			e.ReduceWide(&acc)
-			acc[0], acc[4] = e[0], e[1] // chained through the result
-		}
-		calibrationSink = e
-		return float64(time.Since(start).Nanoseconds()) / fieldOps
-	})
+			calibrationSink = out[0]
+			return float64(time.Since(start).Nanoseconds()) / float64(calls*m.OutDim)
+		})
+	}
+	const short, long = 8, field.MaxWideTerms
+	shortNs, longNs := rowNs(short), rowNs(long)
+	cal.WideMacNs = math.Max(longNs-shortNs, 0) / (long - short)
+	cal.WideReduceNs = math.Max(shortNs-short*cal.WideMacNs, 0)
 	var l, r sha2.Digest
 	l[0], r[0] = 1, 2
 	cal.CompressNs = bestNs(func() float64 {
@@ -229,8 +240,8 @@ type rooflineCase struct {
 	muls     float64 // field multiplications per element
 	adds     float64 // field additions per element
 	compress float64 // SHA-256 compressions per element
-	macs     float64 // field.Wide.MulAccSmall per element
-	reduces  float64 // field.Element.ReduceWide per element
+	macs     float64 // row-kernel terms per element
+	reduces  float64 // row-kernel rows per element
 	model    string
 	run      func() error
 }
@@ -313,7 +324,7 @@ func rooflineCases(shift int, seed int64) ([]rooflineCase, error) {
 			name: "encoder/encode", size: n,
 			macs:    encNNZ / float64(n),
 			reduces: encRows / float64(n),
-			model:   "exact: one wide multiply-accumulate (4 limb-muls) per sparse-matrix nonzero + one reduction per output row",
+			model:   "exact: one row-kernel term (4 limb-muls) per sparse-matrix nonzero + one row (reduction and call) per output row",
 			run: func() error {
 				return enc.EncodeInto(encOut, encMsg)
 			},
@@ -433,7 +444,7 @@ func ReadRooflineReport(rd io.Reader) (*RooflineReport, error) {
 // RenderTable writes the human-readable roofline table.
 func (r *RooflineReport) RenderTable(w io.Writer) {
 	fmt.Fprintf(w, "host-kernel roofline (serial, %d cores, shift %d)\n", r.Cores, r.Shift)
-	fmt.Fprintf(w, "calibrated ALU: mul %.1f ns · add %.1f ns · sha256-compress %.1f ns · wide mac %.1f ns · wide reduce %.1f ns\n\n",
+	fmt.Fprintf(w, "calibrated ALU: mul %.1f ns · add %.1f ns · sha256-compress %.1f ns · row term %.1f ns · row %.1f ns\n\n",
 		r.Calibration.MulNs, r.Calibration.AddNs, r.Calibration.CompressNs, r.Calibration.WideMacNs, r.Calibration.WideReduceNs)
 	fmt.Fprintf(w, "%-20s %10s %12s %12s %8s  %s\n",
 		"kernel", "size", "ns/elem", "floor ns", "%ceil", "verdict")

@@ -19,12 +19,16 @@ func TestRooflineReport(t *testing.T) {
 	}
 	// A Montgomery multiply costs more than an add; a sha256 compression
 	// costs more than a multiply. A calibration that violates this is
-	// measuring noise.
-	if rep.Calibration.MulNs <= rep.Calibration.AddNs {
-		t.Fatalf("mul %.1fns <= add %.1fns", rep.Calibration.MulNs, rep.Calibration.AddNs)
-	}
-	if rep.Calibration.CompressNs <= rep.Calibration.MulNs {
-		t.Fatalf("compress %.1fns <= mul %.1fns", rep.Calibration.CompressNs, rep.Calibration.MulNs)
+	// measuring noise. The race build instruments the Go Add but not the
+	// assembly Mul or crypto/sha256's block function, so there the order
+	// says nothing; the floors below are gated in both builds.
+	if !raceDetector {
+		if rep.Calibration.MulNs <= rep.Calibration.AddNs {
+			t.Fatalf("mul %.1fns <= add %.1fns", rep.Calibration.MulNs, rep.Calibration.AddNs)
+		}
+		if rep.Calibration.CompressNs <= rep.Calibration.MulNs {
+			t.Fatalf("compress %.1fns <= mul %.1fns", rep.Calibration.CompressNs, rep.Calibration.MulNs)
+		}
 	}
 
 	wantKernels := map[string]bool{

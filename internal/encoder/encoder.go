@@ -40,8 +40,10 @@ const MaxRowWeight = 255
 
 // Entry is one non-zero coefficient of a sparse matrix row. Coefficients
 // are sampled as 64-bit integers, so Coeff holds the canonical value
-// itself: the element field.NewElement(Coeff), applied with one
-// field.Wide.MulAccSmall instead of a full Montgomery multiply.
+// itself: the element field.NewElement(Coeff), applied as one wide
+// multiply-accumulate (field.Wide.MulAccSmall's arithmetic, which the row
+// kernel runs inline) instead of a full Montgomery multiply. The row
+// kernel's assembly reads Col at offset 0 and Coeff at offset 8.
 type Entry struct {
 	Col   int
 	Coeff uint64
@@ -89,15 +91,6 @@ func (m *SparseMatrix) mulInto(out, x []field.Element) {
 	for j, row := range m.Rows {
 		rowInto(&out[j], row, x)
 	}
-}
-
-// rowInto sets *out to the inner product of one sparse row with x.
-func rowInto(out *field.Element, row []Entry, x []field.Element) {
-	var acc field.Wide
-	for _, e := range row {
-		acc.MulAccSmall(e.Coeff, &x[e.Col])
-	}
-	out.ReduceWide(&acc)
 }
 
 // RowLengths returns the per-row non-zero counts (all < 256), the input of

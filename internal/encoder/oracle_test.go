@@ -172,20 +172,22 @@ func BenchmarkMulVec(b *testing.B) {
 	m := e.Stages()[0].Second
 	x := field.RandVector(m.InDim)
 	out := make([]field.Element, m.OutDim)
-	b.ReportMetric(float64(m.NumNonZeros()), "nnz")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.MulVecInto(out, x)
-	}
+	eachPath(b, func(b *testing.B) {
+		b.ReportMetric(float64(m.NumNonZeros()), "nnz")
+		for i := 0; i < b.N; i++ {
+			_ = m.MulVecInto(out, x)
+		}
+	})
 }
 
 func BenchmarkEncodeInto(b *testing.B) {
 	e := mustEncoder(b, 512)
 	x := field.RandVector(512)
 	dst := make([]field.Element, e.CodewordLen())
-	b.ReportMetric(float64(e.WorkNonZeros()), "nnz")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.EncodeInto(dst, x)
-	}
+	eachPath(b, func(b *testing.B) {
+		b.ReportMetric(float64(e.WorkNonZeros()), "nnz")
+		for i := 0; i < b.N; i++ {
+			_ = e.EncodeInto(dst, x)
+		}
+	})
 }

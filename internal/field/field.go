@@ -183,11 +183,37 @@ func (e *Element) ToBytes() [Bytes]byte {
 // serialize many elements into one buffer.
 func (e *Element) PutBytes(dst []byte) {
 	c := e.fromMont()
+	c.PutLimbs(dst)
+}
+
+// PutLimbs writes e's limbs big-endian into dst[:Bytes] as they stand,
+// with no conversion out of Montgomery form. On limbs that
+// FromMontgomery produced it writes the original element's PutBytes
+// encoding; on a zero element it writes zeros, as PutBytes does.
+func (e *Element) PutLimbs(dst []byte) {
 	_ = dst[Bytes-1]
-	binary.BigEndian.PutUint64(dst[0:8], c[3])
-	binary.BigEndian.PutUint64(dst[8:16], c[2])
-	binary.BigEndian.PutUint64(dst[16:24], c[1])
-	binary.BigEndian.PutUint64(dst[24:32], c[0])
+	binary.BigEndian.PutUint64(dst[0:8], e[3])
+	binary.BigEndian.PutUint64(dst[8:16], e[2])
+	binary.BigEndian.PutUint64(dst[16:24], e[1])
+	binary.BigEndian.PutUint64(dst[24:32], e[0])
+}
+
+// FromMontgomery sets dst[i] to the canonical limbs of src[i]: the value
+// itself, src[i]·R⁻¹, where src[i] holds its Montgomery form. dst may be
+// src. The result sits in Element slots but is not in this package's
+// domain, so Mul, Add and PutBytes must not read it. What may: any map
+// that is linear over the integers and reduces mod r, which returns the
+// canonical limbs of its Montgomery-form answer. Wide accumulation with
+// integer coefficients followed by ReduceWide is such a map, and so is
+// copying. PutLimbs then writes the bytes PutBytes would have written.
+func FromMontgomery(dst, src []Element) {
+	if len(dst) != len(src) {
+		panic("field: FromMontgomery length mismatch")
+	}
+	for i := range src {
+		dst[i] = src[i]
+		redc(&dst[i])
+	}
 }
 
 // ErrNotCanonical is returned when deserializing a value ≥ the modulus.

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -103,6 +104,36 @@ func TestPathSwitch(t *testing.T) {
 	if fast != slow {
 		t.Fatalf("paths disagree: %x vs %x", fast, slow)
 	}
+}
+
+// TestFromMontgomeryPutLimbs: on each path, FromMontgomery then PutLimbs
+// writes exactly PutBytes' encoding, in place or into a second vector,
+// and the limbs are the element's canonical value.
+func TestFromMontgomeryPutLimbs(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	src := append(limbPatterns(), Element{})
+	for i := 0; i < 1000; i++ {
+		src = append(src, randElement(rng))
+	}
+	check := func() {
+		dst := make([]Element, len(src))
+		FromMontgomery(dst, src)
+		inPlace := append([]Element(nil), src...)
+		FromMontgomery(inPlace, inPlace)
+		var got, want [Bytes]byte
+		for i := range src {
+			if inPlace[i] != dst[i] {
+				t.Fatalf("in place %x, into dst %x", inPlace[i], dst[i])
+			}
+			dst[i].PutLimbs(got[:])
+			src[i].PutBytes(want[:])
+			if got != want || src[i].BigInt().Cmp(new(big.Int).SetBytes(got[:])) != 0 {
+				t.Fatalf("%x: PutLimbs of its canonical limbs %x, PutBytes %x", src[i], got, want)
+			}
+		}
+	}
+	check()
+	goPath(check)
 }
 
 func BenchmarkMulGo(b *testing.B) {

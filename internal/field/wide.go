@@ -16,13 +16,27 @@ import "math/bits"
 //
 //	t.Mul(&c, &x); s.Add(&s, &t)   // c = NewElement(v)
 //
-// produces term by term. The differential tests pin that equality.
+// produces term by term. The differential tests pin that equality. The
+// reduction is linear over the integers too, so on canonical limbs (see
+// FromMontgomery) the same sum returns the canonical limbs of the result.
+//
+// MulAccSmall and ReduceWide define the arithmetic. The encoder's row
+// kernel runs it one call per row, with the accumulator in registers
+// (MULX assembly on amd64, a register-local Go loop elsewhere), and its
+// tests use this pair as the reference.
 
 // MaxWideTerms bounds the terms one Wide may accumulate before ReduceWide.
 // Each term is < 2⁶⁴·r < 2³¹⁸, so 255 terms stay below 2³²⁶ — inside the
 // six limbs and inside ReduceWide's precondition (see there). It matches
 // the encoder's one-byte row-weight bound.
 const MaxWideTerms = 255
+
+// HasADX reports whether this process runs Mul, Square and the
+// conversions out of Montgomery form on the MULX/ADCX/ADOX assembly (see
+// useADX). Assembly kernels elsewhere, such as the encoder's row kernel
+// built on this file's accumulator, key their own path switch off it
+// rather than probing CPUID a second time.
+func HasADX() bool { return useADX }
 
 // Wide is an unreduced accumulator: six little-endian 64-bit limbs holding
 // an exact integer sum. The zero value is an empty sum.

@@ -43,7 +43,21 @@ type Block [sha2.BlockSize]byte
 // digests; the last layer holds the single root.
 type Tree struct {
 	layers [][]sha2.Digest
+	// store holds the digest slices the layers live in, for Release to
+	// hand back; nil on a tree Build made or one already released.
+	store *treeStore
 }
+
+// treeStore is the memory of a tree BuildFromDigests made: the leaf copy,
+// the interior arena and the layer headers. Release hands it to the next
+// BuildFromDigests, so a prover that opens each commitment and moves on
+// reuses one tree's memory instead of allocating its own.
+type treeStore struct {
+	leaves, arena []sha2.Digest
+	layers        [][]sha2.Digest
+}
+
+var treeStores par.FreeList[treeStore]
 
 // ErrEmpty is returned when building a tree over no data.
 var ErrEmpty = errors.New("merkle: empty input")
@@ -69,12 +83,16 @@ func Build(blocks []Block) (*Tree, error) {
 			leaves[i] = sha2.Compress((*[sha2.BlockSize]byte)(&b))
 		}
 	})
-	return fromLeaves(leaves), nil
+	shape := shapeFor(n)
+	t := &Tree{layers: make([][]sha2.Digest, 0, shape.levels+1)}
+	t.build(leaves, make([]sha2.Digest, shape.total))
+	return t, nil
 }
 
 // BuildFromDigests constructs a tree whose leaves are pre-computed digests
 // (e.g. the roots of subtree commitments, as in the system's second-level
-// tree in §4). The count must be a positive power of two.
+// tree in §4). The count must be a positive power of two. The leaves are
+// copied, into memory a released tree handed back where there is one.
 func BuildFromDigests(leaves []sha2.Digest) (*Tree, error) {
 	n := len(leaves)
 	if n == 0 {
@@ -83,9 +101,35 @@ func BuildFromDigests(leaves []sha2.Digest) (*Tree, error) {
 	if n&(n-1) != 0 {
 		return nil, fmt.Errorf("merkle: %d leaves is not a power of two", n)
 	}
-	cp := make([]sha2.Digest, n)
-	copy(cp, leaves)
-	return fromLeaves(cp), nil
+	st := treeStores.Get()
+	st.leaves = grow(st.leaves, n)
+	st.arena = grow(st.arena, shapeFor(n).total)
+	copy(st.leaves, leaves)
+	t := &Tree{layers: st.layers[:0], store: st}
+	t.build(st.leaves, st.arena)
+	st.layers = t.layers
+	return t, nil
+}
+
+// grow returns buf resized to n digests, reallocating only when it is too
+// short. The contents are unspecified.
+func grow(buf []sha2.Digest, n int) []sha2.Digest {
+	if cap(buf) < n {
+		return make([]sha2.Digest, n)
+	}
+	return buf[:n]
+}
+
+// Release hands the memory of a tree BuildFromDigests made to a later
+// BuildFromDigests. Nothing that Prove, ProveMulti or Siblings returned
+// refers to it, but the tree itself must not be used afterwards. It does
+// nothing to other trees or to one already released.
+func (t *Tree) Release() {
+	if t.store == nil {
+		return
+	}
+	treeStores.Put(t.store)
+	t.layers, t.store = nil, nil
 }
 
 // HashElements maps a vector of field elements to one leaf digest by
@@ -164,12 +208,16 @@ func HashColumns(cols [][]field.Element) []sha2.Digest {
 // so the tests can force tiles of one column and of more than there are.
 var columnTile = 16
 
-// ColumnBytes serializes columns [lo, hi) of a matrix held as rows and
-// hands fn, for each column j in ascending order, the bytes HashElements
-// would absorb for that column (row 0's encoding first). enc lives in the
-// scratch arena's byte buffer, columnTile·len(rows)·32 bytes, and is valid
-// only during the call. This is how both commit paths turn row-major
-// codewords into leaf preimages without transposing the matrix.
+// ColumnBytes serializes columns [lo, hi) of a matrix held as rows of
+// canonical limbs (field.FromMontgomery's output: the values themselves,
+// not their Montgomery form) and hands fn, for each column j in ascending
+// order, the bytes HashElements absorbs for the Montgomery-form column
+// with those values (row 0's encoding first). It writes each entry's
+// limbs big-endian with no field arithmetic, so a zero row costs no
+// conversion either. enc lives in the scratch arena's byte buffer,
+// columnTile·len(rows)·32 bytes, and is valid only during the call. This
+// is how the commitment turns row-major codewords into leaf preimages
+// without transposing the matrix.
 func ColumnBytes(s *par.Scratch, rows [][]field.Element, lo, hi int, fn func(j int, enc []byte)) {
 	if hi <= lo {
 		return
@@ -181,7 +229,7 @@ func ColumnBytes(s *par.Scratch, rows [][]field.Element, lo, hi int, fn func(j i
 		for r, row := range rows {
 			tile := row[j0 : j0+t]
 			for c := range tile {
-				tile[c].PutBytes(buf[c*stride+r*field.Bytes:])
+				tile[c].PutLimbs(buf[c*stride+r*field.Bytes:])
 			}
 		}
 		for c := 0; c < t; c++ {
@@ -240,20 +288,14 @@ func shapeFor(n int) *levelShape {
 	return actual.(*levelShape)
 }
 
-// fromLeaves builds the interior layers bottom-up. Each level's nodes are
-// independent, so a level hashes in parallel (the paper's §3.1 thread
-// allocation: N/2 + N/4 + … threads per level); levels themselves are
-// sequential since each consumes the previous one. All interior levels
-// live in one flat arena sliced by the cached per-shape layout, so a
-// same-shape build does two allocations instead of log₂ n.
-func fromLeaves(leaves []sha2.Digest) *Tree {
-	n := len(leaves)
-	if n == 1 {
-		return &Tree{layers: [][]sha2.Digest{leaves}}
-	}
-	s := shapeFor(n)
-	arena := make([]sha2.Digest, s.total)
-	t := &Tree{layers: make([][]sha2.Digest, 0, s.levels+1)}
+// build sets t's layers to a tree over leaves, appending to t.layers.
+// Each level's nodes are independent, so a level hashes in parallel (the
+// paper's §3.1 thread allocation: N/2 + N/4 + … threads per level);
+// levels themselves are sequential since each consumes the previous one.
+// All interior levels live in arena (at least n−1 digests), sliced by the
+// cached per-shape layout, so a build allocates no digests of its own.
+func (t *Tree) build(leaves, arena []sha2.Digest) {
+	s := shapeFor(len(leaves))
 	t.layers = append(t.layers, leaves)
 	cur := leaves
 	for l := 0; l < s.levels; l++ {
@@ -262,7 +304,6 @@ func fromLeaves(leaves []sha2.Digest) *Tree {
 		t.layers = append(t.layers, next)
 		cur = next
 	}
-	return t
 }
 
 // hashLevel fills next[i] = H(cur[2i] ‖ cur[2i+1]) for one tree level.

@@ -302,3 +302,50 @@ func TestHashElementsPaddedMatchesPaddedColumn(t *testing.T) {
 		}
 	}
 }
+
+// A released tree's memory goes to the next BuildFromDigests: trees built
+// in it, of the same leaf count or another, have the roots of trees built
+// fresh, a second Release does nothing, and a same-size build-release
+// cycle allocates neither digests nor layer headers.
+func TestReleaseRecyclesTree(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	digests := func(n int) []sha2.Digest {
+		out := make([]sha2.Digest, n)
+		for i := range out {
+			r.Read(out[i][:])
+		}
+		return out
+	}
+	sets := [][]sha2.Digest{digests(64), digests(16), digests(256), digests(1), digests(64)}
+	want := make([]sha2.Digest, len(sets))
+	for i, leaves := range sets {
+		f := NewFrontierBuilder()
+		for _, l := range leaves {
+			f.Add(l)
+		}
+		var err error
+		if want[i], err = f.Root(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, leaves := range sets {
+		tr, err := BuildFromDigests(leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Root() != want[i] || tr.NumLeaves() != len(leaves) {
+			t.Fatalf("set %d: tree in recycled memory has the wrong root", i)
+		}
+		tr.Release()
+		tr.Release()
+	}
+	leaves := sets[0]
+	kept := testing.AllocsPerRun(20, func() { _, _ = BuildFromDigests(leaves) })
+	recycled := testing.AllocsPerRun(20, func() {
+		tr, _ := BuildFromDigests(leaves)
+		tr.Release()
+	})
+	if recycled > kept-3 {
+		t.Fatalf("a build-release cycle allocates %.0f times, a build alone %.0f: the leaves, arena and layer headers were not reused", recycled, kept)
+	}
+}

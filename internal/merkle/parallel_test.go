@@ -110,9 +110,11 @@ func TestHashElementsIsSHA256OfEncodings(t *testing.T) {
 	}
 }
 
-// ColumnBytes must hand out, for every column of a row-major matrix, the
-// preimage HashElements hashes for that column — for any tile size, any
-// chunking of the column range, and shapes the tile does not divide.
+// ColumnBytes, given a row-major matrix's canonical limbs, must hand out
+// for every column the preimage HashElements hashes for that column of
+// the Montgomery-form matrix — for any tile size, any chunking of the
+// column range, and shapes the tile does not divide. Every shape with
+// more than one row has a zero row, which stays zero limbs.
 func TestColumnBytesMatchesHashElements(t *testing.T) {
 	lowerGrains(t)
 	oldTile := columnTile
@@ -120,8 +122,14 @@ func TestColumnBytesMatchesHashElements(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {1, 37}, {3, 16}, {3, 50}, {256, 21}} {
 		nRows, nCols := shape[0], shape[1]
 		rows := make([][]field.Element, nRows)
+		canon := make([][]field.Element, nRows)
 		for r := range rows {
 			rows[r] = field.RandVector(nCols)
+			if r == 1 {
+				clear(rows[r])
+			}
+			canon[r] = make([]field.Element, nCols)
+			field.FromMontgomery(canon[r], rows[r])
 		}
 		want := make([]sha2.Digest, nCols)
 		col := make([]field.Element, nRows)
@@ -137,7 +145,7 @@ func TestColumnBytesMatchesHashElements(t *testing.T) {
 				got := make([]sha2.Digest, nCols)
 				par.ForScratch(0, nCols, func(s *par.Scratch, lo, hi int) {
 					next := lo
-					ColumnBytes(s, rows, lo, hi, func(j int, enc []byte) {
+					ColumnBytes(s, canon, lo, hi, func(j int, enc []byte) {
 						if j != next {
 							t.Errorf("column %d handed out of order (want %d)", j, next)
 						}

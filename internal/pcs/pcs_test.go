@@ -7,6 +7,7 @@ import (
 	"batchzk/internal/encoder"
 	"batchzk/internal/field"
 	"batchzk/internal/merkle"
+	"batchzk/internal/par"
 	"batchzk/internal/poly"
 	"batchzk/internal/transcript"
 )
@@ -234,38 +235,64 @@ func BenchmarkCommit4096(b *testing.B) {
 }
 
 // The commitment is defined as the Merkle tree over merkle.HashElements of
-// every encoded column; Commit produces the leaves by a tiled walk instead.
+// every encoded column, with the codewords in Montgomery form as
+// Encoder.Encode returns them. The committer encodes in the canonical
+// domain (each row taken out of Montgomery form once, codewords hashed as
+// raw limbs) and produces the leaves by a tiled walk instead. Its root
+// must be the definition's for Commit and for streamed commitments in
+// both modes, with chunks that split rows and flush blocks of 3 rows, on
+// vectors with a partial last row followed by zero rows that carry the
+// entries 0, 1 and r − 1.
 func TestCommitRootIsTreeOverColumnHashes(t *testing.T) {
-	for _, logN := range []int{6, 9} {
+	lowerStreamGrains(t)
+	var minusOne field.Element
+	minusOne.SetInt64(-1)
+	for _, logN := range []int{6, 9, 10} {
 		p := testParams(logN)
-		values := field.RandVector(1 << logN)
-		st, err := Commit(values, p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		enc, err := encoder.New(p.NumCols, p.Enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols := make([][]field.Element, enc.CodewordLen())
-		for j := range cols {
-			cols[j] = make([]field.Element, p.NumRows)
-		}
-		for r := 0; r < p.NumRows; r++ {
-			cw, err := enc.Encode(values[r*p.NumCols : (r+1)*p.NumCols])
+		for _, used := range []int{1 << logN, p.NumCols + 3, 3*p.NumCols + 1} {
+			values := make([]field.Element, 1<<logN)
+			copy(values, field.RandVector(used))
+			values[0], values[1], values[2] = field.Element{}, field.One(), minusOne
+			cols := make([][]field.Element, enc.CodewordLen())
+			for j := range cols {
+				cols[j] = make([]field.Element, p.NumRows)
+			}
+			for r := 0; r < p.NumRows; r++ {
+				cw, err := enc.Encode(values[r*p.NumCols : (r+1)*p.NumCols])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range cols {
+					cols[j][r] = cw[j]
+				}
+			}
+			tree, err := merkle.BuildFromColumns(cols)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j := range cols {
-				cols[j][r] = cw[j]
+			want := tree.Root()
+			st, err := Commit(values, p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		tree, err := merkle.BuildFromColumns(cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree.Root() != st.Commitment().Root {
-			t.Fatalf("logN=%d: Commit root is not the tree over the column hashes", logN)
+			if st.Commitment().Root != want {
+				t.Fatalf("logN=%d, %d values: Commit root is not the tree over the column hashes", logN, used)
+			}
+			for _, chunk := range []int{p.NumCols/2 + 1, p.NumCols + 3} {
+				for _, mode := range []CommitMode{RetainTree, RootOnly} {
+					for _, w := range []int{1, 2} {
+						par.SetWidth(w)
+						if streamCommit(t, values, p, chunk, mode).Commitment().Root != want {
+							t.Fatalf("logN=%d, %d values, chunk %d, mode %d, width %d: streamed root is not the tree over the column hashes",
+								logN, used, chunk, mode, w)
+						}
+					}
+				}
+			}
 		}
 	}
 }

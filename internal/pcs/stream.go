@@ -155,8 +155,16 @@ func (sc *StreamingCommitter) flushRows(vals []field.Element, nRows int) error {
 	for off := 0; off < nRows; off += len(sc.block) {
 		block := sc.block[:min(nRows-off, len(sc.block))]
 		// Row-parallel encoding: one codeword per row, each in its own
-		// slot of the arena. A zero row (the padding of a committed
-		// vector) encodes to zero.
+		// slot of the arena, in the canonical domain. The row is taken
+		// out of Montgomery form into its slot's message quarter (one
+		// reduction per message entry, not one per codeword entry) and
+		// encoded there in place. The encoder is linear over the integers
+		// and reduces mod r (wide accumulation with integer coefficients,
+		// then ReduceWide), so on the row's canonical limbs it returns the
+		// canonical limbs of every codeword entry: the bytes ColumnBytes
+		// writes are the ones PutBytes would write for the Montgomery
+		// codeword. A zero row (the padding of a committed vector) encodes
+		// to zero in either domain.
 		k := par.Chunks(0, len(block))
 		encErrs := make([]error, k)
 		par.ForChunks(k, len(block), func(c, lo, hi int) {
@@ -165,7 +173,9 @@ func (sc *StreamingCommitter) flushRows(vals []field.Element, nRows int) error {
 				if row := vals[r*cols : (r+1)*cols]; isZero(row) {
 					clear(block[i])
 				} else {
-					encErrs[c] = sc.enc.EncodeInto(block[i], row)
+					msg := block[i][:cols]
+					field.FromMontgomery(msg, row)
+					encErrs[c] = sc.enc.EncodeInto(block[i], msg)
 				}
 			}
 		})
@@ -201,6 +211,16 @@ type StreamState struct {
 
 // Commitment returns the public commitment.
 func (s *StreamState) Commitment() Commitment { return s.comm }
+
+// Release hands the column tree's memory to the next commitment. The
+// state cannot open afterwards; its Commitment stays valid, and so does
+// every proof it produced, none of which refers to the tree.
+func (s *StreamState) Release() {
+	if s.tree != nil {
+		s.tree.Release()
+		s.tree = nil
+	}
+}
 
 // Finish finalizes the commitment. In RetainTree mode the column leaves
 // are hashed in parallel and the tree above them is kept; in RootOnly
@@ -277,7 +297,7 @@ func (s *StreamState) ProveEval(rows RowAt, point []field.Element, tr *transcrip
 // γᵀ·M and the evaluation row eqHiᵀ·M, and draw the challenged columns.
 func (s *StreamState) evalRows(rows RowAt, point []field.Element, tr *transcript.Transcript) (testRow, combined []field.Element, idx []int, err error) {
 	if s.tree == nil {
-		return nil, nil, nil, fmt.Errorf("pcs: commitment was streamed RootOnly; openings unavailable")
+		return nil, nil, nil, fmt.Errorf("pcs: no column tree (streamed RootOnly, or released); openings unavailable")
 	}
 	if n := s.comm.NumVars(); len(point) != n {
 		return nil, nil, nil, fmt.Errorf("pcs: point arity %d, want %d", len(point), n)

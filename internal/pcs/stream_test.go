@@ -176,11 +176,20 @@ func TestStreamingCommitterErrors(t *testing.T) {
 		t.Fatal("AddChunk accepted more rows than the layout holds")
 	}
 
-	// RootOnly states cannot open.
+	// RootOnly states cannot open, nor can states whose column tree was
+	// released to the next commitment; both keep their commitment.
 	values := field.RandVector(1 << 6)
-	st := streamCommit(t, values, p, 0, RootOnly)
 	rowAt := func(r int) []field.Element { return values[r*p.NumCols : (r+1)*p.NumCols] }
-	if _, _, err := st.ProveEval(rowAt, field.RandVector(6), transcript.New("pcs")); err == nil {
-		t.Fatal("RootOnly state answered an opening")
+	want := streamCommit(t, values, p, 0, RootOnly).Commitment()
+	released := streamCommit(t, values, p, 0, RetainTree)
+	released.Release()
+	released.Release() // a second release does nothing
+	for name, st := range map[string]*StreamState{"RootOnly": streamCommit(t, values, p, 0, RootOnly), "released": released} {
+		if _, _, err := st.ProveEval(rowAt, field.RandVector(6), transcript.New("pcs")); err == nil {
+			t.Fatalf("%s state answered an opening", name)
+		}
+		if st.Commitment() != want {
+			t.Fatalf("%s state lost its commitment", name)
+		}
 	}
 }

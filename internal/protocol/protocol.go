@@ -531,8 +531,9 @@ func (f *InFlight) RunLinear() error {
 
 // Finish runs the opening stage and assembles the proof: the opening
 // re-reads rows from the padded witness and re-encodes the challenged
-// columns. The prover state and witness buffer are released on return,
-// and the arena is free for the next proof.
+// columns. The prover state and witness buffer are released on return:
+// the column tree's memory goes to the next commitment, and the arena is
+// free for the next proof.
 func (f *InFlight) Finish() (*Proof, error) {
 	var err error
 	s := par.GetScratch()
@@ -541,6 +542,7 @@ func (f *InFlight) Finish() (*Proof, error) {
 	if f.proof.PCSProof, _, err = f.ss.ProveEval(rows, f.sigma, f.tr); err != nil {
 		return nil, err
 	}
+	f.ss.Release()
 	f.ss, f.w = nil, nil
 	return f.proof, nil
 }
