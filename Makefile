@@ -29,11 +29,10 @@ purego:
 	$(GO) test -tags purego ./internal/field/... ./internal/encoder/... ./internal/merkle/... ./internal/pcs/... \
 		./internal/protocol/... ./internal/core/...
 
-# Exercise the concurrency-sensitive layers (stage executors, batch
-# prover stages, pipelined module schedules, the parallel sum-check kernel
-# and the GKR layer proofs on it, the telemetry sink's registry, tracer
-# and flight recorder, the gateway's admission queue) under the race
-# detector.
+# Exercise the concurrency-sensitive layers (the stage executor, batch
+# prover stages, the parallel sum-check kernel and the GKR layer proofs
+# on it, the telemetry sink's registry, tracer and flight recorder, the
+# gateway's admission queue) under the race detector.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/pipeline/... ./internal/telemetry/... ./internal/gpusim/... \
 		./internal/par/... ./internal/merkle/... ./internal/encoder/... ./internal/sumcheck/... ./internal/gkr/... ./internal/pcs/... \

@@ -150,7 +150,7 @@ func BenchmarkFig4ThreadWorkload(b *testing.B) {
 }
 
 // BenchmarkFig6EncoderPipelines regenerates Figure 6's two-pipeline
-// schedule, including the functional codeword equality check.
+// schedule table.
 func BenchmarkFig6EncoderPipelines(b *testing.B) {
 	benchExperiment(b, "fig6")
 }

@@ -1,26 +1,38 @@
 // modules: the three computational modules of BatchZK used standalone —
-// Merkle tree, sum-check protocol, and linear-time encoder — each in its
-// one-at-a-time form and its pipelined batch form (§3 of the paper), with
-// the batch results checked against the sequential ones.
+// Merkle tree, sum-check protocol, and linear-time encoder — each one at a
+// time and as a batch of independent tasks, with the batch results checked
+// against the one-at-a-time ones.
 //
 //	go run ./examples/modules
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
+	"os"
 
 	"batchzk"
 )
 
 func main() {
-	merkleDemo()
-	sumcheckDemo()
-	encoderDemo()
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "modules:", err)
+		os.Exit(1)
+	}
 }
 
-func merkleDemo() {
+func run(w io.Writer) error {
+	for _, demo := range []func(io.Writer) error{merkleDemo, sumcheckDemo, encoderDemo} {
+		if err := demo(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func merkleDemo(w io.Writer) error {
 	// Commit to 64 data blocks, prove membership of block 13.
 	r := rand.New(rand.NewSource(1))
 	blocks := make([]batchzk.MerkleBlock, 64)
@@ -29,18 +41,18 @@ func merkleDemo() {
 	}
 	tree, err := batchzk.BuildMerkleTree(blocks)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	proof, err := tree.Prove(13)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !batchzk.VerifyMerklePath(tree.Root(), proof) {
-		log.Fatal("merkle path did not verify")
+		return errors.New("merkle path did not verify")
 	}
-	fmt.Printf("merkle: committed 64 blocks, proved block 13 with a %d-hash path\n", len(proof.Siblings))
+	fmt.Fprintf(w, "merkle: committed 64 blocks, proved block 13 with a %d-hash path\n", len(proof.Siblings))
 
-	// Batch: 16 trees streamed through the layer-per-stage pipeline.
+	// Batch: 16 trees built as independent tasks.
 	tasks := make([][]batchzk.MerkleBlock, 16)
 	for t := range tasks {
 		tasks[t] = make([]batchzk.MerkleBlock, 64)
@@ -50,40 +62,44 @@ func merkleDemo() {
 	}
 	roots, err := batchzk.BatchMerkleRoots(tasks)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for t := range tasks {
-		tree, _ := batchzk.BuildMerkleTree(tasks[t])
+		tree, err := batchzk.BuildMerkleTree(tasks[t])
+		if err != nil {
+			return err
+		}
 		if roots[t] != tree.Root() {
-			log.Fatal("pipelined root differs from sequential build")
+			return errors.New("batch root differs from a one-at-a-time build")
 		}
 	}
-	fmt.Printf("merkle: %d trees batch-generated in pipeline order, roots identical to sequential builds\n", len(roots))
+	fmt.Fprintf(w, "merkle: %d trees batch-generated, roots identical to one-at-a-time builds\n", len(roots))
+	return nil
 }
 
-func sumcheckDemo() {
+func sumcheckDemo(w io.Writer) error {
 	// Prove that a 2^10-entry table sums to its claim, non-interactively.
 	evals := batchzk.RandVector(1 << 10)
 	proof, claim, err := batchzk.ProveSum("modules-demo", evals)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := batchzk.VerifySum("modules-demo", claim, proof, evals); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("sumcheck: proved a 2^10 hypercube sum in %d rounds; verifier accepted\n", proof.NumRounds())
+	fmt.Fprintf(w, "sumcheck: proved a 2^10 hypercube sum in %d rounds; verifier accepted\n", proof.NumRounds())
 
 	// A wrong claim is rejected.
 	bad := claim
 	one := batchzk.NewElement(1)
 	bad.Add(&bad, &one)
 	if err := batchzk.VerifySum("modules-demo", bad, proof, evals); err == nil {
-		log.Fatal("wrong claim accepted")
+		return errors.New("wrong claim accepted")
 	}
-	fmt.Println("sumcheck: off-by-one claim rejected")
+	fmt.Fprintln(w, "sumcheck: off-by-one claim rejected")
 
-	// Batch: 8 proofs streamed through the round-per-stage pipeline with
-	// the Figure-5 double buffers; here with fixed per-task randomness.
+	// Batch: 8 proofs as independent tasks, here with fixed per-task
+	// randomness.
 	tables := make([][]batchzk.Element, 8)
 	challenges := make([][]batchzk.Element, 8)
 	for i := range tables {
@@ -94,40 +110,45 @@ func sumcheckDemo() {
 		return challenges[task][round]
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("sumcheck: %d proofs batch-generated (%d rounds each)\n", len(results), results[0].Proof.NumRounds())
+	fmt.Fprintf(w, "sumcheck: %d proofs batch-generated (%d rounds each)\n", len(results), results[0].Proof.NumRounds())
+	return nil
 }
 
-func encoderDemo() {
+func encoderDemo(w io.Writer) error {
 	enc, err := batchzk.NewEncoder(256)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	msg := batchzk.RandVector(256)
 	cw, err := enc.Encode(msg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("encoder: 256 elements → %d-element codeword (rate 1/%d, systematic)\n",
+	fmt.Fprintf(w, "encoder: 256 elements → %d-element codeword (rate 1/%d, systematic)\n",
 		len(cw), len(cw)/len(msg))
 
-	// Batch: 12 messages through the two-pipeline schedule of Figure 6.
+	// Batch: 12 messages encoded as independent tasks.
 	msgs := make([][]batchzk.Element, 12)
 	for i := range msgs {
 		msgs[i] = batchzk.RandVector(256)
 	}
 	codes, err := batchzk.BatchEncodeMessages(enc, msgs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := range msgs {
-		want, _ := enc.Encode(msgs[i])
+		want, err := enc.Encode(msgs[i])
+		if err != nil {
+			return err
+		}
 		for j := range want {
 			if !codes[i][j].Equal(&want[j]) {
-				log.Fatal("pipelined codeword differs")
+				return errors.New("batch codeword differs")
 			}
 		}
 	}
-	fmt.Printf("encoder: %d codewords batch-generated, identical to sequential encoding\n", len(codes))
+	fmt.Fprintf(w, "encoder: %d codewords batch-generated, identical to one-at-a-time encoding\n", len(codes))
+	return nil
 }

@@ -58,19 +58,11 @@ type SparseMatrix struct {
 	Rows   [][]Entry
 }
 
-// MulVec computes out[j] = Σ_e e.Coeff · x[e.Col] for every row j.
-func (m *SparseMatrix) MulVec(x []field.Element) ([]field.Element, error) {
-	out := make([]field.Element, m.OutDim)
-	if err := m.MulVecInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulVecInto is MulVec into a caller-provided output buffer of length
-// OutDim, which it overwrites; out must not overlap x. It allocates
-// nothing and runs on the calling goroutine: callers parallelize across
-// the rows of the committed matrix, so one codeword is one worker's job.
+// MulVecInto computes out[j] = Σ_e e.Coeff · x[e.Col] for every row j
+// into a caller-provided output buffer of length OutDim, which it
+// overwrites; out must not overlap x. It allocates nothing and runs on
+// the calling goroutine: callers parallelize across the rows of the
+// committed matrix, so one codeword is one worker's job.
 //
 // Each output row accumulates its terms wide (field.Wide: four limb
 // multiplies per non-zero, at most MaxRowWeight = field.MaxWideTerms of

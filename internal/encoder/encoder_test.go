@@ -332,7 +332,7 @@ func TestWorkModelConsistency(t *testing.T) {
 func TestMulVecValidation(t *testing.T) {
 	e := mustEncoder(t, 32)
 	m := e.Stages()[0].First
-	if _, err := m.MulVec(field.RandVector(5)); err == nil {
-		t.Fatal("MulVec accepted wrong input length")
+	if err := m.MulVecInto(make([]field.Element, m.OutDim), field.RandVector(5)); err == nil {
+		t.Fatal("MulVecInto accepted wrong input length")
 	}
 }

@@ -56,14 +56,14 @@ func TestMulVecOddDimsAcrossWidths(t *testing.T) {
 	m := sampleMatrix(rng, 37, 23, 2, 7)
 	x := seededMsg(rng, 37)
 	par.SetWidth(1)
-	want, err := m.MulVec(x)
-	if err != nil {
+	want := make([]field.Element, m.OutDim)
+	if err := m.MulVecInto(want, x); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, runtime.GOMAXPROCS(0)} {
 		par.SetWidth(w)
-		got, err := m.MulVec(x)
-		if err != nil {
+		got := make([]field.Element, m.OutDim)
+		if err := m.MulVecInto(got, x); err != nil {
 			t.Fatal(err)
 		}
 		if !field.VectorEqual(got, want) {

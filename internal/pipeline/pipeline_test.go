@@ -1,207 +1,11 @@
 package pipeline
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"batchzk/internal/encoder"
-	"batchzk/internal/field"
-	"batchzk/internal/merkle"
 	"batchzk/internal/perfmodel"
-	"batchzk/internal/poly"
-	"batchzk/internal/sumcheck"
 )
-
-func TestBatchMerkleMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 16, 64} {
-		var tasks [][]merkle.Block
-		for i := 0; i < 7; i++ {
-			blocks := make([]merkle.Block, n)
-			for j := range blocks {
-				r.Read(blocks[j][:])
-			}
-			tasks = append(tasks, blocks)
-		}
-		roots, err := BatchMerkle(tasks)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i, tk := range tasks {
-			tree, err := merkle.Build(tk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if roots[i] != tree.Root() {
-				t.Fatalf("n=%d task=%d: pipelined root differs from merkle.Build", n, i)
-			}
-		}
-	}
-	if _, err := BatchMerkle(nil); err == nil {
-		t.Fatal("accepted empty batch")
-	}
-	if _, err := BatchMerkle([][]merkle.Block{make([]merkle.Block, 3)}); err == nil {
-		t.Fatal("accepted non-power-of-two blocks")
-	}
-	if _, err := BatchMerkle([][]merkle.Block{make([]merkle.Block, 4), make([]merkle.Block, 8)}); err == nil {
-		t.Fatal("accepted ragged batch")
-	}
-}
-
-func TestBatchSumcheckMatchesSequential(t *testing.T) {
-	nVars := 6
-	batch := 9
-	tables := make([][]field.Element, batch)
-	challenges := make([][]field.Element, batch)
-	for i := range tables {
-		tables[i] = field.RandVector(1 << nVars)
-		challenges[i] = field.RandVector(nVars)
-	}
-	results, err := BatchSumcheck(tables, func(task, round int, _, _ field.Element) field.Element {
-		return challenges[task][round]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tables {
-		m, err := poly.NewMultilinear(append([]field.Element{}, tables[i]...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantFinal, err := sumcheck.ProveWithChallenges(m, challenges[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := results[i]
-		if len(got.Proof.Rounds) != len(want.Rounds) {
-			t.Fatalf("task %d round count", i)
-		}
-		for r := range want.Rounds {
-			if got.Proof.Rounds[r] != want.Rounds[r] {
-				t.Fatalf("task %d round %d differs from sequential prover", i, r)
-			}
-		}
-		if !got.Final.Equal(&wantFinal) {
-			t.Fatalf("task %d final differs", i)
-		}
-	}
-	if _, err := BatchSumcheck(nil, nil); err == nil {
-		t.Fatal("accepted empty batch")
-	}
-	if _, err := BatchSumcheck([][]field.Element{make([]field.Element, 3)}, nil); err == nil {
-		t.Fatal("accepted non-power-of-two table")
-	}
-}
-
-func TestBatchEncodeMatchesSequential(t *testing.T) {
-	enc, err := encoder.New(128, encoder.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	msgs := make([][]field.Element, 6)
-	for i := range msgs {
-		msgs[i] = field.RandVector(128)
-	}
-	got, err := BatchEncode(enc, msgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range msgs {
-		want, err := enc.Encode(msgs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !field.VectorEqual(got[i], want) {
-			t.Fatalf("task %d: pipelined codeword differs from Encode", i)
-		}
-	}
-	// Base-size messages (zero matrix stages).
-	base, _ := encoder.New(16, encoder.DefaultParams())
-	bm := [][]field.Element{field.RandVector(16), field.RandVector(16)}
-	bGot, err := BatchEncode(base, bm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bWant, _ := base.Encode(bm[0])
-	if !field.VectorEqual(bGot[0], bWant) {
-		t.Fatal("base-size pipelined codeword differs")
-	}
-	if _, err := BatchEncode(enc, nil); err == nil {
-		t.Fatal("accepted empty batch")
-	}
-	if _, err := BatchEncode(enc, [][]field.Element{field.RandVector(64)}); err == nil {
-		t.Fatal("accepted wrong message length")
-	}
-}
-
-func TestDoubleBufferDiscipline(t *testing.T) {
-	db := NewDoubleBuffer[int](4)
-	// Correct usage: read one, write the other, advance.
-	for p := 0; p < 6; p++ {
-		r := db.ReadBuf()
-		w := db.WriteBuf()
-		if &r[0] == &w[0] {
-			t.Fatal("read and write buffers alias")
-		}
-		w[0] = p
-		if err := db.Advance(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The value written last period is readable this period.
-	w := db.WriteBuf()
-	w[1] = 42
-	if err := db.Advance(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.ReadBuf()[1]; got != 42 {
-		t.Fatalf("read %d, want 42", got)
-	}
-}
-
-func TestDoubleBufferViolation(t *testing.T) {
-	db := NewDoubleBuffer[int](2)
-	_ = db.ReadBuf()
-	_ = db.WriteBuf()
-	_ = db.ReadBuf()
-	// Force a violation: grab the write buffer again after advancing the
-	// period manually through misuse — simulate by reading and writing the
-	// same buffer via two period calls without Advance.
-	db.period++       // misuse: period changed under the hood
-	_ = db.ReadBuf()  // now reads the buffer written above
-	_ = db.WriteBuf() // and writes the one read above
-	db.period--
-	if err := db.Advance(); err == nil {
-		t.Fatal("missed read/write overlap")
-	}
-}
-
-func TestDoubleBufferPropertyAlternation(t *testing.T) {
-	f := func(steps uint8) bool {
-		db := NewDoubleBuffer[byte](1)
-		var lastWrite *byte
-		for s := 0; s < int(steps%32)+2; s++ {
-			r := db.ReadBuf()
-			w := db.WriteBuf()
-			if &r[0] == &w[0] {
-				return false
-			}
-			// This period's read buffer must be last period's write buffer.
-			if lastWrite != nil && &r[0] != lastWrite {
-				return false
-			}
-			lastWrite = &w[0]
-			if err := db.Advance(); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestWarpImbalance(t *testing.T) {
 	// Uniform rows: no imbalance regardless of sorting.

@@ -1,3 +1,11 @@
+// Package pipeline is the performance model of §3 of the BatchZK paper:
+// the pipelined GPU modules for Merkle trees, sum-check proofs and
+// linear-time codes. It feeds each module's real work counts (hash
+// compressions per layer, multiply-adds per sparse-matrix level, bytes
+// touched per round) into the gpusim engine, yielding the
+// throughput/latency/utilization/memory numbers of Tables 3–6, 9, 10 and
+// Figure 9. The modules themselves run on the host as the one-shot
+// functions of internal/merkle, internal/sumcheck and internal/encoder.
 package pipeline
 
 import (

@@ -210,94 +210,3 @@ func TestGraphPanicRecovery(t *testing.T) {
 		t.Fatalf("panics_recovered = %d", n)
 	}
 }
-
-func TestRunCycles(t *testing.T) {
-	sink := telemetry.NewSink(telemetry.Config{})
-	var order []string
-	slots, err := RunCycles(3, 2, func(cycle, stage, task int) error {
-		order = append(order, fmt.Sprintf("c%d s%d t%d", cycle, stage, task))
-		return nil
-	}, nil, CycleConfig{Layer: "pipeline", Module: "m", Telemetry: sink})
-	if err != nil || len(slots) != 0 {
-		t.Fatalf("clean run: %v %v", slots, err)
-	}
-	// Figure 4b: stages descend within a cycle; one task enters per cycle.
-	want := []string{
-		"c0 s0 t0",
-		"c1 s1 t0", "c1 s0 t1",
-		"c2 s1 t1", "c2 s0 t2",
-		"c3 s1 t2",
-	}
-	if len(order) != len(want) {
-		t.Fatalf("slot order %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("slot order %v, want %v", order, want)
-		}
-	}
-	snap := sink.Metrics.Snapshot()
-	if snap.Counters["pipeline/m/cycles"] != 4 {
-		t.Fatalf("cycles counter = %d", snap.Counters["pipeline/m/cycles"])
-	}
-	if snap.Histograms["pipeline/m/slot_ns"].Count != 6 {
-		t.Fatal("slot histogram incomplete")
-	}
-}
-
-func TestRunCyclesPoisonAndPanic(t *testing.T) {
-	sink := telemetry.NewSink(telemetry.Config{})
-	var ran []string
-	slots, err := RunCycles(3, 3, func(cycle, stage, task int) error {
-		ran = append(ran, fmt.Sprintf("s%d t%d", stage, task))
-		if task == 1 && stage == 0 {
-			return fmt.Errorf("bad task")
-		}
-		if task == 2 && stage == 1 {
-			panic("kaboom")
-		}
-		return nil
-	}, nil, CycleConfig{Layer: "pipeline", Module: "m", Telemetry: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slots) != 2 {
-		t.Fatalf("slot errors: %+v", slots)
-	}
-	if slots[0].Task != 1 || slots[0].Stage != 0 {
-		t.Fatalf("first slot error %+v", slots[0])
-	}
-	if slots[1].Task != 2 || slots[1].Stage != 1 {
-		t.Fatalf("second slot error %+v", slots[1])
-	}
-	// Poisoned tasks must not run later stages.
-	for _, s := range ran {
-		if s == "s1 t1" || s == "s2 t1" || s == "s2 t2" {
-			t.Fatalf("poisoned slot ran: %v", ran)
-		}
-	}
-	snap := sink.Metrics.Snapshot()
-	if snap.Counters["pipeline/m/task_errors"] != 2 {
-		t.Fatal("task_errors counter wrong")
-	}
-	if snap.Counters["pipeline/m/panics_recovered"] != 1 {
-		t.Fatal("panics_recovered counter wrong")
-	}
-}
-
-func TestRunCyclesEndCycleAborts(t *testing.T) {
-	boom := fmt.Errorf("buffer discipline violated")
-	_, err := RunCycles(2, 2, func(int, int, int) error { return nil },
-		func(cycle int) error {
-			if cycle == 1 {
-				return boom
-			}
-			return nil
-		}, CycleConfig{})
-	if err != boom {
-		t.Fatalf("endCycle error not fatal: %v", err)
-	}
-	if _, err := RunCycles(0, 2, func(int, int, int) error { return nil }, nil, CycleConfig{}); err == nil {
-		t.Fatal("accepted zero tasks")
-	}
-}

@@ -187,10 +187,11 @@ func step(s *par.Scratch, dst, src [][]field.Element, msg []field.Element, body 
 	return r
 }
 
-// Round is one round of Algorithm 1, the work of one stage of the
-// pipelined prover (§3.2): it returns the message (Σ_b src[b], Σ_b
-// src[b+half]) and writes src folded with the challenge next(message) into
-// dst[:len(src)/2]. src is read, never written, unless dst is src.
+// Round is one round of Algorithm 1 on caller-owned buffers (one stage of
+// the paper's pipelined module, §3.2): it returns the message
+// (Σ_b src[b], Σ_b src[b+half]) and writes src folded with the challenge
+// next(message) into dst[:len(src)/2]. src is read, never written, unless
+// dst is src.
 func Round(dst, src []field.Element, next func(RoundPair) field.Element) RoundPair {
 	s := par.GetScratch()
 	defer par.PutScratch(s)

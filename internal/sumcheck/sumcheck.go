@@ -21,8 +21,9 @@
 // The kernel takes each round's challenge from a callback handed the
 // round's message: a Fiat–Shamir transcript, or caller-supplied randomness
 // for ProveWithChallenges (the form the pipelined GPU module uses, which
-// derives randomness from Merkle roots, §4); Round is one round alone, the
-// body of one pipelined stage. One verifier loop checks every variant and
+// derives randomness from Merkle roots, §4); Round is one round alone, on
+// caller-owned buffers, the step the façade's batch of plain sum-checks
+// loops over. One verifier loop checks every variant and
 // rejects a proof whose round count is not the one the caller expects.
 package sumcheck
 

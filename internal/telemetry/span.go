@@ -25,7 +25,7 @@ type SpanID uint64
 type Span struct {
 	ID     SpanID  `json:"id"`
 	Parent SpanID  `json:"parent,omitempty"`
-	Layer  string  `json:"layer"`          // "core", "pipeline", "gpusim"
+	Layer  string  `json:"layer"`          // "core", "gpusim"
 	Name   string  `json:"name"`           // e.g. "stage/commit", "kernel/merkle/leaves"
 	TID    int     `json:"tid"`            // logical track (stage index, stream id)
 	Start  float64 `json:"start_ns"`       // ns since epoch (wall) or simulated ns

@@ -23,10 +23,7 @@
 //     job through one sink call (StageDone, JobDone), which updates the
 //     stage and job series, the flight timeline and the event log
 //     together, plus one span per stage per job;
-//   - internal/sched's executors record per-stage queue waits, panics and
-//     cycle counts;
-//   - internal/pipeline's module schedules emit one span per
-//     (cycle, stage) slot (layer "pipeline");
+//   - internal/sched's Graph records per-stage queue waits and panics;
 //   - internal/gpusim emits simulated-clock spans for kernel occupancy
 //     and host↔device transfers (layer "gpusim"), so a single export
 //     visually reproduces the pipelined-vs-naive contrast of Figure 9

@@ -24,8 +24,8 @@ type TelemetryConfig = telemetry.Config
 func NewTelemetrySink(cfg TelemetryConfig) *TelemetrySink { return telemetry.NewSink(cfg) }
 
 // EnableTelemetry installs s as the process-wide sink: every prover run,
-// gateway, pipelined module schedule, and simulated device run records
-// into it until EnableTelemetry(nil) turns telemetry off again.
+// gateway and simulated device run records into it until
+// EnableTelemetry(nil) turns telemetry off again.
 func EnableTelemetry(s *TelemetrySink) { telemetry.Enable(s) }
 
 // ActiveTelemetry returns the process-wide sink, or nil when disabled.
